@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import numerics
-from .exprs import render
+from .exprs import UnboundGeneratorError, render
 from .jets import (
     association_residual,
     divergence_match,
@@ -224,13 +224,14 @@ def classify_report(problem: Problem, seed: int, tol: float, case: str | None) -
         if not cands:
             raise UsageError(f"no candidates in case {case!r}")
     for cr in classify(problem.system, cands, seed=seed, tol=tol):
+        causes = [d.cause for d in cr.draws if d.cause]
         eq_max = max(d.eq_residual for d in cr.draws)
         ang_max = max(d.reduced_residual for d in cr.draws)
         rep.add(
             f"classify.{cr.candidate.label}",
             cr.candidate.label,
-            cr.verdict if cr.adjudicated else "suspect",
-            f"eq={eq_max:.3e},angular={ang_max:.3e}",
+            cr.verdict if cr.adjudicated or cr.verdict == "fail" else "suspect",
+            causes[0] if causes else f"eq={eq_max:.3e},angular={ang_max:.3e}",
             "max|g_a| and max|u*g1 + v*g2| over seeded draws and sample points",
         )
     return rep
@@ -273,6 +274,8 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
     except numerics.BlowupError as be:
         rep.add("simulate.blowup", args.init, "fail", str(be), "bounded trajectory")
         return rep
+    except (UnboundGeneratorError, ValueError) as exc:  # from grid_bindings
+        raise UsageError(f"cannot sample the conserved densities: {exc}") from None
     for label in series.labels:
         d = series.drift(label)
         rep.add(

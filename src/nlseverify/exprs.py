@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
 PARAMETER = "parameter"
@@ -525,39 +527,64 @@ def _subst(e: Expr, bindings: Mapping[Gen, Expr]) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_numeric(e: Expr, bindings: Mapping[Gen, float]) -> float:
-    """Evaluate to a float.  Every generator present must be bound."""
+_FUNCTIONS = {
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "sqrt": (math.sqrt, np.sqrt),
+    "arctan": (math.atan, np.arctan),
+}
+
+
+def _any(mask) -> bool:
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def eval_numeric(e: Expr, bindings: Mapping[Gen, float | np.ndarray]) -> float | np.ndarray:
+    """Evaluate to a float, or to an array when a binding is a numpy array.
+
+    Every generator present must be bound; arrays broadcast.  Any negative
+    value under sqrt, any zero base under a negative exponent, and scalar
+    overflow raise EvalDomainError; array overflow leaves inf or nan.
+    """
     if isinstance(e, Const):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise EvalDomainError(f"constant {render(e)} overflows a float") from None
     if isinstance(e, Var):
         try:
-            return float(bindings[e.ref])
+            value = bindings[e.ref]
         except KeyError:
             raise UnboundGeneratorError(f"no value bound for {e.ref}") from None
+        return value if isinstance(value, np.ndarray) else float(value)
     if isinstance(e, Sum):
         return sum(eval_numeric(t, bindings) for t in e.terms)
     if isinstance(e, Prod):
         out = 1.0
         for f in e.factors:
-            out *= eval_numeric(f, bindings)
+            out = out * eval_numeric(f, bindings)
         return out
     if isinstance(e, Pow):
         base = eval_numeric(e.base, bindings)
-        if base == 0.0 and e.exponent < 0:
+        if e.exponent < 0 and _any(base == 0.0):
             raise EvalDomainError(f"zero base with negative exponent in {render(e)}")
-        return base**e.exponent
+        try:
+            return base**e.exponent
+        except OverflowError:
+            raise EvalDomainError(f"overflow in {render(e)}") from None
     if isinstance(e, FuncApp):
         a = eval_numeric(e.arg, bindings)
-        if e.fn == "sin":
-            return math.sin(a)
-        if e.fn == "cos":
-            return math.cos(a)
-        if e.fn == "sqrt":
-            if a < 0:
-                raise EvalDomainError(f"sqrt of negative value {a} in {render(e)}")
-            return math.sqrt(a)
-        if e.fn == "arctan":
-            return math.atan(a)
+        scalar_fn, array_fn = _FUNCTIONS[e.fn]
+        if e.fn == "sqrt" and _any(a < 0):
+            raise EvalDomainError(
+                f"sqrt of negative value {float(np.nanmin(a))} in {render(e)}"
+            )
+        if isinstance(a, np.ndarray):
+            return array_fn(a)
+        try:
+            return scalar_fn(a)
+        except ValueError:  # math.sin(inf) and the like
+            raise EvalDomainError(f"{e.fn} of {a} in {render(e)}") from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

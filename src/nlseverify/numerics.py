@@ -25,16 +25,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exprs import (
-    Const,
-    Expr,
-    FuncApp,
     INDEPENDENT,
+    Expr,
     JetVar,
-    Pow,
-    Prod,
-    Sum,
-    Var,
     collect_refs,
+    eval_numeric,
 )
 
 
@@ -149,47 +144,15 @@ def suggested_dt(grid: Grid, params: Mapping[str, float], safety: float = 0.2) -
 
 
 # ---------------------------------------------------------------------------
-# expression evaluation on the grid
-
-
-def eval_on_grid(e: Expr, bind: Mapping) -> np.ndarray | float:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        try:
-            return bind[e.ref]
-        except KeyError:
-            raise KeyError(f"no grid value bound for {e.ref}") from None
-    if isinstance(e, Sum):
-        out = 0.0
-        for t in e.terms:
-            out = out + eval_on_grid(t, bind)
-        return out
-    if isinstance(e, Prod):
-        out = 1.0
-        for f in e.factors:
-            out = out * eval_on_grid(f, bind)
-        return out
-    if isinstance(e, Pow):
-        return eval_on_grid(e.base, bind) ** e.exponent
-    if isinstance(e, FuncApp):
-        a = eval_on_grid(e.arg, bind)
-        if e.fn == "sin":
-            return np.sin(a)
-        if e.fn == "cos":
-            return np.cos(a)
-        if e.fn == "sqrt":
-            return np.sqrt(a)
-        if e.fn == "arctan":
-            return np.arctan(a)
-    raise TypeError(f"not an expression node: {e!r}")
+# conserved quantities on the grid
 
 
 def grid_bindings(state: FieldState, params: Mapping[str, float], refs) -> dict:
     """Numeric bindings for every generator in ``refs``.
 
     Jet variables must be purely spatial; time derivatives have no
-    pointwise meaning on a single snapshot.
+    pointwise meaning on a single snapshot.  A generator with no value
+    here is left unbound, for ``eval_numeric`` to report by name.
     """
     grid = state.grid
     arrays = {"u": state.u, "v": state.v}
@@ -201,13 +164,13 @@ def grid_bindings(state: FieldState, params: Mapping[str, float], refs) -> dict:
                     f"density contains the time derivative {g.name}; only "
                     "spatial jets can be sampled on a snapshot"
                 )
-            base = arrays[g.dep.name]
-            bind[g] = spatial_derivative(base, grid.dx, g.order_in("x"))
+            if g.dep.name in arrays:
+                bind[g] = spatial_derivative(arrays[g.dep.name], grid.dx, g.order_in("x"))
         elif g.kind == INDEPENDENT:
             bind[g] = grid.x if g.name == "x" else state.t
         elif g.name in arrays:
             bind[g] = arrays[g.name]
-        else:
+        elif g.name in params:
             bind[g] = params[g.name]
     return bind
 
@@ -215,9 +178,7 @@ def grid_bindings(state: FieldState, params: Mapping[str, float], refs) -> dict:
 def conserved_quantity(density: Expr, state: FieldState, params: Mapping[str, float]) -> float:
     """Rectangle-rule integral of a density over the periodic grid."""
     bind = grid_bindings(state, params, collect_refs(density))
-    values = eval_on_grid(density, bind)
-    if np.ndim(values) == 0:
-        values = np.full(state.grid.n, float(values))
+    values = np.broadcast_to(eval_numeric(density, bind), state.grid.n)
     return float(state.grid.dx * np.sum(values))
 
 

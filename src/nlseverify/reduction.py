@@ -24,10 +24,13 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .exprs import (
     DEPENDENT,
     Context,
     Expr,
+    ExprError,
     Gen,
     JetVar,
     ZERO,
@@ -251,6 +254,7 @@ class DrawResult:
     eq_residual: float
     reduced_residual: float
     verdict: str
+    cause: str = ""  # why a "fail" draw failed
 
 
 @dataclass(frozen=True)
@@ -315,30 +319,36 @@ def _apply_constraints(
     return params
 
 
+def candidate_residual_exprs(
+    cand: SolutionCandidate, system: PDESystem
+) -> tuple[tuple[Expr, ...], Expr]:
+    """The equations and the angular combination u*G1 + v*G2 with the
+    candidate substituted.  They do not depend on the parameter values."""
+    bindings = candidate_bindings(cand, system.ctx)
+    eq_exprs = tuple(substitute(eq, bindings, checked=False) for _, eq in system.equations)
+    deps = [var(d) for d in system.ctx.dependents]
+    combo = MultiplierPair("angular", tuple(deps)).combination(system)
+    return eq_exprs, substitute(combo, bindings, checked=False)
+
+
 def candidate_equation_residuals(
-    cand: SolutionCandidate,
+    residual_exprs: tuple[tuple[Expr, ...], Expr],
     system: PDESystem,
     params: Mapping[str, float],
-    points: Sequence[tuple[float, float]],
+    points: Sequence[tuple[float, float]] | np.ndarray,
 ) -> tuple[float, float]:
-    """(max |G_a|, max |u*G1 + v*G2|) over the point set."""
+    """(max |G_a|, max |u*G1 + v*G2|) over the point set, evaluated on
+    arrays of all the points; a nan anywhere makes its maximum nan."""
     ctx = system.ctx
-    bindings = candidate_bindings(cand, ctx)
-    eq_exprs = [substitute(eq, bindings, checked=False) for _, eq in system.equations]
-    deps = [var(d) for d in ctx.dependents]
-    combo = MultiplierPair("angular", tuple(deps)).combination(system)
-    combo_expr = substitute(combo, bindings, checked=False)
-    t, x = system.time, system.space
-    eq_max = 0.0
-    combo_max = 0.0
-    for xval, tval in points:
-        bind = {ctx[k]: val for k, val in params.items()}
-        bind[t] = tval
-        bind[x] = xval
-        for e in eq_exprs:
-            eq_max = max(eq_max, abs(eval_numeric(e, bind)))
-        combo_max = max(combo_max, abs(eval_numeric(combo_expr, bind)))
-    return eq_max, combo_max
+    xs, ts = np.array(points, dtype=float).T
+    bind = {ctx[k]: val for k, val in params.items()}
+    bind[system.time] = ts
+    bind[system.space] = xs
+    eq_exprs, combo_expr = residual_exprs
+    with np.errstate(all="ignore"):
+        eq_max = np.max([np.max(np.abs(eval_numeric(e, bind))) for e in eq_exprs])
+        combo_max = np.max(np.abs(eval_numeric(combo_expr, bind)))
+    return float(eq_max), float(combo_max)
 
 
 def classify(
@@ -349,26 +359,39 @@ def classify(
     npoints: int = 100,
     tol: float = 1e-10,
 ) -> list[CandidateReport]:
-    """Adjudicate every candidate on seeded draws and fixed sample points."""
-    points = low_discrepancy_points(npoints)
+    """Adjudicate every candidate on seeded draws and fixed sample points.
+    A draw that leaves the numeric domain or has a non-finite residual
+    fails, with its cause, and fails the candidate."""
+    points = np.array(low_discrepancy_points(npoints))
     bases = draw_parameters(system.ctx, seed, draws)
     reports = []
     for cand in candidates:
+        residual_exprs = candidate_residual_exprs(cand, system)
         results = []
         for base in bases:
-            params = _apply_constraints(cand, base, system.ctx)
-            eq_max, combo_max = candidate_equation_residuals(
-                cand, system, params, points
-            )
-            if eq_max < tol:
+            try:
+                params = _apply_constraints(cand, base, system.ctx)
+                eq_max, combo_max = candidate_equation_residuals(
+                    residual_exprs, system, params, points
+                )
+            except ExprError as exc:
+                results.append(DrawResult(dict(base), math.nan, math.nan, "fail", str(exc)))
+                continue
+            cause = ""
+            if not (math.isfinite(eq_max) and math.isfinite(combo_max)):
+                verdict = "fail"
+                cause = f"non-finite residual eq={eq_max:.3e},angular={combo_max:.3e}"
+            elif eq_max < tol:
                 verdict = "exact"
             elif combo_max < tol:
                 verdict = "reduced-only"
             else:
                 verdict = "neither"
-            results.append(DrawResult(params, eq_max, combo_max, verdict))
+            results.append(DrawResult(params, eq_max, combo_max, verdict, cause))
         verdicts = {r.verdict for r in results}
         overall = results[0].verdict if len(verdicts) == 1 else "mixed"
+        if "fail" in verdicts:
+            overall = "fail"
         reports.append(
             CandidateReport(cand, tuple(results), overall, adjudicated=not cand.suspect)
         )

@@ -207,3 +207,59 @@ def test_custom_problem_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--problem", str(target), "reduce")
     assert code == 1
     assert "cubic layout" in err
+
+
+CUBIC_HEADER = (
+    "[params]\nbeta\ngamma\ndelta\nc\neps\nc1\n"
+    "[independents]\nt\nx\n[dependents]\nu\nv\n"
+    "[equations]\n"
+    "g1 = u_t + beta*u_x - gamma*v_xx + delta*v*(u^2 + v^2)\n"
+    "g2 = -v_t - beta*v_x - gamma*u_xx + delta*u*(u^2 + v^2)\n"
+    "[evolution]\n"
+    "u_t = -beta*u_x + gamma*v_xx - delta*v*(u^2 + v^2)\n"
+    "v_t = -beta*v_x - gamma*u_xx + delta*u*(u^2 + v^2)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "candidate, cause",
+    [
+        ("neg-eps : c = 0, eps = -1 : u = sqrt(eps) : v = 0",
+         "sqrt of negative value -1.0 in sqrt(eps)"),
+        ("huge : c = 0 : u = (x + 10)^400 : v = 0", "non-finite residual"),
+        ("huge-const : c = 0, eps = 2 : u = eps^2000 : v = 0", "overflow in eps^2000"),
+    ],
+    ids=["negative-sqrt", "array-overflow", "scalar-overflow"],
+)
+def test_classify_domain_failures_are_fail_records(capsys, tmp_path, candidate, cause):
+    target = tmp_path / "domain.prob"
+    target.write_text(
+        CUBIC_HEADER + "[candidates]\n" + candidate + "\n"
+        "case1-const-u : c = 0, gamma = 0 : u = sqrt(eps) : v = 0\n"
+    )
+    code, out, err = run_cli(capsys, "--problem", str(target), "classify")
+    assert code == 2
+    rows = [line.split("\t") for line in out.strip().split("\n")]
+    assert rows[0][2] == "fail"
+    assert rows[0][3].startswith(cause)
+    assert rows[1][2] == "reduced-only"
+    assert "FAIL classify." in err
+
+
+@pytest.mark.parametrize(
+    "header, density, name",
+    [
+        (CUBIC_HEADER.replace("c1\n", "c1\nkappa\n"), "kappa*(u^2 + v^2)/2", "kappa"),
+        (CUBIC_HEADER.replace("v\n[equations]", "v\nw\n[equations]") + "w_t = 0\n",
+         "w_x*u", "w_x"),
+        (CUBIC_HEADER, "u_t*v", "u_t"),
+    ],
+    ids=["unknown-parameter", "unsimulated-dependent", "time-derivative"],
+)
+def test_simulate_unsampleable_density_exits_one(capsys, tmp_path, header, density, name):
+    target = tmp_path / "density.prob"
+    target.write_text(header + f"[conserved]\nt1_density = {density}\nt1_flux = 0\n")
+    code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
+    assert code == 1
+    assert out == ""
+    assert name in err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from nlseverify.exprs import (
@@ -86,6 +87,33 @@ def test_eval_domain_guards(ctx):
         eval_numeric(pow_(var(u), -1), {u: 0.0})
     with pytest.raises(UnboundGeneratorError):
         eval_numeric(var(u), {})
+
+
+def test_eval_numeric_broadcasts_arrays(ctx):
+    u, v = ctx["u"], ctx["v"]
+    e = ctx.parse("sqrt(u)*cos(v) + u^-2 - arctan(v)*3/2")
+    us = np.array([0.5, 1.0, 2.0])
+    vs = np.array([-1.0, 0.0, 3.0])
+    got = eval_numeric(e, {u: us, v: vs})
+    assert got.shape == (3,)
+    for i in range(3):
+        scalar = eval_numeric(e, {u: us[i], v: vs[i]})
+        assert type(scalar) is float
+        assert abs(got[i] - scalar) <= 1e-15 * max(1.0, abs(scalar))
+    # A binding-free term broadcasts against the array terms.
+    assert np.array_equal(eval_numeric(ctx.parse("u + 1"), {u: us}), us + 1.0)
+
+
+def test_eval_domain_guards_are_elementwise(ctx):
+    u = ctx["u"]
+    with pytest.raises(EvalDomainError, match="sqrt of negative value -2.0"):
+        eval_numeric(sqrt_(var(u)), {u: np.array([1.0, -2.0, 3.0])})
+    with pytest.raises(EvalDomainError, match="zero base"):
+        eval_numeric(pow_(var(u), -1), {u: np.array([1.0, 0.0])})
+    with pytest.raises(EvalDomainError, match="overflow"):
+        eval_numeric(pow_(var(u), 400), {u: 1e10})
+    with np.errstate(over="ignore"):
+        assert np.isinf(eval_numeric(pow_(var(u), 400), {u: np.array([1e10])})).all()
 
 
 def test_collect_refs_and_jet_order(ctx):

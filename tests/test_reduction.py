@@ -10,6 +10,7 @@ from nlseverify.reduction import (
     SolutionCandidate,
     candidate_bindings,
     candidate_equation_residuals,
+    candidate_residual_exprs,
     classify,
     draw_parameters,
     low_discrepancy_points,
@@ -157,7 +158,9 @@ def test_const_phase_candidate_residual_laws(problem, system):
     cand = {c.label: c for c in problem.candidates}["case2-const-phase"]
     params = {"beta": 0.0, "gamma": 1.1, "delta": 1.3, "c": 0.0, "eps": 0.7, "c1": 0.9}
     points = low_discrepancy_points(50)
-    eq_max, combo_max = candidate_equation_residuals(cand, system, params, points)
+    eq_max, combo_max = candidate_equation_residuals(
+        candidate_residual_exprs(cand, system), system, params, points
+    )
     amp = 1.3 * 0.7**1.5
     assert abs(eq_max - amp * max(abs(math.sin(0.9)), abs(math.cos(0.9)))) < 1e-12
     assert abs(combo_max - 1.3 * 0.7**2 * abs(math.sin(1.8))) < 1e-12
@@ -167,7 +170,7 @@ def test_exact_candidate_is_pointwise_zero(problem, system):
     cand = {c.label: c for c in problem.candidates}["case1-linear-phase"]
     params = {"beta": 1.4, "gamma": 0.0, "delta": 0.8, "c": 0.0, "eps": 1.2, "c1": 0.3}
     eq_max, combo_max = candidate_equation_residuals(
-        cand, system, params, low_discrepancy_points(50)
+        candidate_residual_exprs(cand, system), system, params, low_discrepancy_points(50)
     )
     assert eq_max < 1e-12
     assert combo_max < 1e-12
