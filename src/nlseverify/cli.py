@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import numerics
-from .exprs import UnboundGeneratorError, render
+from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render
 from .jets import (
     association_residual,
     divergence_match,
@@ -175,36 +175,42 @@ def reduce_report(problem: Problem) -> Report:
             render(comps["r"].to_expr()),
             "flux in canonical variables (invariant profile)",
         )
-    ode = reduced_ode(tr, problem.system)
+    try:
+        ode = reduced_ode(tr, problem.system)
+    except ValueError as exc:  # the amplitude cannot be eliminated exactly
+        ode, verdict, residual = None, "fail", str(exc)
+    else:
+        verdict, residual = "info", render(ode.residual.to_expr())
     rep.add(
         "reduce.ode",
         "u*g1 + v*g2",
-        "info",
-        render(ode.residual.to_expr()),
+        verdict,
+        residual,
         "constant-amplitude invariant profile, w^2 = eps",
     )
-    rep.add(
-        "reduce.phase-balance",
-        "p_r",
-        "info",
-        render(ode.phase_balance.to_expr()),
-        "first factor of the reduced profile equation",
-    )
-    rep.add(
-        "reduce.curvature",
-        "p_rr",
-        "info",
-        render(ode.curvature.to_expr()),
-        "second factor of the reduced profile equation",
-    )
-    fres = ode.factorization_residuals()
-    rep.add(
-        "reduce.factorization",
-        ",".join(sorted(fres)),
-        "pass" if all(v.is_zero for v in fres.values()) else "fail",
-        _join(fres),
-        "substituted system is an invertible rotation of the two factors",
-    )
+    if ode is not None:
+        rep.add(
+            "reduce.phase-balance",
+            "p_r",
+            "info",
+            render(ode.phase_balance.to_expr()),
+            "first factor of the reduced profile equation",
+        )
+        rep.add(
+            "reduce.curvature",
+            "p_rr",
+            "info",
+            render(ode.curvature.to_expr()),
+            "second factor of the reduced profile equation",
+        )
+        fres = ode.factorization_residuals()
+        rep.add(
+            "reduce.factorization",
+            ",".join(sorted(fres)),
+            "pass" if all(v.is_zero for v in fres.values()) else "fail",
+            _join(fres),
+            "substituted system is an invertible rotation of the two factors",
+        )
     for key in sorted(problem.reduced_notes):
         rep.add(
             f"reduce.printed.{key}",
@@ -266,16 +272,33 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
     steps = int(round(args.T / args.dt))
     if steps < 1:
         raise UsageError("horizon shorter than one step")
+    system = problem.system
     densities = problem.quantity_densities()
     try:
+        for density in densities.values():
+            numerics.conserved_quantity(density, state, system, params)
+    except (ExprError, ValueError) as exc:
+        raise UsageError(f"cannot sample the conserved densities: {exc}") from None
+    deps = tuple(d.name for d in problem.ctx.dependents)
+    if deps != ("u", "v"):
+        raise UsageError(
+            "simulate expects the dependents u, v (every --init builds u + i v), "
+            f"got {', '.join(deps)}"
+        )
+    try:
         final, series = numerics.run(
-            state, params, args.dt, steps, densities, sample_every=args.sample_every
+            state, system, params, args.dt, steps, densities, sample_every=args.sample_every
         )
     except numerics.BlowupError as be:
         rep.add("simulate.blowup", args.init, "fail", str(be), "bounded trajectory")
         return rep
-    except (UnboundGeneratorError, ValueError) as exc:  # from grid_bindings
-        raise UsageError(f"cannot sample the conserved densities: {exc}") from None
+    except EvalDomainError as exc:
+        rep.add(
+            "simulate.domain", args.init, "fail", str(exc), "rules defined along the trajectory"
+        )
+        return rep
+    except UnboundGeneratorError as exc:  # the densities were sampled above
+        raise UsageError(f"cannot evaluate the [evolution] rules: {exc}") from None
     for label in series.labels:
         d = series.drift(label)
         rep.add(

@@ -319,10 +319,6 @@ def sqrt_(arg) -> Expr:
     return func("sqrt", arg)
 
 
-def arctan_(arg) -> Expr:
-    return func("arctan", arg)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -372,7 +368,7 @@ def render(e: Expr) -> str:
     if isinstance(e, Const):
         return str(e.value)
     if isinstance(e, Var):
-        return e.ref.name if isinstance(e.ref, JetVar) else e.ref.name
+        return e.ref.name
     if isinstance(e, Sum):
         parts = [render(e.terms[0])]
         for t in e.terms[1:]:
@@ -679,9 +675,8 @@ class Context:
         orders = tuple(sorted(counts.items()))
         total = sum(counts.values())
         if total > self.max_order:
-            name = g.name if isinstance(g, JetVar) else g.name
             raise JetOrderError(
-                f"differentiating {name} past maximum jet order {self.max_order}"
+                f"differentiating {g.name} past maximum jet order {self.max_order}"
             )
         dep = g if isinstance(g, VarId) else g.dep
         return JetVar(dep, orders)

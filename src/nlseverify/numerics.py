@@ -1,19 +1,20 @@
 """Periodic finite-difference integration and discrete conservation audits.
 
-Space: fourth-order central stencils on a uniform periodic grid.  Time:
-classic fourth-order Runge-Kutta on the evolution form
+The right-hand side is the problem file's ``[evolution]`` section: each rule
+``<dep>_t = ...`` is evaluated on the grid by :func:`eval_numeric`, with the
+same binder as the conserved densities.  Space: fourth-order central
+stencils on a uniform periodic grid supply the spatial jets.  Time: classic
+fourth-order Runge-Kutta, each stage evaluated at its own stage time, so a
+rule may depend on ``t`` explicitly.
 
-    u_t = -beta*u_x + gamma*v_xx - delta*v*(u^2 + v^2)
-    v_t = -beta*v_x - gamma*u_xx + delta*u*(u^2 + v^2)
-
-The stencil symbols ``nu`` and ``mu`` make the semi-discrete plane wave
-an exact solution of the spatially discretized system, which isolates
+The stencil symbols ``nu`` and ``mu`` make the semi-discrete plane wave an
+exact solution of the spatially discretized cubic system, which isolates
 time-integration error in convergence measurements.
 
-Stability: the linear part has imaginary eigenvalues up to about
-``gamma * 16 / (3 dx^2)`` plus the transport contribution; RK4 requires
-``lambda * dt`` inside its stability region (imaginary axis reach 2*sqrt(2)),
-hence :func:`suggested_dt`.
+Stability assumes a dispersive term ``gamma*u_xx``: its linear part has
+imaginary eigenvalues up to about ``gamma * 16 / (3 dx^2)`` plus the transport
+contribution; RK4 requires ``lambda * dt`` inside its stability region
+(imaginary axis reach 2*sqrt(2)), hence :func:`suggested_dt`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .exprs import (
     collect_refs,
     eval_numeric,
 )
+from .jets import PDESystem
 
 
 class BlowupError(RuntimeError):
@@ -66,22 +68,25 @@ class FieldState:
     u: np.ndarray
     v: np.ndarray
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.grid, self.t, self.u.copy(), self.v.copy())
-
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.u)), np.max(np.abs(self.v))))
 
 
+def _shifts(f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Periodic neighbours (f[i-2], f[i-1], f[i+1], f[i+2]) as slices of
+    one padded copy."""
+    n = f.shape[0]
+    p = np.concatenate((f[-2:], f, f[:2]))
+    return p[:n], p[1 : n + 1], p[3 : n + 3], p[4:]
+
+
 def deriv1(f: np.ndarray, dx: float) -> np.ndarray:
-    fp1, fm1 = np.roll(f, -1), np.roll(f, 1)
-    fp2, fm2 = np.roll(f, -2), np.roll(f, 2)
+    fm2, fm1, fp1, fp2 = _shifts(f)
     return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * dx)
 
 
 def deriv2(f: np.ndarray, dx: float) -> np.ndarray:
-    fp1, fm1 = np.roll(f, -1), np.roll(f, 1)
-    fp2, fm2 = np.roll(f, -2), np.roll(f, 2)
+    fm2, fm1, fp1, fp2 = _shifts(f)
     return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * dx * dx)
 
 
@@ -108,27 +113,35 @@ def stencil_mu(k: float, dx: float) -> float:
 
 
 def rhs(
-    u: np.ndarray, v: np.ndarray, dx: float, params: Mapping[str, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    beta, gamma, delta = params["beta"], params["gamma"], params["delta"]
-    mag = u * u + v * v
-    du = -beta * deriv1(u, dx) + gamma * deriv2(v, dx) - delta * v * mag
-    dv = -beta * deriv1(v, dx) - gamma * deriv2(u, dx) + delta * u * mag
-    return du, dv
+    state: FieldState, system: PDESystem, params: Mapping[str, float]
+) -> tuple[np.ndarray | float, ...]:
+    """The system's evolution rules evaluated on ``state``, one time
+    derivative per dependent in declaration order."""
+    rules = [system.evolution[dep] for dep in system.ctx.dependents]
+    bind = grid_bindings(state, system, params, set().union(*map(collect_refs, rules)))
+    return tuple(eval_numeric(rule, bind) for rule in rules)
 
 
 def step_rk4(
-    state: FieldState, params: Mapping[str, float], dt: float, blowup: float = 1e6
+    state: FieldState,
+    system: PDESystem,
+    params: Mapping[str, float],
+    dt: float,
+    blowup: float = 1e6,
 ) -> FieldState:
-    dx = state.grid.dx
-    u, v = state.u, state.v
-    k1u, k1v = rhs(u, v, dx, params)
-    k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, dx, params)
-    k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, dx, params)
-    k4u, k4v = rhs(u + dt * k3u, v + dt * k3v, dx, params)
-    nu = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    nv = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    out = FieldState(state.grid, state.t + dt, nu, nv)
+    """One RK4 step; the system's dependents are the state's ``u, v``."""
+    fields, t, half = (state.u, state.v), state.t, 0.5 * dt
+
+    def advance(h: float, slopes, time: float) -> FieldState:
+        return FieldState(state.grid, time, *(f + h * k for f, k in zip(fields, slopes)))
+
+    k1 = rhs(state, system, params)
+    k2 = rhs(advance(half, k1, t + half), system, params)
+    k3 = rhs(advance(half, k2, t + half), system, params)
+    k4 = rhs(advance(dt, k3, t + dt), system, params)
+    out = advance(
+        dt / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)], t + dt
+    )
     m = out.max_abs()
     if not math.isfinite(m) or m > blowup:
         raise BlowupError(
@@ -147,7 +160,9 @@ def suggested_dt(grid: Grid, params: Mapping[str, float], safety: float = 0.2) -
 # conserved quantities on the grid
 
 
-def grid_bindings(state: FieldState, params: Mapping[str, float], refs) -> dict:
+def grid_bindings(
+    state: FieldState, system: PDESystem, params: Mapping[str, float], refs
+) -> dict:
     """Numeric bindings for every generator in ``refs``.
 
     Jet variables must be purely spatial; time derivatives have no
@@ -159,15 +174,17 @@ def grid_bindings(state: FieldState, params: Mapping[str, float], refs) -> dict:
     bind: dict = {}
     for g in refs:
         if isinstance(g, JetVar):
-            if g.order_in("t") > 0:
+            if g.order_in(system.time.name) > 0:
                 raise ValueError(
                     f"density contains the time derivative {g.name}; only "
                     "spatial jets can be sampled on a snapshot"
                 )
             if g.dep.name in arrays:
-                bind[g] = spatial_derivative(arrays[g.dep.name], grid.dx, g.order_in("x"))
+                bind[g] = spatial_derivative(
+                    arrays[g.dep.name], grid.dx, g.order_in(system.space.name)
+                )
         elif g.kind == INDEPENDENT:
-            bind[g] = grid.x if g.name == "x" else state.t
+            bind[g] = grid.x if g == system.space else state.t
         elif g.name in arrays:
             bind[g] = arrays[g.name]
         elif g.name in params:
@@ -175,9 +192,11 @@ def grid_bindings(state: FieldState, params: Mapping[str, float], refs) -> dict:
     return bind
 
 
-def conserved_quantity(density: Expr, state: FieldState, params: Mapping[str, float]) -> float:
+def conserved_quantity(
+    density: Expr, state: FieldState, system: PDESystem, params: Mapping[str, float]
+) -> float:
     """Rectangle-rule integral of a density over the periodic grid."""
-    bind = grid_bindings(state, params, collect_refs(density))
+    bind = grid_bindings(state, system, params, collect_refs(density))
     values = np.broadcast_to(eval_numeric(density, bind), state.grid.n)
     return float(state.grid.dx * np.sum(values))
 
@@ -215,6 +234,7 @@ class QuantitySeries:
 
 def run(
     state: FieldState,
+    system: PDESystem,
     params: Mapping[str, float],
     dt: float,
     steps: int,
@@ -228,13 +248,14 @@ def run(
     def sample(st: FieldState) -> None:
         if densities:
             series.record(
-                st.t, {lb: conserved_quantity(d, st, params) for lb, d in densities.items()}
+                st.t,
+                {lb: conserved_quantity(d, st, system, params) for lb, d in densities.items()},
             )
 
     sample(state)
     current = state
     for i in range(1, steps + 1):
-        current = step_rk4(current, params, dt, blowup=blowup)
+        current = step_rk4(current, system, params, dt, blowup=blowup)
         if i % sample_every == 0 or i == steps:
             sample(current)
     return current, series

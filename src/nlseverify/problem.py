@@ -314,11 +314,12 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             raise ProblemFormatError(
                 "candidate must give every dependent variable", path, lineno
             )
-        candidates.append(
-            SolutionCandidate(
-                label, tuple(constraints), exprs["u"], exprs["v"], suspect
-            )
-        )
+        cand = SolutionCandidate(label, tuple(constraints), exprs["u"], exprs["v"], suspect)
+        try:
+            cand.check_explicit()
+        except ValueError as ve:
+            raise ProblemFormatError(str(ve), path, lineno) from None
+        candidates.append(cand)
 
     reduced_notes = {}
     for lineno, key, value in _keyed(sections.get("reduced", []), path):

@@ -35,7 +35,6 @@ from .exprs import (
     JetVar,
     ZERO,
     add,
-    arctan_,
     collect_refs,
     cos_,
     eval_numeric,
@@ -43,7 +42,6 @@ from .exprs import (
     neg,
     pow_,
     sin_,
-    sqrt_,
     sub,
     substitute,
     var,
@@ -60,8 +58,6 @@ class CanonicalTransform:
     red_ctx: Context
     theta: Expr  # p + c*s, the restored phase
     table: Mapping[Gen, Expr]  # original generators -> reduced expressions
-    forward_w: Expr  # sqrt(u^2 + v^2), original variables
-    forward_p: Expr  # arctan(v/u) - c*t, original variables
     jac: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     jac_det: Expr
 
@@ -144,9 +140,7 @@ def build_canonical_transform(max_order: int = 4) -> CanonicalTransform:
         ),
     )
     det = sub(mul(jac[0][0], jac[1][1]), mul(jac[0][1], jac[1][0]))
-    forward_w = sqrt_(add(pow_(var(u), 2), pow_(var(v), 2)))
-    forward_p = sub(arctan_(mul(var(v), pow_(var(u), -1))), mul(var(c), var(t)))
-    return CanonicalTransform(orig, red, theta, table, forward_w, forward_p, jac, det)
+    return CanonicalTransform(orig, red, theta, table, jac, det)
 
 
 @dataclass(frozen=True)
@@ -247,6 +241,17 @@ class SolutionCandidate:
     def case(self) -> str:
         return self.label.split("-", 1)[0]
 
+    def check_explicit(self) -> None:
+        """Raise ValueError unless u and v are explicit functions of the
+        base variables (no dependent variable or jet in either)."""
+        for dep_name, expr in (("u", self.u_expr), ("v", self.v_expr)):
+            for g in collect_refs(expr):
+                if isinstance(g, JetVar) or g.kind == DEPENDENT:
+                    raise ValueError(
+                        f"{self.label}: candidate {dep_name} must be an explicit "
+                        f"function of the base variables, found {g}"
+                    )
+
 
 @dataclass(frozen=True)
 class DrawResult:
@@ -281,15 +286,10 @@ def low_discrepancy_points(n: int, x_span: float = 2.0 * math.pi, t_span: float 
 def candidate_bindings(cand: SolutionCandidate, ctx: Context) -> dict[Gen, Expr]:
     """Replace the dependents and their jets (to second order) by the
     candidate's closed forms and their derivatives."""
+    cand.check_explicit()
     names = [vv.name for vv in ctx.independents]
     out: dict[Gen, Expr] = {}
     for dep_name, expr in (("u", cand.u_expr), ("v", cand.v_expr)):
-        for g in collect_refs(expr):
-            if isinstance(g, JetVar) or g.kind == DEPENDENT:
-                raise ValueError(
-                    f"{cand.label}: candidate {dep_name} must be an explicit "
-                    f"function of the base variables, found {g}"
-                )
         dep = ctx[dep_name]
         out[dep] = expr
         for orders in multi_indices(names, 2):

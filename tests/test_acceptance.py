@@ -164,7 +164,13 @@ def test_acceptance_7_conservation_audit_and_order(capsys, problem):
         grid = Grid(256, 4.0 * math.pi)
         state = plane_wave_state(grid, 0.5, 1.0, params)
         _, series = run(
-            state, params, 1e-3, 1000, problem.quantity_densities(), sample_every=10
+            state,
+            problem.system,
+            params,
+            1e-3,
+            1000,
+            problem.quantity_densities(),
+            sample_every=10,
         )
         for label in ("Q1", "Q2", "Q3", "Q4"):
             assert series.drift(label) < 1e-6, label
@@ -173,7 +179,11 @@ def test_acceptance_7_conservation_audit_and_order(capsys, problem):
         errs = {}
         for dt in (4e-4, 2e-4):
             final, _ = run(
-                plane_wave_state(grid, 0.5, 8.0, params), params, dt, round(0.1 / dt)
+                plane_wave_state(grid, 0.5, 8.0, params),
+                problem.system,
+                params,
+                dt,
+                round(0.1 / dt),
             )
             exact = plane_wave_exact(grid, 0.5, 8.0, final.t, params, "discrete")
             errs[dt] = float(

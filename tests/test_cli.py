@@ -68,6 +68,23 @@ def test_printed_variants_fail_loudly(capsys):
     assert "FAIL" in err
 
 
+def test_printed_reduction_is_a_fail_record(capsys):
+    code, out, err = run_cli(capsys, "--printed-variants", "reduce")
+    assert code == 2
+    fields = {line.split("\t")[0]: line.split("\t") for line in out.strip().split("\n")}
+    assert list(fields) == [
+        "reduce.jacobian",
+        "reduce.density.t2",
+        "reduce.flux.t2",
+        "reduce.ode",
+        "reduce.printed.t2_flux_printed",
+    ]
+    assert fields["reduce.jacobian"][2] == "pass"
+    assert fields["reduce.ode"][2] == "fail"
+    assert fields["reduce.ode"][3] == "sqeps occurs to odd power 3; cannot eliminate"
+    assert "FAIL reduce.ode" in err
+
+
 def test_associate_matrix_records(capsys):
     code, out, _ = run_cli(capsys, "associate")
     assert code == 0
@@ -152,6 +169,14 @@ def test_simulate_failure_exit_code(capsys):
     by_id = {line.split("\t")[0]: line.split("\t") for line in out.strip().split("\n")}
     assert by_id["simulate.drift.Q4"][2] == "fail"
     assert by_id["simulate.drift.Q2"][2] == "pass"
+
+
+def test_printed_variants_drive_the_simulated_flow(capsys):
+    code, out, _ = run_cli(capsys, "--printed-variants", "simulate", "--T", "0.02")
+    assert code == 2
+    rows = [line.split("\t") for line in out.strip().split("\n")]
+    assert [r[0] for r in rows] == [f"simulate.drift.Q{i}" for i in range(1, 5)]
+    assert all(r[2] == "fail" for r in rows)
 
 
 def test_simulate_blowup_is_a_failure_record(capsys):
@@ -263,3 +288,44 @@ def test_simulate_unsampleable_density_exits_one(capsys, tmp_path, header, densi
     assert code == 1
     assert out == ""
     assert name in err
+
+
+def test_simulate_requires_the_dependents_u_v(capsys, tmp_path):
+    target = tmp_path / "transport.prob"
+    target.write_text(
+        "[params]\nbeta\n[independents]\nt\nx\n[dependents]\nu\n"
+        "[equations]\ng1 = u_t + beta*u_x\n[evolution]\nu_t = -beta*u_x\n"
+        "[conserved]\nt1_density = u\nt1_flux = beta*u\n"
+    )
+    code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
+    assert code == 1
+    assert out == ""
+    assert "dependents u, v" in err
+
+
+def test_simulate_evolution_parameter_without_option_exits_one(capsys, tmp_path):
+    target = tmp_path / "kappa.prob"
+    target.write_text(
+        CUBIC_HEADER.replace("c1\n", "c1\nkappa\n").replace("beta*u_x", "kappa*u_x")
+    )
+    code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
+    assert code == 1
+    assert out == ""
+    assert "kappa" in err and "evolution" in err
+    assert "densities" not in err
+
+
+def test_simulate_domain_error_is_a_failure_record(capsys, tmp_path):
+    target = tmp_path / "inverse.prob"
+    target.write_text(
+        "[params]\nbeta\n[independents]\nt\nx\n[dependents]\nu\nv\n"
+        "[equations]\ng1 = u_t\ng2 = v_t - 1/v\n"
+        "[evolution]\nu_t = 0\nv_t = 1/v\n"
+    )
+    # The plane wave's v = a*sin(k*x) is exactly zero at x = 0.
+    code, out, _ = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
+    assert code == 2
+    (row,) = [line.split("\t") for line in out.strip().split("\n")]
+    assert row[0] == "simulate.domain"
+    assert row[2] == "fail"
+    assert row[3] == "zero base with negative exponent in v^-1"

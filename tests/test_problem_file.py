@@ -195,6 +195,13 @@ def test_candidate_line_errors():
     )
 
 
+def test_candidate_in_terms_of_a_dependent_is_rejected():
+    head = TWO_DEP + "\n[candidates]\nsteady : : u = 1 : v = 0\n"
+    err = expect_error(head + "loop : beta = 0 : u = v : v = 0\n", "explicit function")
+    assert err.lineno == head.count("\n") + 1
+    expect_error(head + "jet : : u = 1 : v = u_x\n", "found u_x")
+
+
 def test_candidate_happy_path():
     text = TWO_DEP + "\n[candidates]\nsteady : beta = 1, suspect : u = 1 : v = 0\n"
     prob = load_problem_text(text, "<test>")
