@@ -42,7 +42,6 @@ from .exprs import (
     neg,
     partial,
     ref_sort_key,
-    render,
     substitute,
     var,
 )
@@ -61,17 +60,16 @@ def _sorted_refs(e: Expr) -> list[Gen]:
     return sorted(collect_refs(e), key=ref_sort_key)
 
 
-def total_derivative(e: Expr, wrt, ctx: Context) -> Expr:
+def total_derivative(e: Expr, wrt: VarId, ctx: Context) -> Expr:
     """Total derivative D_i: explicit part plus the chain over jet variables."""
-    w = ctx[wrt] if isinstance(wrt, str) else wrt
-    if w.kind != INDEPENDENT:
-        raise ValueError(f"total derivative must be along an independent, not {w.name}")
-    pieces = [partial(e, w)]
+    if wrt.kind != INDEPENDENT:
+        raise ValueError(f"total derivative must be along an independent, not {wrt.name}")
+    pieces = [partial(e, wrt)]
     for g in _sorted_refs(e):
         if isinstance(g, JetVar) or (isinstance(g, VarId) and g.kind == DEPENDENT):
             pe = partial(e, g)
             if not is_zero_expr(pe):
-                pieces.append(mul(var(ctx.bump(g, w)), pe))
+                pieces.append(mul(var(ctx.bump(g, wrt)), pe))
     return add(*pieces)
 
 
@@ -84,17 +82,16 @@ def iterated_derivative(e: Expr, orders: Sequence[tuple[str, int]], ctx: Context
     return out
 
 
-def euler_operator(e: Expr, dep, ctx: Context) -> Expr:
+def euler_operator(e: Expr, dep: VarId, ctx: Context) -> Expr:
     """Variational derivative with respect to one dependent variable:
     sum over jets J of (-D)_J applied to the partial of ``e`` at u_J."""
-    d = ctx[dep] if isinstance(dep, str) else dep
-    if d.kind != DEPENDENT:
-        raise ValueError(f"Euler operator needs a dependent variable, not {d.name}")
+    if dep.kind != DEPENDENT:
+        raise ValueError(f"Euler operator needs a dependent variable, not {dep.name}")
     pieces = []
     for g in _sorted_refs(e):
-        if isinstance(g, VarId) and g == d:
+        if isinstance(g, VarId) and g == dep:
             pieces.append(partial(e, g))
-        elif isinstance(g, JetVar) and g.dep == d:
+        elif isinstance(g, JetVar) and g.dep == dep:
             term = iterated_derivative(partial(e, g), g.orders, ctx)
             if g.total_order % 2:
                 term = neg(term)
@@ -305,9 +302,9 @@ class ProlongedField:
 def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
     """Standard prolongation: zeta_{J,i} = D_i zeta_J - sum_k D_i(xi^k) u_{J,k}.
 
-    Coefficients for every jet of total order up to ``order`` are built
-    recursively from an alphabetically-last parent slot; mixed partials
-    commute, so the choice does not affect the result.
+    Coefficients are built order by order: each jet of the next order is
+    reached from its first parent in the current one; mixed partials
+    commute, so the choice of parent does not affect the result.
     """
     fieldv.validate(ctx)
     if order + 1 > ctx.max_order:
@@ -315,34 +312,24 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
             f"prolongation to order {order} can produce jets of order "
             f"{order + 1}; raise the context max_order"
         )
-    names = [v.name for v in ctx.independents]
     zeta: dict[JetVar, Expr] = {}
     for dep in ctx.dependents:
-        for orders in multi_indices(names, order):
-            child = JetVar(dep, orders)
-            slot = max(name for name, n in orders if n > 0)
-            w = ctx[slot]
-            parent_counts = dict(orders)
-            parent_counts[slot] -= 1
-            parent_orders = tuple(
-                sorted((k, v) for k, v in parent_counts.items() if v > 0)
-            )
-            if parent_orders:
-                parent_expr = zeta[JetVar(dep, parent_orders)]
-            else:
-                parent_expr = fieldv.eta_of(dep)
-            pieces = [total_derivative(parent_expr, w, ctx)]
-            for k in ctx.independents:
-                dxi = total_derivative(fieldv.xi_of(k), w, ctx)
-                if is_zero_expr(dxi):
-                    continue
-                bump_counts = dict(parent_counts)
-                bump_counts[k.name] = bump_counts.get(k.name, 0) + 1
-                bumped = JetVar(
-                    dep, tuple(sorted((a, b) for a, b in bump_counts.items() if b > 0))
-                )
-                pieces.append(neg(mul(dxi, var(bumped))))
-            zeta[child] = add(*pieces)
+        layer: dict[Gen, Expr] = {dep: fieldv.eta_of(dep)}
+        for _ in range(order):
+            children: dict[JetVar, Expr] = {}
+            for parent, parent_expr in layer.items():
+                for w in ctx.independents:
+                    child = ctx.bump(parent, w)
+                    if child in children:
+                        continue
+                    pieces = [total_derivative(parent_expr, w, ctx)]
+                    for k in ctx.independents:
+                        dxi = total_derivative(fieldv.xi_of(k), w, ctx)
+                        if not is_zero_expr(dxi):
+                            pieces.append(neg(mul(dxi, var(ctx.bump(parent, k)))))
+                    children[child] = add(*pieces)
+            zeta.update(children)
+            layer = children
     return ProlongedField(fieldv, order, zeta)
 
 
@@ -384,12 +371,9 @@ def divergence_match(
     return normalize(add(vec.divergence(system), neg(pair.combination(system))))
 
 
-def symmetry_invariance(
-    system: PDESystem, fieldv: VectorField, order: int | None = None
-) -> dict[str, PolyNF]:
+def symmetry_invariance(system: PDESystem, fieldv: VectorField) -> dict[str, PolyNF]:
     """Prolonged action on each equation, reduced on shell and normalized."""
-    if order is None:
-        order = max(jet_order(eq) for _, eq in system.equations)
+    order = max(jet_order(eq) for _, eq in system.equations)
     prol = prolong(fieldv, order, system.ctx)
     return {
         label: normalize(system.reduce(apply_field(prol, eq, system.ctx)))

@@ -39,6 +39,9 @@ class BlowupError(RuntimeError):
     """The numeric solution left the trusted range (instability)."""
 
 
+BLOWUP = 1e6  # largest |u|, |v| a step may produce before BlowupError
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, L)."""
@@ -127,7 +130,6 @@ def step_rk4(
     system: PDESystem,
     params: Mapping[str, float],
     dt: float,
-    blowup: float = 1e6,
 ) -> FieldState:
     """One RK4 step; the system's dependents are the state's ``u, v``."""
     fields, t, half = (state.u, state.v), state.t, 0.5 * dt
@@ -143,7 +145,7 @@ def step_rk4(
         dt / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)], t + dt
     )
     m = out.max_abs()
-    if not math.isfinite(m) or m > blowup:
+    if not math.isfinite(m) or m > BLOWUP:
         raise BlowupError(
             f"solution magnitude {m:.3g} at t={out.t:.6g}; reduce dt "
             "(see suggested_dt) or the spatial resolution"
@@ -151,9 +153,9 @@ def step_rk4(
     return out
 
 
-def suggested_dt(grid: Grid, params: Mapping[str, float], safety: float = 0.2) -> float:
+def suggested_dt(grid: Grid, params: Mapping[str, float]) -> float:
     gamma = max(abs(params.get("gamma", 0.0)), 1e-12)
-    return safety * grid.dx * grid.dx / gamma
+    return 0.2 * grid.dx * grid.dx / gamma  # 0.2: safety factor
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,6 @@ def run(
     steps: int,
     densities: Mapping[str, Expr] | None = None,
     sample_every: int = 1,
-    blowup: float = 1e6,
 ) -> tuple[FieldState, QuantitySeries]:
     densities = dict(densities or {})
     series = QuantitySeries(tuple(densities))
@@ -255,7 +256,7 @@ def run(
     sample(state)
     current = state
     for i in range(1, steps + 1):
-        current = step_rk4(current, system, params, dt, blowup=blowup)
+        current = step_rk4(current, system, params, dt)
         if i % sample_every == 0 or i == steps:
             sample(current)
     return current, series
@@ -289,12 +290,6 @@ def plane_wave_exact(
         raise ValueError(f"unknown dispersion {dispersion!r}")
     phase = k * grid.x - omega * t
     return FieldState(grid, t, a * np.cos(phase), a * np.sin(phase))
-
-
-def plane_wave_state(
-    grid: Grid, a: float, k: float, params: Mapping[str, float]
-) -> FieldState:
-    return plane_wave_exact(grid, a, k, 0.0, params)
 
 
 def case1_steady_state(grid: Grid, params: Mapping[str, float], c1: float = 0.0) -> FieldState:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .exprs import Context, Expr
+from .exprs import Context, Expr, ExprError
 from .jets import ConservedVector, MultiplierPair, PDESystem, VectorField
 from .parse import ParseError, parse
 from .reduction import SolutionCandidate
@@ -162,37 +162,38 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     printed_map: dict[str, tuple[int, str]] = {}
     for lineno, key, value in _keyed(sections.get("printed", []), path):
         printed_map[key] = (lineno, value)
+    overridable: set[str] = set()
 
-    def maybe_printed(key: str, value: str, lineno: int) -> tuple[str, int]:
-        if printed and key in printed_map:
-            plineno, pvalue = printed_map[key]
-            return pvalue, plineno
-        return value, lineno
+    def entries(section: str):
+        """The section's (lineno, key, value) entries, with the [printed]
+        spelling swapped in when loading printed; records each key seen."""
+        for lineno, key, value in _keyed(sections.get(section, []), path):
+            overridable.add(key)
+            if printed and key in printed_map:
+                lineno, value = printed_map[key]
+            yield lineno, key, value
 
     equations = []
-    for lineno, key, value in _keyed(sections["equations"], path):
-        value, lineno = maybe_printed(key, value, lineno)
+    for lineno, key, value in entries("equations"):
         equations.append((key, _parse_expr(value, ctx, path, lineno)))
 
     evolution: dict[str, Expr] = {}
-    for lineno, key, value in _keyed(sections["evolution"], path):
+    for lineno, key, value in entries("evolution"):
         if not key.endswith(f"_{time_name}") or ctx.lookup(key[:-2]) is None:
             raise ProblemFormatError(
                 f"evolution key {key!r} must be <dependent>_{time_name}", path, lineno
             )
-        value, lineno = maybe_printed(key, value, lineno)
         evolution[key[:-2]] = _parse_expr(value, ctx, path, lineno)
     try:
         system = PDESystem.build(ctx, equations, evolution, time=time_name)
-    except ValueError as ve:
-        raise ProblemFormatError(str(ve), path) from None
+    except (ValueError, ExprError) as exc:
+        raise ProblemFormatError(str(exc), path) from None
 
     pair_parts: dict[int, dict[int, Expr]] = {}
-    for lineno, key, value in _keyed(sections.get("multipliers", []), path):
+    for lineno, key, value in entries("multipliers"):
         m = _PAIR_RE.match(key)
         if not m:
             raise ProblemFormatError(f"bad multiplier key {key!r}", path, lineno)
-        value, lineno = maybe_printed(key, value, lineno)
         n, q = int(m.group(1)), int(m.group(2))
         pair_parts.setdefault(n, {})[q] = _parse_expr(value, ctx, path, lineno)
     multipliers = []
@@ -210,11 +211,10 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     _contiguous(list(pair_parts), "multiplier pair", path)
 
     vec_parts: dict[int, dict[str, Expr]] = {}
-    for lineno, key, value in _keyed(sections.get("conserved", []), path):
+    for lineno, key, value in entries("conserved"):
         m = _VEC_RE.match(key)
         if not m:
             raise ProblemFormatError(f"bad conserved key {key!r}", path, lineno)
-        value, lineno = maybe_printed(key, value, lineno)
         vec_parts.setdefault(int(m.group(1)), {})[m.group(2)] = _parse_expr(
             value, ctx, path, lineno
         )
@@ -236,7 +236,6 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         m = _SYM_RE.match(key)
         if not m:
             raise ProblemFormatError(f"bad symmetry key {key!r}", path, lineno)
-        value, lineno = maybe_printed(key, value, lineno)
         n, part, target = int(m.group(1)), m.group(2), m.group(3)
         expected = indep_names if part == "xi" else dep_names
         if target not in expected:
@@ -325,16 +324,8 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     for lineno, key, value in _keyed(sections.get("reduced", []), path):
         reduced_notes[key] = value
 
-    known_keys = {k for k, _ in equations}
-    known_keys.update(f"{d}_{time_name}" for d in evolution)
-    known_keys.update(
-        f"pair{n}_q{q}" for n, qs in pair_parts.items() for q in qs
-    )
-    known_keys.update(
-        f"t{n}_{part}" for n, ps in vec_parts.items() for part in ps
-    )
     for key, (lineno, _) in printed_map.items():
-        if key not in known_keys:
+        if key not in overridable:
             raise ProblemFormatError(
                 f"printed entry {key!r} overrides nothing", path, lineno
             )

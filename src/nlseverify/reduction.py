@@ -94,18 +94,16 @@ class CanonicalTransform:
         return {"s": normalize(new_s), "r": normalize(new_r)}
 
 
-def build_canonical_transform(max_order: int = 4) -> CanonicalTransform:
+def build_canonical_transform() -> CanonicalTransform:
     orig = Context(
         ("t", "x"),
         ("u", "v"),
         ("beta", "gamma", "delta", "c", "eps", "sqeps", "c1"),
-        max_order=max_order,
     )
     red = Context(
         ("r", "s"),
         ("w", "p"),
         ("beta", "gamma", "delta", "c", "eps", "sqeps", "c1"),
-        max_order=max_order,
     )
     t, x, u, v = orig["t"], orig["x"], orig["u"], orig["v"]
     r, s, w, p, c = red["r"], red["s"], red["w"], red["p"], red["c"]
@@ -117,7 +115,7 @@ def build_canonical_transform(max_order: int = 4) -> CanonicalTransform:
     # invariance ansatz by zeroing every s-derivative of w and p.
     kill: dict[Gen, Expr] = {}
     for dep in (w, p):
-        for orders in multi_indices(("r", "s"), max_order):
+        for orders in multi_indices(("r", "s"), red.max_order):
             jv = JetVar(dep, orders)
             if jv.order_in("s") > 0:
                 kill[jv] = ZERO
@@ -168,15 +166,10 @@ class ReducedODE:
         """
         red = self.transform.red_ctx
         theta = self.transform.theta
-        p_r = var(red.jet("p", "r"))
-        p_rr = var(red.jet("p", "rr"))
-        beta, gamma, delta = var(red["beta"]), var(red["gamma"]), var(red["delta"])
-        c, eps, sqeps = var(red["c"]), var(red["eps"]), var(red["sqeps"])
-        balance_eps = add(neg(c), neg(mul(beta, p_r)), mul(gamma, pow_(p_r, 2)), mul(delta, eps))
-        balance_sq = add(
-            neg(c), neg(mul(beta, p_r)), mul(gamma, pow_(p_r, 2)), mul(delta, pow_(sqeps, 2))
-        )
-        curv = mul(gamma, p_rr)
+        eps, sqeps = var(red["eps"]), var(red["sqeps"])
+        balance_eps = self.phase_balance.to_expr()
+        balance_sq = substitute(balance_eps, {red["eps"]: pow_(sqeps, 2)})
+        curv = self.curvature.to_expr()
         two_theta = mul(2, theta)
         expected_residual = mul(
             eps, sub(mul(balance_eps, sin_(two_theta)), mul(curv, cos_(two_theta)))
@@ -273,13 +266,13 @@ class CandidateReport:
 _PLASTIC = 1.32471795724474602596  # real root of z^3 = z + 1
 
 
-def low_discrepancy_points(n: int, x_span: float = 2.0 * math.pi, t_span: float = 1.0):
-    """Deterministic 2d low-discrepancy sequence on [0, x_span] x [0, t_span]."""
+def low_discrepancy_points(n: int):
+    """Deterministic 2d low-discrepancy sequence of (x, t) on [0, 2 pi] x [0, 1]."""
     a1 = 1.0 / _PLASTIC
     a2 = 1.0 / (_PLASTIC * _PLASTIC)
     pts = []
     for i in range(1, n + 1):
-        pts.append((x_span * ((0.5 + i * a1) % 1.0), t_span * ((0.5 + i * a2) % 1.0)))
+        pts.append((2.0 * math.pi * ((0.5 + i * a1) % 1.0), (0.5 + i * a2) % 1.0))
     return pts
 
 
@@ -297,15 +290,13 @@ def candidate_bindings(cand: SolutionCandidate, ctx: Context) -> dict[Gen, Expr]
     return out
 
 
-def draw_parameters(
-    ctx: Context, seed: int, count: int, low: float = 0.1, high: float = 2.0
-) -> list[dict[str, float]]:
-    """Seeded parameter draws, identical across candidates for a given seed."""
+def draw_parameters(ctx: Context, seed: int, count: int) -> list[dict[str, float]]:
+    """Seeded parameter draws on [0.1, 2], identical across candidates for
+    a given seed."""
     rng = random.Random(seed)
-    names = [p.name for p in ctx.parameters if p.name != "sqeps"]
     out = []
     for _ in range(count):
-        out.append({name: rng.uniform(low, high) for name in names})
+        out.append({p.name: rng.uniform(0.1, 2.0) for p in ctx.parameters})
     return out
 
 
@@ -355,15 +346,13 @@ def classify(
     system: PDESystem,
     candidates: Sequence[SolutionCandidate],
     seed: int = 7,
-    draws: int = 3,
-    npoints: int = 100,
     tol: float = 1e-10,
 ) -> list[CandidateReport]:
-    """Adjudicate every candidate on seeded draws and fixed sample points.
-    A draw that leaves the numeric domain or has a non-finite residual
-    fails, with its cause, and fails the candidate."""
-    points = np.array(low_discrepancy_points(npoints))
-    bases = draw_parameters(system.ctx, seed, draws)
+    """Adjudicate every candidate on three seeded draws and 100 fixed
+    sample points.  A draw that leaves the numeric domain or has a
+    non-finite residual fails, with its cause, and fails the candidate."""
+    points = np.array(low_discrepancy_points(100))
+    bases = draw_parameters(system.ctx, seed, 3)
     reports = []
     for cand in candidates:
         residual_exprs = candidate_residual_exprs(cand, system)

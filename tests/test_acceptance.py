@@ -29,7 +29,7 @@ from nlseverify.jets import (
     total_derivative,
 )
 from nlseverify.normal import normalize
-from nlseverify.numerics import Grid, plane_wave_exact, plane_wave_state, run
+from nlseverify.numerics import Grid, plane_wave_exact, run
 from nlseverify.reduction import classify
 
 
@@ -162,7 +162,7 @@ def test_acceptance_7_conservation_audit_and_order(capsys, problem):
         start = time.perf_counter()
         params = {"beta": 1.0, "gamma": 0.5, "delta": 1.0}
         grid = Grid(256, 4.0 * math.pi)
-        state = plane_wave_state(grid, 0.5, 1.0, params)
+        state = plane_wave_exact(grid, 0.5, 1.0, 0.0, params)
         _, series = run(
             state,
             problem.system,
@@ -179,7 +179,7 @@ def test_acceptance_7_conservation_audit_and_order(capsys, problem):
         errs = {}
         for dt in (4e-4, 2e-4):
             final, _ = run(
-                plane_wave_state(grid, 0.5, 8.0, params),
+                plane_wave_exact(grid, 0.5, 8.0, 0.0, params),
                 problem.system,
                 params,
                 dt,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from nlseverify.cli import main
+from nlseverify.problem import bundled_problem_text
 
 VERIFY_IDS = [
     "verify.multiplier.pair1",
@@ -329,3 +330,45 @@ def test_simulate_domain_error_is_a_failure_record(capsys, tmp_path):
     assert row[0] == "simulate.domain"
     assert row[2] == "fail"
     assert row[3] == "zero base with negative exponent in v^-1"
+
+
+ONE_DEP_HEADER = "[params]\nbeta\n[independents]\nt\nx\n[dependents]\nu\n"
+BUNDLED = bundled_problem_text()
+EVERY_COMMAND = ("verify", "associate", "reduce", "classify", "simulate")
+
+
+@pytest.mark.parametrize(
+    "text, commands",
+    [
+        # The loader normalizes [equations] and [evolution], so every command fails.
+        (ONE_DEP_HEADER + "[equations]\ng1 = u_t - sqrt(u)\n[evolution]\nu_t = u\n",
+         EVERY_COMMAND),
+        (ONE_DEP_HEADER + "[equations]\ng1 = u_t - u\n[evolution]\nu_t = sqrt(u)\n",
+         EVERY_COMMAND),
+        (BUNDLED.replace("pair1_q1 = v_x", "pair1_q1 = sqrt(u)"), ("verify",)),
+        (BUNDLED.replace("pair2_q1 = u\n", "pair2_q1 = arctan(u)\n"), ("verify",)),
+        (BUNDLED.replace("pair3_q1 = v_t", "pair3_q1 = 1/(u + v)"), ("verify",)),
+        (BUNDLED.replace("t2_density = (u^2 + v^2)/2", "t2_density = sqrt(u^2 + v^2)"),
+         ("verify", "associate", "reduce")),
+        (BUNDLED.replace("x3_eta_u = -v", "x3_eta_u = -arctan(v)"), ("verify", "associate")),
+    ],
+    ids=[
+        "equations-sqrt",
+        "evolution-sqrt",
+        "multipliers-sqrt",
+        "multipliers-arctan",
+        "multipliers-reciprocal",
+        "conserved-sqrt",
+        "symmetries-arctan",
+    ],
+)
+def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands):
+    target = tmp_path / "nonpolynomial.prob"
+    target.write_text(text)
+    for command in commands:
+        code, out, err = run_cli(capsys, "--problem", str(target), command)
+        assert (code, out) == (1, ""), command
+        assert err.startswith("nlseverify: error: ")
+        assert "not polynomial" in err or "non-monomial" in err
+        if commands == EVERY_COMMAND:
+            assert err.startswith(f"nlseverify: error: {target}: ")

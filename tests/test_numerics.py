@@ -17,7 +17,6 @@ from nlseverify.numerics import (
     deriv2,
     grid_bindings,
     plane_wave_exact,
-    plane_wave_state,
     random_trig_state,
     rotate_state,
     run,
@@ -111,7 +110,7 @@ def test_rk4_is_fourth_order_in_time(system):
     errs = {}
     for dt in (4e-4, 2e-4):
         final, _ = run(
-            plane_wave_state(grid, a, k, PARAMS), system, PARAMS, dt, round(horizon / dt)
+            plane_wave_exact(grid, a, k, 0.0, PARAMS), system, PARAMS, dt, round(horizon / dt)
         )
         exact = plane_wave_exact(grid, a, k, final.t, PARAMS, dispersion="discrete")
         errs[dt] = state_err(final, exact)
@@ -125,7 +124,7 @@ def test_stencils_are_fourth_order_in_space(system):
     for n in (128, 256):
         g = Grid(n, 4.0 * math.pi)
         final, _ = run(
-            plane_wave_state(g, a, k, PARAMS), system, PARAMS, dt, round(horizon / dt)
+            plane_wave_exact(g, a, k, 0.0, PARAMS), system, PARAMS, dt, round(horizon / dt)
         )
         exact = plane_wave_exact(g, a, k, final.t, PARAMS, dispersion="continuum")
         errs[n] = state_err(final, exact)
@@ -135,7 +134,7 @@ def test_stencils_are_fourth_order_in_space(system):
 
 def test_plane_wave_conserves_all_four_quantities(problem):
     grid = Grid(256, 4.0 * math.pi)
-    state = plane_wave_state(grid, 0.5, 1.0, PARAMS)
+    state = plane_wave_exact(grid, 0.5, 1.0, 0.0, PARAMS)
     _, series = run(
         state, problem.system, PARAMS, 1e-3, 1000, problem.quantity_densities(), sample_every=10
     )
@@ -147,7 +146,7 @@ def test_plane_wave_quantities_match_stencil_values(problem):
     """Q1 sees the discrete wavenumber nu(k), not k itself."""
     grid = Grid(256, 4.0 * math.pi)
     a, k = 0.5, 1.0
-    state = plane_wave_state(grid, a, k, PARAMS)
+    state = plane_wave_exact(grid, a, k, 0.0, PARAMS)
     dens = problem.quantity_densities()
     q1 = conserved_quantity(dens["Q1"], state, problem.system, PARAMS)
     q2 = conserved_quantity(dens["Q2"], state, problem.system, PARAMS)
@@ -177,7 +176,7 @@ def test_moment_drift_rate_matches_boundary_flux(problem):
     dens = problem.quantity_densities()
     system = problem.system
     grid = Grid(256, 4.0 * math.pi)
-    state = plane_wave_state(grid, 0.5, 2.0, PARAMS)
+    state = plane_wave_exact(grid, 0.5, 2.0, 0.0, PARAMS)
     dt = 1e-3
     mid = step_rk4(state, system, PARAMS, dt)
     after = step_rk4(mid, system, PARAMS, dt)

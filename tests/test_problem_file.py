@@ -213,11 +213,14 @@ def test_candidate_happy_path():
 
 
 def test_printed_override_must_target_something():
-    text = MINIMAL + "\n[printed]\nnope = u\n"
-    for printed in (True, False):
-        with pytest.raises(ProblemFormatError) as info:
-            load_problem_text(text, "<test>", printed=printed)
-        assert "overrides nothing" in str(info.value)
+    unknown_key = MINIMAL + "\n[printed]\nnope = u\n"
+    # [symmetries] entries are not overridable.
+    symmetry_key = MINIMAL + "\n[symmetries]\nx1_xi_t = 1\n[printed]\nx1_xi_t = 2\n"
+    for text in (unknown_key, symmetry_key):
+        for printed in (True, False):
+            with pytest.raises(ProblemFormatError) as info:
+                load_problem_text(text, "<test>", printed=printed)
+            assert "overrides nothing" in str(info.value)
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from nlseverify.exprs import eval_numeric, sub
-from nlseverify.normal import normalize
+from nlseverify.normal import const_nf, nf_add, normalize
 from nlseverify.reduction import (
     SolutionCandidate,
     candidate_bindings,
@@ -113,6 +114,15 @@ def test_factor_identities(ode):
     residuals = ode.factorization_residuals()
     assert set(residuals) == {"combination", "g1", "g2"}
     assert all(nf.is_zero for nf in residuals.values())
+
+
+@pytest.mark.parametrize("factor", ["phase_balance", "curvature"])
+def test_factorization_checks_the_reported_factors(ode, factor):
+    """A wrong reported factor must show in every factorization identity."""
+    wrong = dataclasses.replace(ode, **{factor: nf_add(getattr(ode, factor), const_nf(1))})
+    residuals = wrong.factorization_residuals()
+    assert set(residuals) == {"combination", "g1", "g2"}
+    assert not any(nf.is_zero for nf in residuals.values())
 
 
 EXPECTED_VERDICTS = {
