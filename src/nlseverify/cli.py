@@ -19,7 +19,7 @@ from .jets import (
     multiplier_condition,
     symmetry_invariance,
 )
-from .normal import NormalizationError, PolyNF, const_nf, nf_sub, normalize
+from .normal import PolyNF, const_nf, nf_sub, normalize
 from .problem import Problem, ProblemFormatError, load_problem
 from .reduction import build_canonical_transform, classify, reduced_ode
 from .report import Report
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
             rep = classify_report(problem, args.seed, args.tol, args.case)
         else:
             rep = simulate_report(problem, args)
-    except (UsageError, NormalizationError) as exc:
+    except (UsageError, ExprError) as exc:
         print(f"nlseverify: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(rep.tsv())

@@ -34,10 +34,6 @@ class JetOrderError(ExprError):
     """A requested derivative exceeds the context's maximum jet order."""
 
 
-class SubstitutionCycleError(ExprError):
-    """The substitution bindings contain a cyclic dependency."""
-
-
 class EvalDomainError(ExprError):
     """Numeric evaluation left the domain (sqrt of a negative, division by zero)."""
 
@@ -61,28 +57,21 @@ class VarId:
 class JetVar:
     """A derivative of a dependent variable.
 
-    ``orders`` maps independent-variable names to derivative counts and is
-    stored as a tuple sorted alphabetically, so mixed derivatives have a
-    single canonical spelling (the suffix of ``u_tx`` and ``u_xt`` is the
-    same jet variable, written ``u_tx``).
+    ``suffix`` is the derivative word: one independent-variable letter per
+    derivative, sorted, so mixed derivatives have a single canonical
+    spelling (``u_tx`` and ``u_xt`` are the same jet variable, written
+    ``u_tx``).  :meth:`Context.jet` builds jets and sorts and checks the word.
     """
 
     dep: VarId
-    orders: tuple[tuple[str, int], ...]
+    suffix: str
 
     @property
     def total_order(self) -> int:
-        return sum(n for _, n in self.orders)
+        return len(self.suffix)
 
     def order_in(self, indep_name: str) -> int:
-        for name, n in self.orders:
-            if name == indep_name:
-                return n
-        return 0
-
-    @property
-    def suffix(self) -> str:
-        return "".join(name * n for name, n in self.orders)
+        return self.suffix.count(indep_name)
 
     @property
     def name(self) -> str:
@@ -474,35 +463,12 @@ def partial(e: Expr, g: Gen) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _check_acyclic(bindings: Mapping[Gen, Expr]) -> None:
-    keys = set(bindings)
-    edges = {g: collect_refs(rhs) & keys for g, rhs in bindings.items()}
-    WHITE, GREY, BLACK = 0, 1, 2
-    state = dict.fromkeys(keys, WHITE)
-
-    def visit(node, trail):
-        state[node] = GREY
-        for nxt in sorted(edges[node], key=ref_sort_key):
-            if state[nxt] == GREY:
-                cycle = " -> ".join(str(x) for x in trail + [node, nxt])
-                raise SubstitutionCycleError(f"cyclic substitution: {cycle}")
-            if state[nxt] == WHITE:
-                visit(nxt, trail + [node])
-        state[node] = BLACK
-
-    for k in sorted(keys, key=ref_sort_key):
-        if state[k] == WHITE:
-            visit(k, [])
-
-
-def substitute(e: Expr, bindings: Mapping[Gen, Expr], *, checked: bool = True) -> Expr:
+def substitute(e: Expr, bindings: Mapping[Gen, Expr]) -> Expr:
     """Simultaneous substitution of generators by expressions.
 
-    Bindings must be acyclic as a dependency graph; a cycle such as
-    ``{u: v + 1, v: u}`` raises :class:`SubstitutionCycleError`.
+    Replacements are not substituted into again, so every binding map is
+    well defined, a swap such as ``{u: v, v: u}`` included.
     """
-    if checked:
-        _check_acyclic(bindings)
     return _subst(e, bindings)
 
 
@@ -638,48 +604,34 @@ class Context:
         return v is not None and v.kind == INDEPENDENT
 
     def jet(self, dep, suffix: str) -> JetVar:
-        """Jet variable from a suffix word, e.g. ``jet(u, 'xt')`` == u_tx."""
+        """Jet variable from a suffix word, e.g. ``jet(u, 'xt')`` == u_tx.
+
+        Every jet is built here: this is the one place that validates the
+        letters and enforces the order cap.
+        """
         if isinstance(dep, str):
             dep = self[dep]
         if dep.kind != DEPENDENT:
             raise ValueError(f"cannot take derivatives of non-dependent {dep.name!r}")
-        counts: dict[str, int] = {}
         for ch in suffix:
             if not self.is_independent_letter(ch):
                 raise ValueError(
                     f"bad derivative suffix {suffix!r}: {ch!r} is not an "
                     "independent variable"
                 )
-            counts[ch] = counts.get(ch, 0) + 1
-        orders = tuple(sorted(counts.items()))
-        total = sum(counts.values())
-        if total < 1:
+        if not suffix:
             raise ValueError("empty derivative suffix")
-        if total > self.max_order:
+        if len(suffix) > self.max_order:
             raise JetOrderError(
-                f"jet order {total} exceeds maximum {self.max_order}"
+                f"jet order {len(suffix)} exceeds maximum {self.max_order}"
             )
-        return JetVar(dep, orders)
+        return JetVar(dep, "".join(sorted(suffix)))
 
     def bump(self, g: Gen, wrt: VarId) -> JetVar:
-        """One more derivative of a dependent-like generator."""
-        if wrt.kind != INDEPENDENT:
-            raise ValueError(f"cannot differentiate with respect to {wrt.name!r}")
+        """One more derivative of a dependent variable or jet."""
         if isinstance(g, VarId):
-            if g.kind != DEPENDENT:
-                raise ValueError(f"{g.name!r} has no jet variables")
-            counts = {wrt.name: 1}
-        else:
-            counts = dict(g.orders)
-            counts[wrt.name] = counts.get(wrt.name, 0) + 1
-        orders = tuple(sorted(counts.items()))
-        total = sum(counts.values())
-        if total > self.max_order:
-            raise JetOrderError(
-                f"differentiating {g.name} past maximum jet order {self.max_order}"
-            )
-        dep = g if isinstance(g, VarId) else g.dep
-        return JetVar(dep, orders)
+            return self.jet(g, wrt.name)
+        return self.jet(g.dep, g.suffix + wrt.name)
 
     def parse(self, text: str) -> Expr:
         from .parse import parse

@@ -31,6 +31,7 @@ from .exprs import (
     Expr,
     ExprError,
     Gen,
+    JetOrderError,
     JetVar,
     VarId,
     ZERO,
@@ -73,13 +74,11 @@ def total_derivative(e: Expr, wrt: VarId, ctx: Context) -> Expr:
     return add(*pieces)
 
 
-def iterated_derivative(e: Expr, orders: Sequence[tuple[str, int]], ctx: Context) -> Expr:
-    out = e
-    for name, n in orders:
-        w = ctx[name]
-        for _ in range(n):
-            out = total_derivative(out, w, ctx)
-    return out
+def iterated_derivative(e: Expr, word: str, ctx: Context) -> Expr:
+    """Total derivatives along the letters of ``word``, first letter first."""
+    for letter in word:
+        e = total_derivative(e, ctx[letter], ctx)
+    return e
 
 
 def euler_operator(e: Expr, dep: VarId, ctx: Context) -> Expr:
@@ -92,7 +91,7 @@ def euler_operator(e: Expr, dep: VarId, ctx: Context) -> Expr:
         if isinstance(g, VarId) and g == dep:
             pieces.append(partial(e, g))
         elif isinstance(g, JetVar) and g.dep == dep:
-            term = iterated_derivative(partial(e, g), g.orders, ctx)
+            term = iterated_derivative(partial(e, g), g.suffix, ctx)
             if g.total_order % 2:
                 term = neg(term)
             pieces.append(term)
@@ -154,13 +153,15 @@ class PDESystem:
                 )
         return system
 
+    @property
+    def order(self) -> int:
+        """Highest jet order in the equations."""
+        return max(jet_order(eq) for _, eq in self.equations)
+
     def _binding(self, g: JetVar) -> Expr:
-        rhs = self.evolution[g.dep]
-        for name, n in g.orders:
-            count = n - 1 if name == self.time.name else n
-            if count:
-                rhs = iterated_derivative(rhs, ((name, count),), self.ctx)
-        return rhs
+        """The evolution rule differentiated along ``g`` less one time letter."""
+        word = g.suffix.replace(self.time.name, "", 1)
+        return iterated_derivative(self.evolution[g.dep], word, self.ctx)
 
     def reduce(self, e: Expr) -> Expr:
         """Eliminate every time derivative using the evolution rules.
@@ -180,7 +181,7 @@ class PDESystem:
             if not targets:
                 return out
             bindings = {g: self._binding(g) for g in targets}
-            out = substitute(out, bindings, checked=False)
+            out = substitute(out, bindings)
         raise ReductionError("time derivatives persist after maximal passes")
 
 
@@ -265,16 +266,13 @@ class VectorField:
         return self.eta.get(v.name, ZERO)
 
 
-def multi_indices(names: Sequence[str], order: int) -> list[tuple[tuple[str, int], ...]]:
-    """All derivative multi-indices with 1 <= total order <= ``order``."""
-    out = []
-    for total in range(1, order + 1):
-        for combo in combinations_with_replacement(sorted(names), total):
-            counts: dict[str, int] = {}
-            for ch in combo:
-                counts[ch] = counts.get(ch, 0) + 1
-            out.append(tuple(sorted(counts.items())))
-    return out
+def multi_indices(names: Sequence[str], order: int) -> list[str]:
+    """All sorted derivative words with 1 <= length <= ``order``."""
+    return [
+        "".join(combo)
+        for total in range(1, order + 1)
+        for combo in combinations_with_replacement(sorted(names), total)
+    ]
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,7 @@ class ProlongedField:
     order: int
     zeta: Mapping[JetVar, Expr]
 
-    def coefficient(self, g: Gen, ctx: Context) -> Expr:
+    def coefficient(self, g: Gen) -> Expr:
         if isinstance(g, JetVar):
             z = self.zeta.get(g)
             if z is None:
@@ -308,9 +306,9 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
     """
     fieldv.validate(ctx)
     if order + 1 > ctx.max_order:
-        raise ValueError(
-            f"prolongation to order {order} can produce jets of order "
-            f"{order + 1}; raise the context max_order"
+        raise JetOrderError(
+            f"prolongation to order {order} needs jets of order {order + 1}, "
+            f"past the maximum {ctx.max_order}"
         )
     zeta: dict[JetVar, Expr] = {}
     for dep in ctx.dependents:
@@ -333,14 +331,14 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
     return ProlongedField(fieldv, order, zeta)
 
 
-def apply_field(prol: ProlongedField, e: Expr, ctx: Context) -> Expr:
+def apply_field(prol: ProlongedField, e: Expr) -> Expr:
     """Action of the prolonged field on an expression."""
     pieces = []
     for g in _sorted_refs(e):
         pe = partial(e, g)
         if is_zero_expr(pe):
             continue
-        coeff = prol.coefficient(g, ctx)
+        coeff = prol.coefficient(g)
         if is_zero_expr(coeff):
             continue
         pieces.append(mul(coeff, pe))
@@ -373,10 +371,9 @@ def divergence_match(
 
 def symmetry_invariance(system: PDESystem, fieldv: VectorField) -> dict[str, PolyNF]:
     """Prolonged action on each equation, reduced on shell and normalized."""
-    order = max(jet_order(eq) for _, eq in system.equations)
-    prol = prolong(fieldv, order, system.ctx)
+    prol = prolong(fieldv, system.order, system.ctx)
     return {
-        label: normalize(system.reduce(apply_field(prol, eq, system.ctx)))
+        label: normalize(system.reduce(apply_field(prol, eq)))
         for label, eq in system.equations
     }
 
@@ -400,12 +397,12 @@ def association_residual(
     dx_xit = total_derivative(xit, x, ctx)
     trace = add(dt_xit, dx_xix)
     comp_t = add(
-        apply_field(prol, vec.density, ctx),
+        apply_field(prol, vec.density),
         mul(vec.density, trace),
         neg(add(mul(vec.density, dt_xit), mul(vec.flux, dx_xit))),
     )
     comp_x = add(
-        apply_field(prol, vec.flux, ctx),
+        apply_field(prol, vec.flux),
         mul(vec.flux, trace),
         neg(add(mul(vec.density, dt_xix), mul(vec.flux, dx_xix))),
     )

@@ -29,7 +29,6 @@ from .exprs import (
     INDEPENDENT,
     Expr,
     JetVar,
-    collect_refs,
     eval_numeric,
 )
 from .jets import PDESystem
@@ -120,9 +119,8 @@ def rhs(
 ) -> tuple[np.ndarray | float, ...]:
     """The system's evolution rules evaluated on ``state``, one time
     derivative per dependent in declaration order."""
-    rules = [system.evolution[dep] for dep in system.ctx.dependents]
-    bind = grid_bindings(state, system, params, set().union(*map(collect_refs, rules)))
-    return tuple(eval_numeric(rule, bind) for rule in rules)
+    bind = GridBindings(state, system, params)
+    return tuple(eval_numeric(system.evolution[dep], bind) for dep in system.ctx.dependents)
 
 
 def step_rk4(
@@ -162,43 +160,52 @@ def suggested_dt(grid: Grid, params: Mapping[str, float]) -> float:
 # conserved quantities on the grid
 
 
-def grid_bindings(
-    state: FieldState, system: PDESystem, params: Mapping[str, float], refs
-) -> dict:
-    """Numeric bindings for every generator in ``refs``.
+class GridBindings(dict):
+    """Numeric values of the generators on one snapshot, each computed on
+    its first lookup.
 
     Jet variables must be purely spatial; time derivatives have no
     pointwise meaning on a single snapshot.  A generator with no value
-    here is left unbound, for ``eval_numeric`` to report by name.
+    here raises ``KeyError``, for ``eval_numeric`` to report by name.
     """
-    grid = state.grid
-    arrays = {"u": state.u, "v": state.v}
-    bind: dict = {}
-    for g in refs:
+
+    def __init__(
+        self, state: FieldState, system: PDESystem, params: Mapping[str, float]
+    ) -> None:
+        super().__init__()
+        self.state, self.system, self.params = state, system, params
+
+    def __missing__(self, g):
+        state, system = self.state, self.system
+        arrays = {"u": state.u, "v": state.v}
         if isinstance(g, JetVar):
             if g.order_in(system.time.name) > 0:
                 raise ValueError(
                     f"density contains the time derivative {g.name}; only "
                     "spatial jets can be sampled on a snapshot"
                 )
-            if g.dep.name in arrays:
-                bind[g] = spatial_derivative(
-                    arrays[g.dep.name], grid.dx, g.order_in(system.space.name)
-                )
+            if g.dep.name not in arrays:
+                raise KeyError(g)
+            value = spatial_derivative(
+                arrays[g.dep.name], state.grid.dx, g.order_in(system.space.name)
+            )
         elif g.kind == INDEPENDENT:
-            bind[g] = grid.x if g == system.space else state.t
+            value = state.grid.x if g == system.space else state.t
         elif g.name in arrays:
-            bind[g] = arrays[g.name]
-        elif g.name in params:
-            bind[g] = params[g.name]
-    return bind
+            value = arrays[g.name]
+        elif g.name in self.params:
+            value = self.params[g.name]
+        else:
+            raise KeyError(g)
+        self[g] = value
+        return value
 
 
 def conserved_quantity(
     density: Expr, state: FieldState, system: PDESystem, params: Mapping[str, float]
 ) -> float:
     """Rectangle-rule integral of a density over the periodic grid."""
-    bind = grid_bindings(state, system, params, collect_refs(density))
+    bind = GridBindings(state, system, params)
     values = np.broadcast_to(eval_numeric(density, bind), state.grid.n)
     return float(state.grid.dx * np.sum(values))
 

@@ -68,9 +68,7 @@ class Problem:
     conserved: tuple[ConservedVector, ...]
     symmetries: tuple[VectorField, ...]
     candidates: tuple[SolutionCandidate, ...]
-    printed_keys: tuple[str, ...]
     reduced_notes: Mapping[str, str]
-    printed: bool = False
 
     def quantity_densities(self) -> dict[str, Expr]:
         return {f"Q{i}": vec.density for i, vec in enumerate(self.conserved, 1)}
@@ -338,9 +336,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         conserved=tuple(conserved),
         symmetries=tuple(symmetries),
         candidates=tuple(candidates),
-        printed_keys=tuple(sorted(printed_map)),
         reduced_notes=reduced_notes,
-        printed=printed,
     )
 
 

@@ -64,7 +64,7 @@ class CanonicalTransform:
     def pushforward(self, e: Expr) -> Expr:
         """Rewrite an original-variable expression in reduced variables,
         under the invariance ansatz (no s-dependence of w, p)."""
-        return substitute(e, self.table, checked=False)
+        return substitute(e, self.table)
 
     def forward_eval(
         self, t: float, x: float, u: float, v: float, params: Mapping[str, float]
@@ -115,26 +115,25 @@ def build_canonical_transform() -> CanonicalTransform:
     # invariance ansatz by zeroing every s-derivative of w and p.
     kill: dict[Gen, Expr] = {}
     for dep in (w, p):
-        for orders in multi_indices(("r", "s"), red.max_order):
-            jv = JetVar(dep, orders)
-            if jv.order_in("s") > 0:
-                kill[jv] = ZERO
+        for word in multi_indices(("r", "s"), red.max_order):
+            if "s" in word:
+                kill[red.jet(dep, word)] = ZERO
     letter = {"t": "s", "x": "r"}
     table: dict[Gen, Expr] = {t: var(s), x: var(r), u: u_expr, v: v_expr}
     for dep, base in ((u, u_expr), (v, v_expr)):
-        for orders in multi_indices(("t", "x"), 2):
-            mapped = tuple(sorted((letter[n], k) for n, k in orders))
+        for word in multi_indices(("t", "x"), 2):
+            mapped = "".join(sorted(letter[c] for c in word))
             full = iterated_derivative(base, mapped, red)
-            table[JetVar(dep, orders)] = substitute(full, kill, checked=False)
+            table[orig.jet(dep, word)] = substitute(full, kill)
 
     jac = (
         (
-            iterated_derivative(table[t], (("s", 1),), red),
-            iterated_derivative(table[x], (("s", 1),), red),
+            iterated_derivative(table[t], "s", red),
+            iterated_derivative(table[x], "s", red),
         ),
         (
-            iterated_derivative(table[t], (("r", 1),), red),
-            iterated_derivative(table[x], (("r", 1),), red),
+            iterated_derivative(table[t], "r", red),
+            iterated_derivative(table[x], "r", red),
         ),
     )
     det = sub(mul(jac[0][0], jac[1][1]), mul(jac[0][1], jac[1][0]))
@@ -188,17 +187,17 @@ def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
     red = transform.red_ctx
     w, sqeps, eps = red["w"], red["sqeps"], red["eps"]
     freeze: dict[Gen, Expr] = {w: var(sqeps)}
-    for orders in multi_indices(("r", "s"), red.max_order):
-        freeze[JetVar(w, orders)] = ZERO
+    for word in multi_indices(("r", "s"), red.max_order):
+        freeze[red.jet(w, word)] = ZERO
 
     deps = [var(d) for d in system.ctx.dependents]
     combo = MultiplierPair("angular", tuple(deps)).combination(system)
-    combo_red = substitute(transform.pushforward(combo), freeze, checked=False)
+    combo_red = substitute(transform.pushforward(combo), freeze)
     residual = replace_even_powers(normalize(combo_red), sqeps, eps)
 
     subs = []
     for label, eq in system.equations:
-        eq_red = substitute(transform.pushforward(eq), freeze, checked=False)
+        eq_red = substitute(transform.pushforward(eq), freeze)
         subs.append((label, normalize(eq_red)))
 
     p_r = var(red.jet("p", "r"))
@@ -276,17 +275,18 @@ def low_discrepancy_points(n: int):
     return pts
 
 
-def candidate_bindings(cand: SolutionCandidate, ctx: Context) -> dict[Gen, Expr]:
-    """Replace the dependents and their jets (to second order) by the
-    candidate's closed forms and their derivatives."""
+def candidate_bindings(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr]:
+    """Replace the dependents and their jets, up to the equations' order,
+    by the candidate's closed forms and their derivatives."""
     cand.check_explicit()
+    ctx = system.ctx
     names = [vv.name for vv in ctx.independents]
     out: dict[Gen, Expr] = {}
     for dep_name, expr in (("u", cand.u_expr), ("v", cand.v_expr)):
         dep = ctx[dep_name]
         out[dep] = expr
-        for orders in multi_indices(names, 2):
-            out[JetVar(dep, orders)] = iterated_derivative(expr, orders, ctx)
+        for word in multi_indices(names, system.order):
+            out[ctx.jet(dep, word)] = iterated_derivative(expr, word, ctx)
     return out
 
 
@@ -315,11 +315,11 @@ def candidate_residual_exprs(
 ) -> tuple[tuple[Expr, ...], Expr]:
     """The equations and the angular combination u*G1 + v*G2 with the
     candidate substituted.  They do not depend on the parameter values."""
-    bindings = candidate_bindings(cand, system.ctx)
-    eq_exprs = tuple(substitute(eq, bindings, checked=False) for _, eq in system.equations)
+    bindings = candidate_bindings(cand, system)
+    eq_exprs = tuple(substitute(eq, bindings) for _, eq in system.equations)
     deps = [var(d) for d in system.ctx.dependents]
     combo = MultiplierPair("angular", tuple(deps)).combination(system)
-    return eq_exprs, substitute(combo, bindings, checked=False)
+    return eq_exprs, substitute(combo, bindings)
 
 
 def candidate_equation_residuals(

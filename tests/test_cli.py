@@ -372,3 +372,48 @@ def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands):
         assert "not polynomial" in err or "non-monomial" in err
         if commands == EVERY_COMMAND:
             assert err.startswith(f"nlseverify: error: {target}: ")
+
+
+THIRD_ORDER = BUNDLED.replace(
+    "g1 = u_t + beta*u_x", "g1 = u_t + u_xxx + beta*u_x"
+).replace("u_t = -beta*u_x", "u_t = -u_xxx - beta*u_x")
+FOURTH_ORDER = BUNDLED.replace(
+    "g1 = u_t + beta*u_x", "g1 = u_t + u_xxxx + beta*u_x"
+).replace("u_t = -beta*u_x", "u_t = -u_xxxx - beta*u_x")
+
+
+@pytest.mark.parametrize(
+    "text, commands",
+    [
+        # The Euler operator of a third- or fourth-order multiplier needs jets past 4.
+        (BUNDLED.replace("pair1_q1 = v_x", "pair1_q1 = u_xxx"), ("verify",)),
+        (BUNDLED.replace("pair1_q1 = v_x", "pair1_q1 = u_xxxx"), ("verify",)),
+        (FOURTH_ORDER, ("verify", "associate")),
+        # Without multipliers, verify reaches the prolongation to order 4.
+        (ONE_DEP_HEADER + "[equations]\ng1 = u_t + u_xxxx\n[evolution]\nu_t = -u_xxxx\n"
+         "[symmetries]\nx1_xi_t = 1\n", ("verify",)),
+    ],
+    ids=["multiplier-order-3", "multiplier-order-4", "system-order-4", "prolong-order-4"],
+)
+def test_high_order_jets_exit_one(capsys, tmp_path, text, commands):
+    target = tmp_path / "highorder.prob"
+    target.write_text(text)
+    for command in commands:
+        code, out, err = run_cli(capsys, "--problem", str(target), command)
+        assert (code, out) == (1, ""), command
+        assert err.startswith("nlseverify: error: ")
+        assert "maximum 4" in err
+
+
+def test_classify_binds_jets_to_the_system_order(capsys, tmp_path):
+    _, bundled_out, _ = run_cli(capsys, "classify")
+    target = tmp_path / "third.prob"
+    target.write_text(THIRD_ORDER)
+    code, out, _ = run_cli(capsys, "--problem", str(target), "classify")
+    rows = [line.split("\t") for line in out.strip().split("\n")]
+    assert code == 0
+    assert len(rows) == 12 and all(r[2] != "fail" for r in rows)
+    bundled = {r[1]: r[2] for r in (line.split("\t") for line in bundled_out.splitlines())}
+    const = {r[1]: r[2] for r in rows if "-const-" in r[1] and r[1] != "case2-const-phase"}
+    assert len(const) == 9
+    assert const == {label: bundled[label] for label in const}

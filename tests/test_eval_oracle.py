@@ -96,7 +96,7 @@ def test_conserved_vectors_match_sympy(problem):
 def test_candidates_and_second_jets_match_sympy(problem):
     labelled = []
     for cand in problem.candidates:
-        for g, e in candidate_bindings(cand, problem.ctx).items():
+        for g, e in candidate_bindings(cand, problem.system).items():
             labelled.append((f"{cand.label}.{g.name}", e))
     assert len(labelled) == 12 * 2 * 6
     _check(problem, labelled)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_expr
-from nlseverify.exprs import Context, add, mul, render, var
+from nlseverify.exprs import Context, JetOrderError, add, mul, render, var
 from nlseverify.jets import (
     PDESystem,
     ProlongationError,
@@ -79,18 +79,12 @@ def test_euler_operator_known_gradients(ctx6):
 def test_iterated_derivative_matches_composition(ctx6):
     e = ctx6.parse("u^2*v_x + beta*t*u")
     step = total_derivative(total_derivative(e, ctx6["x"], ctx6), ctx6["t"], ctx6)
-    joint = iterated_derivative(e, (("t", 1), ("x", 1)), ctx6)
+    joint = iterated_derivative(e, "tx", ctx6)
     assert normalize(step - joint).is_zero
 
 
 def test_multi_indices_enumeration():
-    assert multi_indices(("t", "x"), 2) == [
-        (("t", 1),),
-        (("x", 1),),
-        (("t", 2),),
-        (("t", 1), ("x", 1)),
-        (("x", 2),),
-    ]
+    assert multi_indices(("t", "x"), 2) == ["t", "x", "tt", "tx", "xx"]
 
 
 def test_prolongation_classic_coefficients(problem):
@@ -122,14 +116,14 @@ def test_prolongation_is_linear(problem):
     pc = prolong(combined, 2, ctx)
     names = ("t", "x", "u", "v", "beta", "u_x", "v_x", "u_xx", "v_tx")
     for e in corpus(ctx, names, seed=404, count=10, depth=2):
-        split = add(apply_field(p4, e, ctx), apply_field(p5, e, ctx))
-        joint = apply_field(pc, e, ctx)
+        split = add(apply_field(p4, e), apply_field(p5, e))
+        joint = apply_field(pc, e)
         assert normalize(split - joint).is_zero
 
 
 def test_prolongation_requires_headroom(problem):
     ctx = problem.ctx
-    with pytest.raises(ValueError):
+    with pytest.raises(JetOrderError):
         prolong(problem.symmetries[4], ctx.max_order, ctx)
 
 
@@ -137,7 +131,7 @@ def test_apply_field_reports_missing_jets(problem):
     ctx = problem.ctx
     prol = prolong(problem.symmetries[2], 1, ctx)
     with pytest.raises(ProlongationError):
-        apply_field(prol, ctx.parse("u_xx"), ctx)
+        apply_field(prol, ctx.parse("u_xx"))
 
 
 def test_reduce_eliminates_time_jets(system):

@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from nlseverify.exprs import collect_refs, eval_numeric
+from nlseverify.exprs import eval_numeric
 from nlseverify.numerics import (
     BlowupError,
     FieldState,
     Grid,
+    GridBindings,
     QuantitySeries,
     case1_steady_state,
     conserved_quantity,
     deriv1,
     deriv2,
-    grid_bindings,
     plane_wave_exact,
     random_trig_state,
     rotate_state,
@@ -184,7 +184,7 @@ def test_moment_drift_rate_matches_boundary_flux(problem):
         conserved_quantity(dens["Q4"], after, system, PARAMS)
         - conserved_quantity(dens["Q4"], state, system, PARAMS)
     ) / (2.0 * dt)
-    flux = eval_numeric(t2.flux, grid_bindings(mid, system, PARAMS, collect_refs(t2.flux)))
+    flux = eval_numeric(t2.flux, GridBindings(mid, system, PARAMS))
     predicted = -grid.length * float(np.asarray(flux)[0])
     assert abs(slope - predicted) / abs(predicted) < 1e-10
     # Continuum value of the same quantity: L*(2*gamma*k - beta)*a^2/2.
@@ -243,7 +243,7 @@ def test_grid_bindings_reject_time_jets(problem):
     state = FieldState(grid, 0.0, np.zeros(grid.n), np.zeros(grid.n))
     density = problem.ctx.parse("u_t*v")
     with pytest.raises(ValueError):
-        grid_bindings(state, problem.system, PARAMS, collect_refs(density))
+        eval_numeric(density, GridBindings(state, problem.system, PARAMS))
 
 
 def test_random_state_requires_periodic_wavenumbers():

@@ -37,7 +37,7 @@ def test_mixed_suffixes_are_canonical(ctx):
     assert parse("u_xt", ctx) == parse("u_tx", ctx)
     jv = parse("u_xt", ctx).ref
     assert jv.name == "u_tx"
-    assert jv.orders == (("t", 1), ("x", 1))
+    assert jv.suffix == "tx"
 
 
 def test_precedence(ctx):

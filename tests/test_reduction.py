@@ -7,6 +7,7 @@ import pytest
 
 from nlseverify.exprs import eval_numeric, sub
 from nlseverify.normal import const_nf, nf_add, normalize
+from nlseverify.problem import bundled_problem_text, load_problem_text
 from nlseverify.reduction import (
     SolutionCandidate,
     candidate_bindings,
@@ -210,13 +211,26 @@ def test_candidate_bindings_reject_implicit_forms(problem):
     ctx = problem.ctx
     bad = SolutionCandidate("loop", (), ctx.parse("v"), ctx.parse("0"))
     with pytest.raises(ValueError):
-        candidate_bindings(bad, ctx)
+        candidate_bindings(bad, problem.system)
 
 
 def test_candidate_bindings_cover_second_jets(problem):
     ctx = problem.ctx
     cand = {c.label: c for c in problem.candidates}["case1-linear-phase"]
-    binds = candidate_bindings(cand, ctx)
+    binds = candidate_bindings(cand, problem.system)
     assert ctx.jet("u", "xx") in binds
     assert ctx.jet("v", "tx") in binds
     assert ctx["u"] in binds
+
+
+def test_candidate_bindings_follow_the_system_order(problem):
+    text = bundled_problem_text().replace(
+        "g1 = u_t + beta*u_x", "g1 = u_t + u_xxx + beta*u_x"
+    ).replace("u_t = -beta*u_x", "u_t = -u_xxx - beta*u_x")
+    third = load_problem_text(text, "third.prob")
+    assert (problem.system.order, third.system.order) == (2, 3)
+    cand = {c.label: c for c in third.candidates}["case1-linear-phase"]
+    u_xxx, v_ttx = third.ctx.jet("u", "xxx"), third.ctx.jet("v", "ttx")
+    assert u_xxx in candidate_bindings(cand, third.system)
+    assert v_ttx in candidate_bindings(cand, third.system)
+    assert u_xxx not in candidate_bindings(cand, problem.system)

@@ -39,7 +39,7 @@ def test_characteristic_identities_off_shell(problem, system):
     sigma = ctx.parse("x - beta*t")
 
     def act(fieldv, e):
-        return apply_field(prolong(fieldv, 2, ctx), e, ctx)
+        return apply_field(prolong(fieldv, 2, ctx), e)
 
     zero_cases = [
         act(x1, g1),
