@@ -137,15 +137,13 @@ def associate_report(problem: Problem) -> Report:
 
 
 def reduce_report(problem: Problem) -> Report:
-    ctx = problem.ctx
-    want_deps = tuple(d.name for d in ctx.dependents)
-    want_indeps = tuple(i.name for i in ctx.independents)
-    if want_deps != ("u", "v") or set(want_indeps) != {"t", "x"}:
-        raise UsageError(
-            "reduce expects the cubic layout: independents t,x and dependents u,v"
-        )
+    if len(problem.ctx.dependents) != 2:
+        raise UsageError("reduce needs exactly two dependents, the real and imaginary part")
+    try:
+        tr = build_canonical_transform(problem.system)
+    except ValueError as exc:  # a file name taken by the reduced variables
+        raise UsageError(f"reduce: {exc}; r, s, w, p name the reduced variables") from None
     rep = Report("reduce")
-    tr = build_canonical_transform()
     det_gap = nf_sub(normalize(tr.jac_det), const_nf(1))
     rep.add(
         "reduce.jacobian",

@@ -213,14 +213,6 @@ class ConservedVector:
     density: Expr
     flux: Expr
 
-    def __post_init__(self) -> None:
-        order = max(jet_order(self.density), jet_order(self.flux))
-        if order > 2:
-            raise ValueError(
-                f"{self.label}: component order {order} exceeds 2; the "
-                "divergence would leave the supported jet range"
-            )
-
     def divergence(self, system: PDESystem) -> Expr:
         return add(
             total_derivative(self.density, system.time, system.ctx),

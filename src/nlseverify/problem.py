@@ -221,10 +221,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         parts = vec_parts[n]
         if set(parts) != {"density", "flux"}:
             raise ProblemFormatError(f"t{n} needs both density and flux", path)
-        try:
-            conserved.append(ConservedVector(f"t{n}", parts["density"], parts["flux"]))
-        except ValueError as ve:
-            raise ProblemFormatError(str(ve), path) from None
+        conserved.append(ConservedVector(f"t{n}", parts["density"], parts["flux"]))
     _contiguous(list(vec_parts), "conserved vector", path)
 
     sym_parts: dict[int, dict[str, dict[str, Expr]]] = {}

@@ -5,11 +5,14 @@ straightens to a pure translation in canonical coordinates
 
     s = t,  r = x,  w = sqrt(u^2 + v^2),  p = arctan(v/u) - c*t,
 
-with inverse u = w*cos(p + c*s), v = w*sin(p + c*s).  Solutions invariant
-under the combination have w and p independent of s; substituting the
-constant-amplitude profile w = sqrt(eps) turns the original system into a
-single second-order phase equation whose exact factorization this module
-computes and checks.
+with inverse u = w*cos(p + c*s), v = w*sin(p + c*s).  The coordinates are
+built from the problem file: its time and space letters become s and r,
+its two dependents (real and imaginary part) become w and p.  Solutions
+invariant under the combination have w and p independent of s;
+substituting the constant-amplitude profile w = sqrt(eps) turns each
+equation into a rotation by the phase p + c*s of two factors in p(r)
+alone, which this module derives from the substituted equations and
+checks.
 
 Solution candidates (closed-form u, v with parameter constraints) are
 classified numerically on a deterministic low-discrepancy point set:
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .exprs import (
     var,
 )
 from .jets import MultiplierPair, PDESystem, iterated_derivative, multi_indices
-from .normal import PolyNF, nf_sub, normalize, replace_even_powers
+from .normal import PolyNF, TrigAtom, nf_add, nf_mul, nf_sub, normalize, replace_even_powers
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,18 @@ class CanonicalTransform:
     orig_ctx: Context
     red_ctx: Context
     theta: Expr  # p + c*s, the restored phase
-    table: Mapping[Gen, Expr]  # original generators -> reduced expressions
+    table: dict[Gen, Expr]  # original generators -> reduced expressions
+    derive: Callable[[JetVar], Expr]  # reduced image of an original jet
     jac: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     jac_det: Expr
 
     def pushforward(self, e: Expr) -> Expr:
         """Rewrite an original-variable expression in reduced variables,
-        under the invariance ansatz (no s-dependence of w, p)."""
+        under the invariance ansatz (no s-dependence of w, p).  Jets enter
+        the table on first use, so none deeper than an input is derived."""
+        for g in collect_refs(e):
+            if isinstance(g, JetVar) and g not in self.table:
+                self.table[g] = self.derive(g)
         return substitute(e, self.table)
 
     def forward_eval(
@@ -94,37 +102,33 @@ class CanonicalTransform:
         return {"s": normalize(new_s), "r": normalize(new_r)}
 
 
-def build_canonical_transform() -> CanonicalTransform:
-    orig = Context(
-        ("t", "x"),
-        ("u", "v"),
-        ("beta", "gamma", "delta", "c", "eps", "sqeps", "c1"),
-    )
-    red = Context(
-        ("r", "s"),
-        ("w", "p"),
-        ("beta", "gamma", "delta", "c", "eps", "sqeps", "c1"),
-    )
-    t, x, u, v = orig["t"], orig["x"], orig["u"], orig["v"]
+def build_canonical_transform(system: PDESystem) -> CanonicalTransform:
+    """The transform for a system with two dependents.  The reduced context
+    declares the file's parameters plus c, eps and sqeps; a file parameter
+    named r, s, w or p clashes with the reduced variables (ValueError)."""
+    orig = system.ctx
+    params = [q.name for q in orig.parameters]
+    params += [n for n in ("c", "eps", "sqeps") if n not in params]
+    red = Context(("r", "s"), ("w", "p"), params, orig.max_order)
     r, s, w, p, c = red["r"], red["s"], red["w"], red["p"], red["c"]
     theta = add(var(p), mul(var(c), var(s)))
-    u_expr = mul(var(w), cos_(theta))
-    v_expr = mul(var(w), sin_(theta))
+    images = (mul(var(w), cos_(theta)), mul(var(w), sin_(theta)))
 
-    # Full derivative table first (D_t -> D_s, D_x -> D_r), then impose the
-    # invariance ansatz by zeroing every s-derivative of w and p.
+    # A jet's image is the full derivative (D_t -> D_s, D_x -> D_r) with the
+    # invariance ansatz imposed after it: every s-derivative of w, p is zero.
     kill: dict[Gen, Expr] = {}
     for dep in (w, p):
         for word in multi_indices(("r", "s"), red.max_order):
             if "s" in word:
                 kill[red.jet(dep, word)] = ZERO
-    letter = {"t": "s", "x": "r"}
-    table: dict[Gen, Expr] = {t: var(s), x: var(r), u: u_expr, v: v_expr}
-    for dep, base in ((u, u_expr), (v, v_expr)):
-        for word in multi_indices(("t", "x"), 2):
-            mapped = "".join(sorted(letter[c] for c in word))
-            full = iterated_derivative(base, mapped, red)
-            table[orig.jet(dep, word)] = substitute(full, kill)
+    t, x = system.time, system.space
+    letter = {t.name: "s", x.name: "r"}
+    table: dict[Gen, Expr] = {t: var(s), x: var(r)}
+    table.update(zip(orig.dependents, images, strict=True))
+
+    def derive(g: JetVar) -> Expr:
+        mapped = "".join(sorted(letter[ch] for ch in g.suffix))
+        return substitute(iterated_derivative(table[g.dep], mapped, red), kill)
 
     jac = (
         (
@@ -137,7 +141,7 @@ def build_canonical_transform() -> CanonicalTransform:
         ),
     )
     det = sub(mul(jac[0][0], jac[1][1]), mul(jac[0][1], jac[1][0]))
-    return CanonicalTransform(orig, red, theta, table, jac, det)
+    return CanonicalTransform(orig, red, theta, table, derive, jac, det)
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,8 @@ class ReducedODE:
 
     transform: CanonicalTransform
     residual: PolyNF  # eps * (phase_balance * sin(2 theta) - curvature * cos(2 theta))
-    phase_balance: PolyNF  # -c - beta*p_r + gamma*p_r^2 + delta*eps
-    curvature: PolyNF  # gamma * p_rr
+    phase_balance: PolyNF  # (G1 sin(theta) + G2 cos(theta)) / sqeps
+    curvature: PolyNF  # (G2 sin(theta) - G1 cos(theta)) / sqeps
     equation_subs: tuple[tuple[str, PolyNF], ...]  # each over sqrt-amplitude
 
     def factorization_residuals(self) -> dict[str, PolyNF]:
@@ -184,35 +188,41 @@ class ReducedODE:
 
 
 def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
+    """Substitute the constant-amplitude invariant profile and derive the
+    two factors by rotating the substituted equations back by theta.
+
+    Raises ValueError when sqrt(eps) cannot be eliminated exactly, or when a
+    factor still holds a trig atom or s: then the system does not reduce."""
     red = transform.red_ctx
-    w, sqeps, eps = red["w"], red["sqeps"], red["eps"]
+    w, s, sqeps, eps = red["w"], red["s"], red["sqeps"], red["eps"]
     freeze: dict[Gen, Expr] = {w: var(sqeps)}
     for word in multi_indices(("r", "s"), red.max_order):
         freeze[red.jet(w, word)] = ZERO
 
+    def on_profile(e: Expr) -> PolyNF:
+        return normalize(substitute(transform.pushforward(e), freeze))
+
     deps = [var(d) for d in system.ctx.dependents]
     combo = MultiplierPair("angular", tuple(deps)).combination(system)
-    combo_red = substitute(transform.pushforward(combo), freeze)
-    residual = replace_even_powers(normalize(combo_red), sqeps, eps)
+    residual = replace_even_powers(on_profile(combo), sqeps, eps)
+    subs = tuple((label, on_profile(eq)) for label, eq in system.equations)
 
-    subs = []
-    for label, eq in system.equations:
-        eq_red = substitute(transform.pushforward(eq), freeze)
-        subs.append((label, normalize(eq_red)))
-
-    p_r = var(red.jet("p", "r"))
-    p_rr = var(red.jet("p", "rr"))
-    beta, gamma, delta, c = (
-        var(red["beta"]),
-        var(red["gamma"]),
-        var(red["delta"]),
-        var(red["c"]),
-    )
-    phase_balance = normalize(
-        add(neg(c), neg(mul(beta, p_r)), mul(gamma, pow_(p_r, 2)), mul(delta, var(eps)))
-    )
-    curvature = normalize(mul(gamma, p_rr))
-    return ReducedODE(transform, residual, phase_balance, curvature, tuple(subs))
+    (_, g1), (_, g2) = subs
+    sin_t, cos_t = normalize(sin_(transform.theta)), normalize(cos_(transform.theta))
+    rotated = {
+        "phase balance": nf_add(nf_mul(g1, sin_t), nf_mul(g2, cos_t)),
+        "curvature": nf_sub(nf_mul(g2, sin_t), nf_mul(g1, cos_t)),
+    }
+    over_sqeps = normalize(pow_(var(sqeps), -1))
+    factors = []
+    for name, nf in rotated.items():
+        nf = replace_even_powers(nf_mul(nf, over_sqeps), sqeps, eps)
+        for mono, _ in nf.terms:
+            for g, _ in mono:
+                if isinstance(g, TrigAtom) or g == s:
+                    raise ValueError(f"the {name} factor still holds {g.name}")
+        factors.append(nf)
+    return ReducedODE(transform, residual, factors[0], factors[1], subs)
 
 
 # ---------------------------------------------------------------------------

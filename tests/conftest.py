@@ -27,8 +27,8 @@ def system(problem):
 
 
 @pytest.fixture(scope="session")
-def transform():
-    return build_canonical_transform()
+def transform(system):
+    return build_canonical_transform(system)
 
 
 @pytest.fixture(scope="session")

@@ -232,7 +232,7 @@ def test_custom_problem_file(capsys, tmp_path):
     assert out == ""
     code, _, err = run_cli(capsys, "--problem", str(target), "reduce")
     assert code == 1
-    assert "cubic layout" in err
+    assert "exactly two dependents" in err
 
 
 CUBIC_HEADER = (
@@ -403,6 +403,37 @@ def test_high_order_jets_exit_one(capsys, tmp_path, text, commands):
         assert (code, out) == (1, ""), command
         assert err.startswith("nlseverify: error: ")
         assert "maximum 4" in err
+
+
+TRANSPORT = ONE_DEP_HEADER + (
+    "[equations]\ng1 = u_t + beta*u_x\n[evolution]\nu_t = -beta*u_x\n"
+    "[multipliers]\npair1_q1 = u\n[conserved]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "density, flux, code, verify_out",
+    [
+        # D_t and D_x of a third-order component stay within the cap.
+        ("u^2/2 + u_xxx", "beta*u^2/2 + beta*u_xxx", 2,
+         "verify.divergence.pair1.t1\tpair1,t1\tfail\tbeta*u_xxxx + u_txxx\t"),
+        ("u_xxxx", "beta*u_xxxx", 1, ""),
+    ],
+    ids=["order-3", "order-4"],
+)
+def test_conserved_vector_order_follows_the_jet_cap(
+    capsys, tmp_path, density, flux, code, verify_out
+):
+    target = tmp_path / "transport.prob"
+    target.write_text(TRANSPORT + f"t1_density = {density}\nt1_flux = {flux}\n")
+    got, out, err = run_cli(capsys, "--problem", str(target), "verify")
+    assert got == code
+    if verify_out:
+        assert verify_out in out
+    else:
+        assert (out, err) == ("", "nlseverify: error: jet order 5 exceeds maximum 4\n")
+    for command in EVERY_COMMAND:
+        assert run_cli(capsys, "--problem", str(target), command)[0] in (0, 1, 2), command
 
 
 def test_classify_binds_jets_to_the_system_order(capsys, tmp_path):

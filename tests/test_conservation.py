@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from nlseverify.exprs import add, mul, neg
-from nlseverify.jets import ConservedVector, MultiplierPair, divergence_match, multiplier_condition
+from nlseverify.jets import MultiplierPair, divergence_match, multiplier_condition
 from nlseverify.normal import normalize
 
 PAIR_IDS = ["pair1", "pair2", "pair3", "pair4"]
@@ -77,8 +77,3 @@ def test_printed_second_pair_drops_cubic_factor(printed_problem):
     want = printed_problem.ctx.parse("delta*v*(u^2 + v^2)*(1 - u)")
     assert res == normalize(want)
 
-
-def test_conserved_vector_order_guard(problem):
-    ctx = problem.ctx
-    with pytest.raises(ValueError):
-        ConservedVector("deep", ctx.parse("u_xxx"), ctx.parse("0"))
