@@ -11,6 +11,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import numerics
 from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render
 from .jets import (
@@ -74,11 +76,6 @@ def build_parser() -> _Parser:
     )
     sim.add_argument("--a", type=float, default=0.5, help="plane-wave amplitude")
     sim.add_argument("--k", type=float, default=1.0, help="plane-wave wavenumber")
-    sim.add_argument("--beta", type=float, default=1.0)
-    sim.add_argument("--gamma", type=float, default=0.5)
-    sim.add_argument("--delta", type=float, default=1.0)
-    sim.add_argument("--eps", type=float, default=1.0)
-    sim.add_argument("--c1", type=float, default=0.0)
     sim.add_argument("--sample-every", type=int, default=10, metavar="STEPS")
     sim.add_argument("--drift-tol", type=float, default=1e-6)
     sim.add_argument("--csv-out", metavar="PATH", help="write sampled quantities as CSV")
@@ -139,15 +136,16 @@ def associate_report(problem: Problem) -> Report:
 def reduce_report(problem: Problem) -> Report:
     if len(problem.ctx.dependents) != 2:
         raise UsageError("reduce needs exactly two dependents, the real and imaginary part")
+    system = problem.system
     try:
-        tr = build_canonical_transform(problem.system)
+        tr = build_canonical_transform(system)
     except ValueError as exc:  # a file name taken by the reduced variables
         raise UsageError(f"reduce: {exc}; r, s, w, p name the reduced variables") from None
     rep = Report("reduce")
     det_gap = nf_sub(normalize(tr.jac_det), const_nf(1))
     rep.add(
         "reduce.jacobian",
-        "(t,x)->(s,r)",
+        f"({system.time.name},{system.space.name})->(s,r)",
         "pass" if det_gap.is_zero else "fail",
         render(det_gap.to_expr()),
         "det[D(t,x)/D(s,r)] = 1",
@@ -170,14 +168,15 @@ def reduce_report(problem: Problem) -> Report:
             "flux in canonical variables (invariant profile)",
         )
     try:
-        ode = reduced_ode(tr, problem.system)
+        ode = reduced_ode(tr, system)
     except ValueError as exc:  # the amplitude cannot be eliminated exactly
         ode, verdict, residual = None, "fail", str(exc)
     else:
         verdict, residual = "info", render(ode.residual.to_expr())
+    angular = zip(problem.ctx.dependents, system.equations)
     rep.add(
         "reduce.ode",
-        "u*g1 + v*g2",
+        " + ".join(f"{dep.name}*{label}" for dep, (label, _) in angular),
         verdict,
         residual,
         "constant-amplitude invariant profile, w^2 = eps",
@@ -223,6 +222,12 @@ def classify_report(problem: Problem, seed: int, tol: float, case: str | None) -
         cands = tuple(c for c in cands if c.case == case)
         if not cands:
             raise UsageError(f"no candidates in case {case!r}")
+    n_eq, n_dep = len(problem.system.equations), len(problem.ctx.dependents)
+    if cands and n_eq != n_dep:
+        raise UsageError(
+            "classify: the angular combination needs one equation per dependent, "
+            f"got {n_eq} equations for {n_dep} dependents"
+        )
     for cr in classify(problem.system, cands, seed=seed, tol=tol):
         causes = [d.cause for d in cr.draws if d.cause]
         eq_max = max(d.eq_residual for d in cr.draws)
@@ -245,19 +250,17 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
         raise UsageError(str(ve)) from None
     if args.dt <= 0 or args.T <= 0 or args.sample_every < 1:
         raise UsageError("dt, T must be positive and sample-every at least 1")
-    params = {
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "delta": args.delta,
-        "eps": args.eps,
-        "c": 0.0,
-        "c1": args.c1,
-    }
-    if args.init == "plane-wave":
-        state = numerics.plane_wave_exact(grid, args.a, args.k, 0.0, params)
+    params = dict(problem.param_values)
+    if args.init == "plane-wave":  # a*exp(i*k*x); omega only enters at t > 0
+        state = numerics.FieldState(
+            grid, 0.0, (args.a * np.cos(args.k * grid.x), args.a * np.sin(args.k * grid.x))
+        )
     elif args.init == "case1-exact":
         params["gamma"] = 0.0  # the profile is exact only without dispersion
-        state = numerics.case1_steady_state(grid, params, c1=args.c1)
+        try:
+            state = numerics.case1_steady_state(grid, params, c1=params["c1"])
+        except KeyError as exc:
+            raise UsageError(f"--init case1-exact needs a [params] value for {exc}") from None
     else:
         try:
             state = numerics.random_trig_state(grid, args.seed)
@@ -273,11 +276,11 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
             numerics.conserved_quantity(density, state, system, params)
     except (ExprError, ValueError) as exc:
         raise UsageError(f"cannot sample the conserved densities: {exc}") from None
-    deps = tuple(d.name for d in problem.ctx.dependents)
-    if deps != ("u", "v"):
+    deps = [d.name for d in problem.ctx.dependents]
+    if len(deps) != 2:
         raise UsageError(
-            "simulate expects the dependents u, v (every --init builds u + i v), "
-            f"got {', '.join(deps)}"
+            "simulate needs exactly two dependents, the real and imaginary part "
+            f"that every --init builds, got {', '.join(deps)}"
         )
     try:
         final, series = numerics.run(

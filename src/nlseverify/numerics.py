@@ -1,14 +1,19 @@
 """Periodic finite-difference integration and discrete conservation audits.
 
-The right-hand side is the problem file's ``[evolution]`` section: each rule
-``<dep>_t = ...`` is evaluated on the grid by :func:`eval_numeric`, with the
-same binder as the conserved densities.  Space: fourth-order central
+A :class:`FieldState` holds one array per dependent, in the problem file's
+declaration order.  The right-hand side is the file's ``[evolution]``
+section: each rule ``<dep>_t = ...`` is evaluated on the grid by
+:func:`eval_numeric`, with the same binder as the conserved densities; the
+parameter values come from the caller (``simulate`` passes the file's
+``[params]`` values).  Space: fourth-order central
 stencils on a uniform periodic grid supply the spatial jets.  Time: classic
 fourth-order Runge-Kutta, each stage evaluated at its own stage time, so a
 rule may depend on ``t`` explicitly.
 
-The stencil symbols ``nu`` and ``mu`` make the semi-discrete plane wave an
-exact solution of the spatially discretized cubic system, which isolates
+The reference states (plane wave, steady profile, rotation) are the bundled
+cubic system's closed forms for its real and imaginary part.  The stencil
+symbols ``nu`` and ``mu`` make the semi-discrete plane wave an exact
+solution of the spatially discretized cubic system, which isolates
 time-integration error in convergence measurements.
 
 Stability assumes a dispersive term ``gamma*u_xx``: its linear part has
@@ -38,7 +43,7 @@ class BlowupError(RuntimeError):
     """The numeric solution left the trusted range (instability)."""
 
 
-BLOWUP = 1e6  # largest |u|, |v| a step may produce before BlowupError
+BLOWUP = 1e6  # largest field magnitude a step may produce before BlowupError
 
 
 @dataclass(frozen=True)
@@ -67,11 +72,10 @@ class Grid:
 class FieldState:
     grid: Grid
     t: float
-    u: np.ndarray
-    v: np.ndarray
+    fields: tuple[np.ndarray, ...]  # one per dependent, in declaration order
 
     def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.u)), np.max(np.abs(self.v))))
+        return float(max(np.max(np.abs(f)) for f in self.fields))
 
 
 def _shifts(f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -129,11 +133,11 @@ def step_rk4(
     params: Mapping[str, float],
     dt: float,
 ) -> FieldState:
-    """One RK4 step; the system's dependents are the state's ``u, v``."""
-    fields, t, half = (state.u, state.v), state.t, 0.5 * dt
+    """One RK4 step of the state's fields, one per dependent of the system."""
+    fields, t, half = state.fields, state.t, 0.5 * dt
 
     def advance(h: float, slopes, time: float) -> FieldState:
-        return FieldState(state.grid, time, *(f + h * k for f, k in zip(fields, slopes)))
+        return FieldState(state.grid, time, tuple(f + h * k for f, k in zip(fields, slopes)))
 
     k1 = rhs(state, system, params)
     k2 = rhs(advance(half, k1, t + half), system, params)
@@ -174,25 +178,25 @@ class GridBindings(dict):
     ) -> None:
         super().__init__()
         self.state, self.system, self.params = state, system, params
+        self.arrays = dict(zip(system.ctx.dependents, state.fields))
 
     def __missing__(self, g):
-        state, system = self.state, self.system
-        arrays = {"u": state.u, "v": state.v}
+        state, system, arrays = self.state, self.system, self.arrays
         if isinstance(g, JetVar):
             if g.order_in(system.time.name) > 0:
                 raise ValueError(
                     f"density contains the time derivative {g.name}; only "
                     "spatial jets can be sampled on a snapshot"
                 )
-            if g.dep.name not in arrays:
+            if g.dep not in arrays:
                 raise KeyError(g)
             value = spatial_derivative(
-                arrays[g.dep.name], state.grid.dx, g.order_in(system.space.name)
+                arrays[g.dep], state.grid.dx, g.order_in(system.space.name)
             )
         elif g.kind == INDEPENDENT:
             value = state.grid.x if g == system.space else state.t
-        elif g.name in arrays:
-            value = arrays[g.name]
+        elif g in arrays:
+            value = arrays[g]
         elif g.name in self.params:
             value = self.params[g.name]
         else:
@@ -296,7 +300,7 @@ def plane_wave_exact(
     else:
         raise ValueError(f"unknown dispersion {dispersion!r}")
     phase = k * grid.x - omega * t
-    return FieldState(grid, t, a * np.cos(phase), a * np.sin(phase))
+    return FieldState(grid, t, (a * np.cos(phase), a * np.sin(phase)))
 
 
 def case1_steady_state(grid: Grid, params: Mapping[str, float], c1: float = 0.0) -> FieldState:
@@ -305,7 +309,7 @@ def case1_steady_state(grid: Grid, params: Mapping[str, float], c1: float = 0.0)
     k = delta * eps / beta
     amp = math.sqrt(eps)
     phase = k * grid.x + c1
-    return FieldState(grid, 0.0, amp * np.cos(phase), amp * np.sin(phase))
+    return FieldState(grid, 0.0, (amp * np.cos(phase), amp * np.sin(phase)))
 
 
 def random_trig_state(
@@ -324,12 +328,11 @@ def random_trig_state(
         pu, pv = rng.uniform(0.0, 2.0 * math.pi, size=2)
         u += a * np.cos(k * grid.x + pu)
         v += a * np.cos(k * grid.x + pv)
-    return FieldState(grid, 0.0, u, v)
+    return FieldState(grid, 0.0, (u, v))
 
 
 def rotate_state(state: FieldState, angle: float) -> FieldState:
     """Internal rotation (u, v) -> (u cos - v sin, u sin + v cos)."""
     ca, sa = math.cos(angle), math.sin(angle)
-    return FieldState(
-        state.grid, state.t, ca * state.u - sa * state.v, sa * state.u + ca * state.v
-    )
+    u, v = state.fields
+    return FieldState(state.grid, state.t, (ca * u - sa * v, sa * u + ca * v))

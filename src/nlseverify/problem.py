@@ -2,13 +2,14 @@
 
 A problem file is a line-oriented text format with bracketed sections:
 
-    [params] [independents] [dependents]   bare names, one per line
+    [params]        name, or name = constant expression (its value)
+    [independents] [dependents]   bare names, one per line
     [equations]     label = expression     (left sides of "= 0")
     [evolution]     <dep>_t = expression   (spatial right-hand sides)
     [multipliers]   pairN_qM = expression
     [conserved]     tN_density / tN_flux = expression
     [symmetries]    xN_xi_<indep> / xN_eta_<dep> = expression
-    [candidates]    label : constraints : u = expr : v = expr
+    [candidates]    label : constraints : <dep> = expr, one per dependent
     [printed]       key = expression       (variant entries, see below)
     [reduced]       key = raw text         (display strings, never parsed)
 
@@ -18,16 +19,20 @@ with ``printed=True`` swaps them in so their defects can be demonstrated
 rather than silently corrected.  Candidate constraints are comma-separated
 ``name = expression`` items; the bare word ``suspect`` marks a candidate
 that is carried through evaluation but excluded from adjudication.
+
+A parameter value is what ``simulate`` integrates with; the symbolic
+commands keep every parameter symbolic and ``classify`` draws them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .exprs import Context, Expr, ExprError
+from .exprs import Context, Expr, ExprError, collect_refs, eval_numeric
 from .jets import ConservedVector, MultiplierPair, PDESystem, VectorField
 from .parse import ParseError, parse
 from .reduction import SolutionCandidate
@@ -69,6 +74,7 @@ class Problem:
     symmetries: tuple[VectorField, ...]
     candidates: tuple[SolutionCandidate, ...]
     reduced_notes: Mapping[str, str]
+    param_values: Mapping[str, float]  # the [params] entries that carry one
 
     def quantity_densities(self) -> dict[str, Expr]:
         return {f"Q{i}": vec.density for i, vec in enumerate(self.conserved, 1)}
@@ -119,8 +125,8 @@ def _keyed(lines: list[tuple[int, str]], path: str) -> list[tuple[int, str, str]
 def _parse_expr(text: str, ctx: Context, path: str, lineno: int) -> Expr:
     try:
         return parse(text, ctx)
-    except ParseError as pe:
-        raise ProblemFormatError(str(pe), path, lineno) from None
+    except (ParseError, ExprError) as exc:  # ExprError: sqrt of a negative constant
+        raise ProblemFormatError(str(exc), path, lineno) from None
 
 
 _PAIR_RE = re.compile(r"pair(\d+)_q(\d+)$")
@@ -138,21 +144,41 @@ def _contiguous(indices, what: str, path: str) -> int:
 
 def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     sections = _split_sections(text, path)
+    value_text: dict[str, tuple[int, str]] = {}  # [params] name -> (lineno, value)
 
     def names(section: str) -> list[str]:
+        """The declared names; a [params] line may also give a value."""
         out = []
         for lineno, line in sections.get(section, []):
-            if not line.isidentifier():
+            name, eq, value = (s.strip() for s in line.partition("="))
+            if not name.isidentifier() or (eq and (section != "params" or not value)):
                 raise ProblemFormatError(
                     f"expected a bare name, got {line!r}", path, lineno
                 )
-            out.append(line)
+            if eq:
+                value_text[name] = (lineno, value)
+            out.append(name)
         return out
 
     try:
         ctx = Context(names("independents"), names("dependents"), names("params"))
     except ValueError as ve:
         raise ProblemFormatError(str(ve), path) from None
+    param_values: dict[str, float] = {}
+    for name, (lineno, source) in value_text.items():
+        expr = _parse_expr(source, ctx, path, lineno)
+        refs = sorted(g.name for g in collect_refs(expr))
+        if refs:
+            raise ProblemFormatError(
+                f"value of {name} must be a constant, found {refs[0]}", path, lineno
+            )
+        try:
+            value = eval_numeric(expr, {})
+        except ExprError:  # past the float range, or a zero base under a negative power
+            value = math.nan
+        if not math.isfinite(value):
+            raise ProblemFormatError(f"value of {name} is not a finite number", path, lineno)
+        param_values[name] = value
     time_name = "t"
     if ctx.lookup(time_name) is None:
         raise ProblemFormatError("no independent variable named t", path)
@@ -253,21 +279,12 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     _contiguous(list(sym_parts), "symmetry", path)
 
     candidates = []
-    candidate_lines = sections.get("candidates", [])
-    if candidate_lines and dep_names != {"u", "v"}:
-        raise ProblemFormatError(
-            "solution candidates require the dependents to be exactly u and v",
-            path,
-            candidate_lines[0][0],
-        )
-    for lineno, line in candidate_lines:
+    deps = [d.name for d in ctx.dependents]
+    for lineno, line in sections.get("candidates", []):
         parts = [p.strip() for p in line.split(":")]
-        if len(parts) != 4:
-            raise ProblemFormatError(
-                "candidate needs 'label : constraints : u = expr : v = expr'",
-                path,
-                lineno,
-            )
+        if len(parts) != 2 + len(deps):
+            layout = " : ".join(["label", "constraints"] + [f"{d} = expr" for d in deps])
+            raise ProblemFormatError(f"candidate needs {layout!r}", path, lineno)
         label = parts[0]
         if not _LABEL_RE.match(label):
             raise ProblemFormatError(f"bad candidate label {label!r}", path, lineno)
@@ -308,7 +325,8 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             raise ProblemFormatError(
                 "candidate must give every dependent variable", path, lineno
             )
-        cand = SolutionCandidate(label, tuple(constraints), exprs["u"], exprs["v"], suspect)
+        fields = {d: exprs[d] for d in deps}
+        cand = SolutionCandidate(label, tuple(constraints), fields, suspect)
         try:
             cand.check_explicit()
         except ValueError as ve:
@@ -334,6 +352,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         symmetries=tuple(symmetries),
         candidates=tuple(candidates),
         reduced_notes=reduced_notes,
+        param_values=param_values,
     )
 
 

@@ -14,10 +14,12 @@ equation into a rotation by the phase p + c*s of two factors in p(r)
 alone, which this module derives from the substituted equations and
 checks.
 
-Solution candidates (closed-form u, v with parameter constraints) are
-classified numerically on a deterministic low-discrepancy point set:
-``exact`` when every equation vanishes pointwise, ``reduced-only`` when
-only the angular combination u*G1 + v*G2 does, ``neither`` otherwise.
+Solution candidates (a closed form per dependent, with parameter
+constraints) are classified numerically on a deterministic low-discrepancy
+point set: ``exact`` when every equation vanishes pointwise,
+``reduced-only`` when only the angular combination u*G1 + v*G2 (each
+dependent times its equation, in declaration order) does, ``neither``
+otherwise.
 """
 
 from __future__ import annotations
@@ -231,12 +233,12 @@ def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
 
 @dataclass(frozen=True)
 class SolutionCandidate:
-    """Closed-form (u, v) with the parameter constraints of its case."""
+    """A closed form for each dependent, keyed by its name, with the
+    parameter constraints of its case."""
 
     label: str
     constraints: tuple[tuple[str, Expr], ...]
-    u_expr: Expr
-    v_expr: Expr
+    fields: Mapping[str, Expr]
     suspect: bool = False
 
     @property
@@ -244,9 +246,9 @@ class SolutionCandidate:
         return self.label.split("-", 1)[0]
 
     def check_explicit(self) -> None:
-        """Raise ValueError unless u and v are explicit functions of the
-        base variables (no dependent variable or jet in either)."""
-        for dep_name, expr in (("u", self.u_expr), ("v", self.v_expr)):
+        """Raise ValueError unless every field is an explicit function of
+        the base variables (no dependent variable or jet in any)."""
+        for dep_name, expr in self.fields.items():
             for g in collect_refs(expr):
                 if isinstance(g, JetVar) or g.kind == DEPENDENT:
                     raise ValueError(
@@ -292,7 +294,7 @@ def candidate_bindings(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, 
     ctx = system.ctx
     names = [vv.name for vv in ctx.independents]
     out: dict[Gen, Expr] = {}
-    for dep_name, expr in (("u", cand.u_expr), ("v", cand.v_expr)):
+    for dep_name, expr in cand.fields.items():
         dep = ctx[dep_name]
         out[dep] = expr
         for word in multi_indices(names, system.order):

@@ -187,7 +187,7 @@ def test_acceptance_7_conservation_audit_and_order(capsys, problem):
             )
             exact = plane_wave_exact(grid, 0.5, 8.0, final.t, params, "discrete")
             errs[dt] = float(
-                max(np.max(np.abs(final.u - exact.u)), np.max(np.abs(final.v - exact.v)))
+                max(np.max(np.abs(f - g)) for f, g in zip(final.fields, exact.fields))
             )
         ratio = errs[4e-4] / errs[2e-4]
         assert 14.0 <= ratio <= 18.0, ratio

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -301,7 +302,7 @@ def test_simulate_requires_the_dependents_u_v(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
     assert code == 1
     assert out == ""
-    assert "dependents u, v" in err
+    assert "exactly two dependents" in err
 
 
 def test_simulate_evolution_parameter_without_option_exits_one(capsys, tmp_path):
@@ -448,3 +449,98 @@ def test_classify_binds_jets_to_the_system_order(capsys, tmp_path):
     const = {r[1]: r[2] for r in rows if "-const-" in r[1] and r[1] != "case2-const-phase"}
     assert len(const) == 9
     assert const == {label: bundled[label] for label in const}
+
+
+def line_of(text: str, fragment: str) -> int:
+    return text[: text.index(fragment)].count("\n") + 1
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("pair1_q1 = v_x", "pair1_q1 = sqrt(-1)*v_x"),
+        ("0, gamma = 0 : u = sqrt(eps) : v = 0", "0, gamma = 0 : u = sqrt(-2) : v = 0"),
+        ("gamma = 1/2", "gamma = sqrt(-1)"),
+    ],
+    ids=["multipliers", "candidates", "params"],
+)
+def test_negative_constant_sqrt_is_an_error_at_its_line(capsys, tmp_path, old, new):
+    text = BUNDLED.replace(old, new, 1)
+    target = tmp_path / "negative.prob"
+    target.write_text(text)
+    for command in ("verify", "classify"):
+        code, out, err = run_cli(capsys, "--problem", str(target), command)
+        assert (code, out) == (1, ""), command
+        assert err == (
+            f"nlseverify: error: {target}:{line_of(text, new)}: sqrt of a negative constant\n"
+        )
+
+
+def test_classify_needs_one_equation_per_dependent(capsys, tmp_path):
+    """One equation for two dependents: no angular combination to score."""
+    text = (
+        BUNDLED[: BUNDLED.index("[multipliers]")]
+        + BUNDLED[BUNDLED.index("[conserved]") : BUNDLED.index("[printed]")]
+    ).replace("g2 = -v_t - beta*v_x - gamma*u_xx + delta*u*(u^2 + v^2)\n", "")
+    target = tmp_path / "one-equation.prob"
+    target.write_text(text)
+    code, out, err = run_cli(capsys, "--problem", str(target), "classify")
+    assert (code, out) == (1, "")
+    assert "angular combination needs one equation per dependent" in err
+    for command in EVERY_COMMAND:
+        assert run_cli(capsys, "--problem", str(target), command)[0] in (0, 1, 2), command
+
+
+@pytest.mark.parametrize("value", ["x", "beta", "2^5000"], ids=["variable", "parameter", "overflow"])
+def test_parameter_value_must_be_a_finite_constant(capsys, tmp_path, value):
+    text = BUNDLED.replace("gamma = 1/2", f"gamma = {value}")
+    target = tmp_path / "value.prob"
+    target.write_text(text)
+    where = f"nlseverify: error: {target}:{line_of(text, 'gamma = ')}: value of gamma "
+    for command in EVERY_COMMAND:
+        code, out, err = run_cli(capsys, "--problem", str(target), command)
+        assert (code, out) == (1, ""), command
+        assert err.startswith(where), err
+
+
+def test_simulate_integrates_with_the_file_values(capsys, tmp_path):
+    """A changed [params] value changes the simulated flow, nothing else."""
+    target = tmp_path / "beta.prob"
+    target.write_text(BUNDLED.replace("beta = 1\n", "beta = 3/2\n"))
+    for command in ("verify", "reduce"):
+        assert run_cli(capsys, "--problem", str(target), command) == run_cli(capsys, command)
+    _, bundled, _ = run_cli(capsys, "simulate", "--T", "0.1")
+    code, out, _ = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.1")
+    assert code in (0, 2) and out != bundled
+
+
+@pytest.mark.parametrize("name", ["beta", "delta", "eps", "c1"])
+def test_case1_exact_needs_its_parameter_values(capsys, tmp_path, name):
+    text = re.sub(rf"(?m)^{name} = .*$", name, BUNDLED)
+    assert text != BUNDLED
+    target = tmp_path / "bare.prob"
+    target.write_text(text)
+    code, out, err = run_cli(
+        capsys, "--problem", str(target), "simulate", "--init", "case1-exact", "--T", "0.01"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"nlseverify: error: --init case1-exact needs a [params] value for '{name}'\n"
+    for command in EVERY_COMMAND:
+        assert run_cli(capsys, "--problem", str(target), command)[0] in (0, 1, 2), command
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (BUNDLED.replace("gamma = 1/2", "gamma"),
+         "cannot sample the conserved densities: no value bound for gamma"),
+        (BUNDLED[: BUNDLED.index("[multipliers]")].replace("gamma = 1/2", "gamma"),
+         "cannot evaluate the [evolution] rules: no value bound for gamma"),
+    ],
+    ids=["density", "rule"],
+)
+def test_parameter_without_value_names_it(capsys, tmp_path, text, message):
+    target = tmp_path / "bare.prob"
+    target.write_text(text)
+    code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
+    assert (code, out, err) == (1, "", f"nlseverify: error: {message}\n")

@@ -1,0 +1,28 @@
+"""Stdout of the symbolic commands on the bundled file, pinned byte for byte
+by the golden files the benchmark judges against (read, never written)."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from nlseverify.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("verify",), "verify.tsv"),
+        (("associate",), "associate.tsv"),
+        (("--printed-variants", "verify"), "verify_printed.tsv"),
+    ],
+    ids=["verify", "associate", "printed-verify"],
+)
+def test_stdout_matches_the_golden_file(capsys, argv, golden):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert code == (2 if "--printed-variants" in argv else 0)

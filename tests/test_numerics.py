@@ -31,7 +31,7 @@ PARAMS = {"beta": 1.0, "gamma": 0.5, "delta": 1.0}
 
 
 def state_err(a: FieldState, b: FieldState) -> float:
-    return float(max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v))))
+    return float(max(np.max(np.abs(f - g)) for f, g in zip(a.fields, b.fields)))
 
 
 def test_grid_validation():
@@ -99,8 +99,8 @@ def test_stages_see_their_own_time():
     ).system
     grid = Grid(16, 1.0)
     t0, dt = 0.5, 0.1
-    s1 = step_rk4(FieldState(grid, t0, np.zeros(grid.n), np.zeros(grid.n)), clock, {}, dt)
-    assert np.max(np.abs(s1.u - ((t0 + dt) ** 4 - t0**4))) < 1e-15
+    s1 = step_rk4(FieldState(grid, t0, (np.zeros(grid.n), np.zeros(grid.n))), clock, {}, dt)
+    assert np.max(np.abs(s1.fields[0] - ((t0 + dt) ** 4 - t0**4))) < 1e-15
     assert s1.t == t0 + dt
 
 
@@ -217,15 +217,15 @@ def test_half_amplitude_integral_values(problem):
     length 2*pi, and to pi for (sin, cos) data."""
     grid = Grid(64, 2.0 * math.pi)
     dens = problem.quantity_densities()["Q2"]
-    lone = FieldState(grid, 0.0, np.sin(grid.x), np.zeros(grid.n))
-    both = FieldState(grid, 0.0, np.sin(grid.x), np.cos(grid.x))
+    lone = FieldState(grid, 0.0, (np.sin(grid.x), np.zeros(grid.n)))
+    both = FieldState(grid, 0.0, (np.sin(grid.x), np.cos(grid.x)))
     assert abs(conserved_quantity(dens, lone, problem.system, PARAMS) - math.pi / 2.0) < 1e-12
     assert abs(conserved_quantity(dens, both, problem.system, PARAMS) - math.pi) < 1e-12
 
 
 def test_unstable_step_raises_blowup(system):
     grid = Grid(256, 2.0 * math.pi)
-    state = FieldState(grid, 0.0, 0.1 * np.cos(128.0 * grid.x), np.zeros(grid.n))
+    state = FieldState(grid, 0.0, (0.1 * np.cos(128.0 * grid.x), np.zeros(grid.n)))
     with pytest.raises(BlowupError):
         for _ in range(60):
             state = step_rk4(state, system, PARAMS, 1e-3)
@@ -240,7 +240,7 @@ def test_suggested_dt_is_stable_for_rk4():
 
 def test_grid_bindings_reject_time_jets(problem):
     grid = Grid(64, 2.0 * math.pi)
-    state = FieldState(grid, 0.0, np.zeros(grid.n), np.zeros(grid.n))
+    state = FieldState(grid, 0.0, (np.zeros(grid.n), np.zeros(grid.n)))
     density = problem.ctx.parse("u_t*v")
     with pytest.raises(ValueError):
         eval_numeric(density, GridBindings(state, problem.system, PARAMS))

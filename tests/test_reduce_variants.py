@@ -111,7 +111,29 @@ def test_unreduced_system_names_the_leftover_atom(capsys, tmp_path):
 def test_renamed_dependents_reduce_to_the_same_records(capsys, tmp_path):
     code, out, _, _ = run_reduce(capsys, tmp_path, renamed_dependents())
     assert code == 0
-    assert out == GOLDEN_REDUCE.read_text(encoding="utf-8")
+    golden = GOLDEN_REDUCE.read_text(encoding="utf-8")
+    assert out == golden.replace("\tu*g1 + v*g2\t", "\ta*g1 + b*g2\t")
+
+
+def test_labels_follow_the_file_names(capsys, tmp_path):
+    """Independents t, y, dependents q, m and equations re, im label the
+    jacobian and ode records; the factors are the bundled ones."""
+    text = (
+        "[params]\nbeta\ngamma\ndelta\n[independents]\nt\ny\n[dependents]\nq\nm\n"
+        "[equations]\n"
+        "re = q_t + beta*q_y - gamma*m_yy + delta*m*(q^2 + m^2)\n"
+        "im = -m_t - beta*m_y - gamma*q_yy + delta*q*(q^2 + m^2)\n"
+        "[evolution]\n"
+        "q_t = -beta*q_y + gamma*m_yy - delta*m*(q^2 + m^2)\n"
+        "m_t = -beta*m_y - gamma*q_yy + delta*q*(q^2 + m^2)\n"
+    )
+    code, _, _, fields = run_reduce(capsys, tmp_path, text)
+    assert code == 0
+    assert fields["reduce.jacobian"][1:3] == ["(t,y)->(s,r)", "pass"]
+    assert fields["reduce.ode"][1:3] == ["q*re + m*im", "info"]
+    assert fields["reduce.phase-balance"][3] == "gamma*p_r^2 + delta*eps - beta*p_r - c"
+    assert fields["reduce.curvature"][3] == "gamma*p_rr"
+    assert fields["reduce.factorization"][1:4] == ["combination,im,re", "pass", "0"]
 
 
 def test_conserved_jets_deeper_than_the_system_are_transformed(capsys, tmp_path):

@@ -209,7 +209,7 @@ def test_draw_parameters_are_seeded_and_ordered(problem):
 
 def test_candidate_bindings_reject_implicit_forms(problem):
     ctx = problem.ctx
-    bad = SolutionCandidate("loop", (), ctx.parse("v"), ctx.parse("0"))
+    bad = SolutionCandidate("loop", (), {"u": ctx.parse("v"), "v": ctx.parse("0")})
     with pytest.raises(ValueError):
         candidate_bindings(bad, problem.system)
 
