@@ -14,14 +14,14 @@ import sys
 import numpy as np
 
 from . import numerics
-from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render
+from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render, sub
 from .jets import (
     association_residual,
     divergence_match,
     multiplier_condition,
     symmetry_invariance,
 )
-from .normal import PolyNF, const_nf, nf_sub, normalize
+from .normal import PolyNF, normalize
 from .problem import Problem, ProblemFormatError, load_problem
 from .reduction import build_canonical_transform, classify, reduced_ode
 from .report import Report
@@ -142,7 +142,7 @@ def reduce_report(problem: Problem) -> Report:
     except ValueError as exc:  # a file name taken by the reduced variables
         raise UsageError(f"reduce: {exc}; r, s, w, p name the reduced variables") from None
     rep = Report("reduce")
-    det_gap = nf_sub(normalize(tr.jac_det), const_nf(1))
+    det_gap = normalize(sub(tr.jac_det, 1))
     rep.add(
         "reduce.jacobian",
         f"({system.time.name},{system.space.name})->(s,r)",

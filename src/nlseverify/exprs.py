@@ -501,6 +501,12 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of a positive integer; ``str`` refuses past 4300 of them."""
+    d = int(math.log10(n)) + 1
+    return d - (10 ** (d - 1) > n) + (10**d <= n)
+
+
 def eval_numeric(e: Expr, bindings: Mapping[Gen, float | np.ndarray]) -> float | np.ndarray:
     """Evaluate to a float, or to an array when a binding is a numpy array.
 
@@ -512,7 +518,8 @@ def eval_numeric(e: Expr, bindings: Mapping[Gen, float | np.ndarray]) -> float |
         try:
             return float(e.value)
         except OverflowError:
-            raise EvalDomainError(f"constant {render(e)} overflows a float") from None
+            digits = _digit_count(abs(e.value.numerator) // e.value.denominator)
+            raise EvalDomainError(f"a constant of {digits} digits overflows a float") from None
     if isinstance(e, Var):
         try:
             value = bindings[e.ref]

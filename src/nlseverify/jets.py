@@ -106,7 +106,7 @@ def euler_operator(e: Expr, dep: VarId, ctx: Context) -> Expr:
 class PDESystem:
     """Equations plus a consistent evolution form used for on-shell work.
 
-    Exactly two independent variables (one time-like, one space-like).
+    Exactly two independent variables: the first is time, the second space.
     ``equations`` are labeled left-hand sides understood as ``expr = 0``;
     ``evolution`` gives each dependent's time derivative as a spatial
     expression.  Construction verifies the evolution form actually solves
@@ -126,12 +126,10 @@ class PDESystem:
         ctx: Context,
         equations: Sequence[tuple[str, Expr]],
         evolution: Mapping[str, Expr],
-        time: str = "t",
     ) -> "PDESystem":
         if len(ctx.independents) != 2:
             raise ValueError("system requires exactly two independent variables")
-        t = ctx[time]
-        (space,) = [v for v in ctx.independents if v != t]
+        t, space = ctx.independents
         evo: dict[VarId, Expr] = {}
         for name, rhs in evolution.items():
             dep = ctx[name]

@@ -6,19 +6,29 @@ nonzero exact rational coefficients.  Two expressions that agree as
 polynomial/trig identities normalize to equal forms; the empty form is
 the decisive zero test used by every verification predicate.
 
+:func:`normalize` is the only constructor.  It walks the tree into one
+working form, a dict from monomials (frozensets of ``(generator,
+exponent)`` pairs, so unordered) to ``Fraction`` coefficients, and
+:func:`_collect` turns that into a :class:`PolyNF` once, when the form
+is returned: it rewrites every ``sin(A)^2`` to ``1 - cos(A)^2``, drops
+zero coefficients and sorts.  The rewrite reduces modulo
+``sin(A)^2 + cos(A)^2 - 1``, one relation per atom pair, and those
+relations share no generators, so on polynomials the reduced form is
+unique and rewriting once at the end equals rewriting after every step.
+
 Trig handling: sine and cosine of a normalized argument become opaque
 atoms.  Double angles are expanded on construction (``sin(2A)`` to
 ``2*sin(A)*cos(A)``, ``cos(2A)`` to ``cos(A)^2 - sin(A)^2``) so one atom
-pair per argument family survives, and every occurrence of ``sin(A)^2``
-is rewritten to ``1 - cos(A)^2`` before coefficients are collected.
-Square roots and arctangents are not polynomial and are rejected.
+pair per argument family survives, and the sign of the argument is
+fixed so that its leading coefficient is positive.  Square roots and
+arctangents are not polynomial and are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .exprs import (
     Const,
@@ -87,7 +97,8 @@ def nf_key(nf: "PolyNF") -> tuple:
 
 @dataclass(frozen=True, repr=False)
 class PolyNF:
-    """Sorted, fully collected normal form.  Construct via :func:`build_nf`."""
+    """Sorted, fully collected normal form.  Built only by :func:`normalize`
+    (and :func:`replace_even_powers`) through :func:`_collect`."""
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
@@ -121,147 +132,137 @@ class PolyNF:
         return f"<nf {render(self.to_expr())}>"
 
 
-ZERO_NF = PolyNF(())
+# The working form inside normalize: unordered monomial -> coefficient.
+Form = dict[frozenset, Fraction]
+
+_ONE = frozenset()
 
 
-def _mono_from_dict(d: dict[NGen, int]) -> Monomial:
-    items = [(g, e) for g, e in d.items() if e != 0]
-    items.sort(key=lambda ge: gen_key(ge[0]))
-    return tuple(items)
+def _collect(f: Form) -> PolyNF:
+    """The one exit: rewrite sine squares, drop zeros, sort.
 
-
-def _first_square_sine(m: Monomial) -> TrigAtom | None:
-    for g, e in m:
-        if isinstance(g, TrigAtom) and g.fn == "sin" and e >= 2:
-            return g
-    return None
-
-
-def build_nf(pairs: Iterable[tuple[Monomial, Fraction]]) -> PolyNF:
-    """Collect, apply the sin^2 rewrite, drop zeros, sort."""
-    work = list(pairs)
-    acc: dict[Monomial, Fraction] = {}
-    while work:
-        m, c = work.pop()
-        if c == 0:
-            continue
-        s = _first_square_sine(m)
-        if s is None:
-            acc[m] = acc.get(m, Fraction(0)) + c
-            continue
-        # sin(A)^k -> sin(A)^(k-2) * (1 - cos(A)^2)
-        d = dict(m)
-        d[s] -= 2
-        base = _mono_from_dict(d)
-        cos_atom = TrigAtom("cos", s.arg)
-        d2 = dict(base)
-        d2[cos_atom] = d2.get(cos_atom, 0) + 2
-        work.append((base, c))
-        work.append((_mono_from_dict(d2), -c))
-    terms = [(m, c) for m, c in acc.items() if c != 0]
+    Pairs inside a monomial are sorted by generator, and terms by degree,
+    then monomial, descending.
+    """
+    acc: Form = {}
+    for m, c in f.items():
+        _accumulate(acc, _square_sines_rewritten(m), c)
+    terms = [
+        (tuple(sorted(m, key=lambda ge: gen_key(ge[0]))), c)
+        for m, c in acc.items()
+        if c
+    ]
     terms.sort(key=lambda mc: (mono_degree(mc[0]), mono_key(mc[0])), reverse=True)
     return PolyNF(tuple(terms))
 
 
-def const_nf(value) -> PolyNF:
-    frac = Fraction(value)
-    if frac == 0:
-        return ZERO_NF
-    return PolyNF((((), frac),))
-
-
-ONE_NF = const_nf(1)
-
-
-def gen_nf(g: NGen, exp: int = 1) -> PolyNF:
-    return build_nf([(((g, exp),), Fraction(1))])
-
-
-def nf_add(*forms: PolyNF) -> PolyNF:
-    pairs: list[tuple[Monomial, Fraction]] = []
-    for f in forms:
-        pairs.extend(f.terms)
-    return build_nf(pairs)
-
-
-def nf_scale(f: PolyNF, k) -> PolyNF:
-    k = Fraction(k)
-    return build_nf([(m, c * k) for m, c in f.terms])
-
-
-def nf_neg(f: PolyNF) -> PolyNF:
-    return nf_scale(f, -1)
-
-
-def nf_sub(a: PolyNF, b: PolyNF) -> PolyNF:
-    return nf_add(a, nf_neg(b))
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    d = dict(a)
-    for g, e in b:
-        d[g] = d.get(g, 0) + e
-    return _mono_from_dict(d)
-
-
-def nf_mul(a: PolyNF, b: PolyNF) -> PolyNF:
-    pairs = []
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            pairs.append((_mono_mul(m1, m2), c1 * c2))
-    return build_nf(pairs)
-
-
-def nf_pow(f: PolyNF, n: int) -> PolyNF:
-    if n < 0:
-        raise ValueError("nf_pow expects a nonnegative exponent")
-    out = ONE_NF
-    base = f
-    while n:
-        if n & 1:
-            out = nf_mul(out, base)
-        base_needed = n >> 1
-        if base_needed:
-            base = nf_mul(base, base)
-        n = base_needed
+def _square_sines_rewritten(m: frozenset) -> Form:
+    """``m`` with each ``sin(A)^k``, k >= 2, as ``sin(A)^(k % 2)*(1 - cos(A)^2)^(k // 2)``."""
+    out: Form = {m: Fraction(1)}
+    for g, k in m:
+        if isinstance(g, TrigAtom) and g.fn == "sin" and k >= 2:
+            # (1 - cos(A)^2) / sin(A)^2, once per square taken out
+            ratio = {
+                frozenset({(g, -2)}): Fraction(1),
+                frozenset({(g, -2), (TrigAtom("cos", g.arg), 2)}): Fraction(-1),
+            }
+            out = _mul(out, _pow(ratio, k // 2))
     return out
 
 
-def _invert_monomial_form(f: PolyNF, e: Expr) -> PolyNF:
-    """Reciprocal of a single-monomial form; anything else is not polynomial."""
-    if len(f.terms) != 1:
-        raise NormalizationError(
-            f"cannot normalize reciprocal of a non-monomial: {render(e)}"
-        )
-    m, c = f.terms[0]
-    inv = tuple((g, -k) for g, k in m)
-    return build_nf([(inv, Fraction(1) / c)])
+def _working(nf: PolyNF, k) -> Form:
+    """``k*nf`` as a working form."""
+    return {frozenset(m): k * c for m, c in nf.terms}
 
 
-def _coeffs_all_even(f: PolyNF) -> bool:
-    return all(c.denominator == 1 and c.numerator % 2 == 0 for _, c in f.terms)
+def _accumulate(acc: Form, f: Form, k=1) -> Form:
+    """Add ``k*f`` into ``acc`` in place."""
+    for m, c in f.items():
+        acc[m] = acc.get(m, 0) + k * c
+    return acc
 
 
-def _leading_negative(f: PolyNF) -> bool:
-    return bool(f.terms) and f.terms[0][1] < 0
+def _mono_mul(a: frozenset, b: frozenset) -> frozenset:
+    if not a:
+        return b
+    if not b:
+        return a
+    d = dict(a)
+    for g, e in b:
+        d[g] = d.get(g, 0) + e
+    return frozenset((g, e) for g, e in d.items() if e)
 
 
-def trig_nf(fn: str, argnf: PolyNF) -> PolyNF:
+def _mul(a: Form, b: Form) -> Form:
+    out: Form = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _pow(f: Form, n: int) -> Form:
+    out: Form = {_ONE: Fraction(1)}
+    while n:
+        if n & 1:
+            out = _mul(out, f)
+        n >>= 1
+        if n:
+            f = _mul(f, f)
+    return out
+
+
+def _trig(fn: str, arg: PolyNF) -> Form:
     """Atom construction with constant folding, double-angle expansion,
     and odd/even argument-sign canonicalization."""
-    if argnf.is_zero:
-        return ZERO_NF if fn == "sin" else ONE_NF
-    if _coeffs_all_even(argnf):
-        half = nf_scale(argnf, Fraction(1, 2))
-        s = trig_nf("sin", half)
-        c = trig_nf("cos", half)
+    if arg.is_zero:
+        return {} if fn == "sin" else {_ONE: Fraction(1)}
+    if all(c.denominator == 1 and c.numerator % 2 == 0 for _, c in arg.terms):
+        half = _collect(_working(arg, Fraction(1, 2)))
+        s, c = _trig("sin", half), _trig("cos", half)
         if fn == "sin":
-            return nf_scale(nf_mul(s, c), 2)
-        return nf_sub(nf_mul(c, c), nf_mul(s, s))
-    if _leading_negative(argnf):
-        flipped = trig_nf(fn, nf_neg(argnf))
-        return nf_neg(flipped) if fn == "sin" else flipped
-    return gen_nf(TrigAtom(fn, argnf))
+            return _accumulate({}, _mul(s, c), 2)
+        return _accumulate(_mul(c, c), _mul(s, s), -1)
+    if arg.terms[0][1] < 0:
+        flipped = _trig(fn, _collect(_working(arg, -1)))
+        return _accumulate({}, flipped, -1) if fn == "sin" else flipped
+    return {frozenset({(TrigAtom(fn, arg), 1)}): Fraction(1)}
+
+
+def _form(e: Expr) -> Form:
+    if isinstance(e, Const):
+        return {_ONE: e.value}
+    if isinstance(e, Var):
+        return {frozenset({(e.ref, 1)}): Fraction(1)}
+    if isinstance(e, Sum):
+        acc: Form = {}
+        for t in e.terms:
+            _accumulate(acc, _form(t))
+        return acc
+    if isinstance(e, Prod):
+        out: Form = {_ONE: Fraction(1)}
+        for f in e.factors:
+            out = _mul(out, _form(f))
+        return out
+    if isinstance(e, Pow):
+        if e.exponent >= 0:
+            return _pow(_form(e.base), e.exponent)
+        base = normalize(e.base)
+        if len(base.terms) != 1:
+            raise NormalizationError(
+                f"cannot normalize reciprocal of a non-monomial: {render(e.base)}"
+            )
+        ((m, c),) = base.terms
+        inverse = {frozenset((g, -k) for g, k in m): 1 / c}
+        return _pow(inverse, -e.exponent)
+    if isinstance(e, FuncApp):
+        if e.fn in ("sin", "cos"):
+            return _trig(e.fn, normalize(e.arg))
+        raise NormalizationError(
+            f"{e.fn} is not polynomial; offending subtree: {render(e)}"
+        )
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def normalize(e: Expr) -> PolyNF:
@@ -271,29 +272,7 @@ def normalize(e: Expr) -> PolyNF:
     reciprocals of non-monomial subexpressions; those shapes live outside
     the polynomial fragment this form covers.
     """
-    if isinstance(e, Const):
-        return const_nf(e.value)
-    if isinstance(e, Var):
-        return gen_nf(e.ref)
-    if isinstance(e, Sum):
-        return nf_add(*(normalize(t) for t in e.terms))
-    if isinstance(e, Prod):
-        out = ONE_NF
-        for f in e.factors:
-            out = nf_mul(out, normalize(f))
-        return out
-    if isinstance(e, Pow):
-        basenf = normalize(e.base)
-        if e.exponent >= 0:
-            return nf_pow(basenf, e.exponent)
-        return nf_pow(_invert_monomial_form(basenf, e.base), -e.exponent)
-    if isinstance(e, FuncApp):
-        if e.fn in ("sin", "cos"):
-            return trig_nf(e.fn, normalize(e.arg))
-        raise NormalizationError(
-            f"{e.fn} is not polynomial; offending subtree: {render(e)}"
-        )
-    raise TypeError(f"not an expression node: {e!r}")
+    return _collect(_form(e))
 
 
 def is_identically_zero(e: Expr) -> bool:
@@ -311,16 +290,16 @@ def replace_even_powers(f: PolyNF, src: VarId, dst: VarId) -> PolyNF:
     Raises ValueError if ``src`` occurs to an odd power anywhere; callers
     use this to eliminate an auxiliary square-root symbol exactly.
     """
-    pairs = []
+    out: Form = {}
     for m, c in f.terms:
         d = dict(m)
-        if src in d:
-            k = d.pop(src)
-            if k % 2 != 0:
-                raise ValueError(
-                    f"{src.name} occurs to odd power {k}; cannot eliminate"
-                )
-            if k:
-                d[dst] = d.get(dst, 0) + k // 2
-        pairs.append((_mono_from_dict(d), c))
-    return build_nf(pairs)
+        k = d.pop(src, 0)
+        if k % 2 != 0:
+            raise ValueError(
+                f"{src.name} occurs to odd power {k}; cannot eliminate"
+            )
+        if k:
+            d[dst] = d.get(dst, 0) + k // 2
+        mono = frozenset((g, e) for g, e in d.items() if e)
+        out[mono] = out.get(mono, 0) + c
+    return _collect(out)

@@ -179,9 +179,9 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         if not math.isfinite(value):
             raise ProblemFormatError(f"value of {name} is not a finite number", path, lineno)
         param_values[name] = value
-    time_name = "t"
-    if ctx.lookup(time_name) is None:
-        raise ProblemFormatError("no independent variable named t", path)
+    if len(ctx.independents) != 2:
+        raise ProblemFormatError("[independents] must list exactly two variables, time first", path)
+    time = ctx.independents[0].name
 
     printed_map: dict[str, tuple[int, str]] = {}
     for lineno, key, value in _keyed(sections.get("printed", []), path):
@@ -203,13 +203,13 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
 
     evolution: dict[str, Expr] = {}
     for lineno, key, value in entries("evolution"):
-        if not key.endswith(f"_{time_name}") or ctx.lookup(key[:-2]) is None:
+        if not key.endswith(f"_{time}") or ctx.lookup(key[:-2]) is None:
             raise ProblemFormatError(
-                f"evolution key {key!r} must be <dependent>_{time_name}", path, lineno
+                f"evolution key {key!r} must be <dependent>_{time}", path, lineno
             )
         evolution[key[:-2]] = _parse_expr(value, ctx, path, lineno)
     try:
-        system = PDESystem.build(ctx, equations, evolution, time=time_name)
+        system = PDESystem.build(ctx, equations, evolution)
     except (ValueError, ExprError) as exc:
         raise ProblemFormatError(str(exc), path) from None
 

@@ -52,7 +52,7 @@ from .exprs import (
     var,
 )
 from .jets import MultiplierPair, PDESystem, iterated_derivative, multi_indices
-from .normal import PolyNF, TrigAtom, nf_add, nf_mul, nf_sub, normalize, replace_even_powers
+from .normal import PolyNF, TrigAtom, normalize, replace_even_powers
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,9 @@ class ReducedODE:
         expected_1 = mul(sqeps, sub(mul(balance_sq, sin_(theta)), mul(curv, cos_(theta))))
         expected_2 = mul(sqeps, add(mul(balance_sq, cos_(theta)), mul(curv, sin_(theta))))
         return {
-            "combination": nf_sub(self.residual, normalize(expected_residual)),
-            label1: nf_sub(self.equation_subs[0][1], normalize(expected_1)),
-            label2: nf_sub(self.equation_subs[1][1], normalize(expected_2)),
+            "combination": normalize(sub(self.residual.to_expr(), expected_residual)),
+            label1: normalize(sub(self.equation_subs[0][1].to_expr(), expected_1)),
+            label2: normalize(sub(self.equation_subs[1][1].to_expr(), expected_2)),
         }
 
 
@@ -201,24 +201,25 @@ def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
     for word in multi_indices(("r", "s"), red.max_order):
         freeze[red.jet(w, word)] = ZERO
 
-    def on_profile(e: Expr) -> PolyNF:
-        return normalize(substitute(transform.pushforward(e), freeze))
+    def on_profile(e: Expr) -> Expr:
+        return substitute(transform.pushforward(e), freeze)
 
     deps = [var(d) for d in system.ctx.dependents]
     combo = MultiplierPair("angular", tuple(deps)).combination(system)
-    residual = replace_even_powers(on_profile(combo), sqeps, eps)
-    subs = tuple((label, on_profile(eq)) for label, eq in system.equations)
+    residual = replace_even_powers(normalize(on_profile(combo)), sqeps, eps)
+    trees = tuple((label, on_profile(eq)) for label, eq in system.equations)
+    subs = tuple((label, normalize(tree)) for label, tree in trees)
 
-    (_, g1), (_, g2) = subs
-    sin_t, cos_t = normalize(sin_(transform.theta)), normalize(cos_(transform.theta))
+    (_, g1), (_, g2) = trees
+    sin_t, cos_t = sin_(transform.theta), cos_(transform.theta)
+    over_sqeps = pow_(var(sqeps), -1)
     rotated = {
-        "phase balance": nf_add(nf_mul(g1, sin_t), nf_mul(g2, cos_t)),
-        "curvature": nf_sub(nf_mul(g2, sin_t), nf_mul(g1, cos_t)),
+        "phase balance": mul(add(mul(g1, sin_t), mul(g2, cos_t)), over_sqeps),
+        "curvature": mul(sub(mul(g2, sin_t), mul(g1, cos_t)), over_sqeps),
     }
-    over_sqeps = normalize(pow_(var(sqeps), -1))
     factors = []
-    for name, nf in rotated.items():
-        nf = replace_even_powers(nf_mul(nf, over_sqeps), sqeps, eps)
+    for name, tree in rotated.items():
+        nf = replace_even_powers(normalize(tree), sqeps, eps)
         for mono, _ in nf.terms:
             for g, _ in mono:
                 if isinstance(g, TrigAtom) or g == s:

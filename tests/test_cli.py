@@ -503,6 +503,20 @@ def test_parameter_value_must_be_a_finite_constant(capsys, tmp_path, value):
         assert err.startswith(where), err
 
 
+@pytest.mark.parametrize("power", [5000, 20000])
+def test_overflowing_candidate_constant_gives_a_short_record(capsys, tmp_path, power):
+    """The record names the constant's size, not its digits; past 4300
+    digits ``str`` of the constant would raise."""
+    line = "case1-const-u : c = 0, gamma = 0 : u = sqrt(eps) : v = 0"
+    target = tmp_path / "big.prob"
+    target.write_text(BUNDLED.replace(line, line.replace("sqrt(eps)", f"sqrt(eps)*2^{power}")))
+    code, out, _ = run_cli(capsys, "--problem", str(target), "classify")
+    (record,) = [r.split("\t") for r in out.splitlines() if r.startswith("classify.case1-const-u\t")]
+    assert code == 2
+    assert record[2] == "fail"
+    assert "overflows a float" in record[3] and len(record[3]) < 100
+
+
 def test_simulate_integrates_with_the_file_values(capsys, tmp_path):
     """A changed [params] value changes the simulated flow, nothing else."""
     target = tmp_path / "beta.prob"

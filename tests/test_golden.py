@@ -17,9 +17,10 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
     [
         (("verify",), "verify.tsv"),
         (("associate",), "associate.tsv"),
+        (("reduce",), "reduce.tsv"),
         (("--printed-variants", "verify"), "verify_printed.tsv"),
     ],
-    ids=["verify", "associate", "printed-verify"],
+    ids=["verify", "associate", "reduce", "printed-verify"],
 )
 def test_stdout_matches_the_golden_file(capsys, argv, golden):
     code = main(list(argv))

@@ -1,0 +1,70 @@
+"""SymPy as an independent oracle for ``normalize``.
+
+Random trees over jets, parameters and rational constants, with sin/cos
+of small integer combinations of one or two generators and powers up to
+3.  For each tree:
+
+* the normal form equals the tree as a function: SymPy rewrites their
+  difference in exponentials and expands it to 0;
+* the normal form is a fixed point: rendering and re-parsing it gives the
+  same form;
+* the form is canonical: adding a multiple of ``sin(A)^2 + cos(A)^2 - 1``
+  leaves it unchanged.
+
+SymPy is a test-only dependency.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlseverify.exprs import Context, add, const, cos_, mul, pow_, render, sin_, sub
+from nlseverify.normal import normalize
+
+sympy = pytest.importorskip("sympy")
+from sympy.parsing.sympy_parser import (  # noqa: E402
+    convert_xor,
+    parse_expr,
+    standard_transformations,
+)
+
+CTX = Context(("t", "x"), ("u", "v"), ("beta", "gamma"))
+NAMES = ("u", "v", "u_x", "v_tx", "beta", "gamma")
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+
+generators = st.sampled_from([CTX.parse(name) for name in NAMES])
+coefficients = st.integers(-3, 3)
+constants = st.builds(lambda p, q: const(Fraction(p, q)), st.integers(-4, 4), st.integers(1, 3))
+arguments = st.builds(
+    lambda a, g, b, h: add(mul(a, g), mul(b, h)), coefficients, generators, coefficients, generators
+)
+trig = st.builds(lambda fn, arg: fn(arg), st.sampled_from([sin_, cos_]), arguments)
+trees = st.recursive(
+    generators | constants | trig,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: add(*xs)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: mul(*xs)),
+        st.builds(pow_, kids, st.integers(2, 3)),
+    ),
+    max_leaves=6,
+)
+
+
+def to_sympy(e):
+    return parse_expr(
+        render(e), local_dict=SYMBOLS, transformations=standard_transformations + (convert_xor,)
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(e=trees, w=trees, a=arguments)
+def test_normalize_agrees_with_sympy(e, w, a):
+    nf = normalize(e)
+    assert sympy.expand((to_sympy(nf.to_expr()) - to_sympy(e)).rewrite(sympy.exp)) == 0
+    assert normalize(CTX.parse(render(nf.to_expr()))) == nf
+    pythagoras = sub(add(pow_(sin_(a), 2), pow_(cos_(a), 2)), 1)
+    assert normalize(add(e, mul(w, pythagoras))) == nf

@@ -141,9 +141,12 @@ def test_declaration_errors_are_wrapped():
     expect_error(bad_name, "bare name")
 
 
-def test_missing_time_variable():
-    text = MINIMAL.replace("t\nx\n", "y\nx\n").replace("u_t", "u_y").replace("-beta*u_x", "-beta*u_x")
-    expect_error(text, "no independent variable named t")
+def test_first_independent_is_time():
+    text = MINIMAL.replace("t\nx\n", "y\nx\n").replace("u_t", "u_y")
+    system = load_problem_text(text, "<test>").system
+    assert (system.time.name, system.space.name) == ("y", "x")
+    expect_error(MINIMAL.replace("u_t = ", "u_x = "), "must be <dependent>_t")
+    expect_error(MINIMAL.replace("t\nx\n", "x\n"), "exactly two")
 
 
 def test_inconsistent_evolution_is_wrapped():
