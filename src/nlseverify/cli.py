@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import numerics
-from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render, sub
+from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render, sub, var
 from .jets import (
     association_residual,
     divergence_match,
@@ -152,21 +152,16 @@ def reduce_report(problem: Problem) -> Report:
     )
     by_label = {vec.label: vec for vec in problem.conserved}
     if "t2" in by_label:
-        comps = tr.transform_conserved(by_label["t2"].density, by_label["t2"].flux)
-        rep.add(
-            "reduce.density.t2",
-            "t2",
-            "info",
-            render(comps["s"].to_expr()),
-            "density in canonical variables (invariant profile)",
-        )
-        rep.add(
-            "reduce.flux.t2",
-            "t2",
-            "info",
-            render(comps["r"].to_expr()),
-            "flux in canonical variables (invariant profile)",
-        )
+        t2 = by_label["t2"]
+        pushed = tr.pushforward((t2.density, t2.flux), var(tr.red_ctx["w"]))
+        for part, e in zip(("density", "flux"), pushed):
+            rep.add(
+                f"reduce.{part}.t2",
+                "t2",
+                "info",
+                render(normalize(e).to_expr()),
+                f"{part} in canonical variables (invariant profile)",
+            )
     try:
         ode = reduced_ode(tr, system)
     except ValueError as exc:  # the amplitude cannot be eliminated exactly
@@ -248,8 +243,8 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
         grid = numerics.Grid(args.N, args.L)
     except ValueError as ve:
         raise UsageError(str(ve)) from None
-    if args.dt <= 0 or args.T <= 0 or args.sample_every < 1:
-        raise UsageError("dt, T must be positive and sample-every at least 1")
+    if not (0 < args.dt < math.inf and 0 < args.T < math.inf) or args.sample_every < 1:
+        raise UsageError("dt, T must be positive and finite and sample-every at least 1")
     params = dict(problem.param_values)
     if args.init == "plane-wave":  # a*exp(i*k*x); omega only enters at t > 0
         state = numerics.FieldState(
@@ -266,7 +261,9 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
             state = numerics.random_trig_state(grid, args.seed)
         except ValueError as ve:
             raise UsageError(str(ve)) from None
-    steps = int(round(args.T / args.dt))
+    if args.T / args.dt == math.inf:
+        raise UsageError("T/dt overflows a float")
+    steps = round(args.T / args.dt)
     if steps < 1:
         raise UsageError("horizon shorter than one step")
     system = problem.system
@@ -306,9 +303,16 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
             "max|Q(t)-Q(0)|/max(1,|Q(0)|) < drift tolerance",
         )
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(series.to_csv())
+        _write(args.csv_out, series.to_csv(), "--csv-out")
     return rep
+
+
+def _write(path: str, text: str, option: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"{option}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -330,14 +334,13 @@ def main(argv=None) -> int:
             rep = classify_report(problem, args.seed, args.tol, args.case)
         else:
             rep = simulate_report(problem, args)
+        if args.json_out:
+            _write(args.json_out, rep.to_json(), "--json-out")
     except (UsageError, ExprError) as exc:
         print(f"nlseverify: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(rep.tsv())
     print(rep.summary(), file=sys.stderr)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
     return 2 if rep.any_failed() else 0
 
 

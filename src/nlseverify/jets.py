@@ -21,8 +21,7 @@ so agreement between them is evidence rather than tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exprs import (
     DEPENDENT,
@@ -79,6 +78,32 @@ def iterated_derivative(e: Expr, word: str, ctx: Context) -> Expr:
     for letter in word:
         e = total_derivative(e, ctx[letter], ctx)
     return e
+
+
+def substitute_jets(
+    exprs: Sequence[Expr],
+    images: Mapping[Gen, Expr],
+    derive: Callable[[Expr, str], Expr],
+) -> tuple[Expr, ...]:
+    """Substitute ``images`` for generators in every expression, each
+    substituted dependent carrying its jets along: the image of ``u_J``
+    is ``derive(image, letter)`` applied to the image of ``u`` for each
+    letter of ``J``, first letter first.  Only the jets that occur in
+    ``exprs`` (and their prefixes) are derived, each once for all the
+    expressions."""
+    table = dict(images)
+
+    def image(g: Gen) -> Expr:
+        if g not in table:
+            parent = JetVar(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
+            table[g] = derive(image(parent), g.suffix[-1])
+        return table[g]
+
+    for e in exprs:
+        for g in collect_refs(e):
+            if isinstance(g, JetVar) and g.dep in images:
+                image(g)
+    return tuple(substitute(e, table) for e in exprs)
 
 
 def euler_operator(e: Expr, dep: VarId, ctx: Context) -> Expr:
@@ -254,15 +279,6 @@ class VectorField:
 
     def eta_of(self, v: VarId) -> Expr:
         return self.eta.get(v.name, ZERO)
-
-
-def multi_indices(names: Sequence[str], order: int) -> list[str]:
-    """All sorted derivative words with 1 <= length <= ``order``."""
-    return [
-        "".join(combo)
-        for total in range(1, order + 1)
-        for combo in combinations_with_replacement(sorted(names), total)
-    ]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ zero coefficients and sorts.  The rewrite reduces modulo
 ``sin(A)^2 + cos(A)^2 - 1``, one relation per atom pair, and those
 relations share no generators, so on polynomials the reduced form is
 unique and rewriting once at the end equals rewriting after every step.
+Negative powers of ``cos(A)`` keep it unique, since the rewrite never
+touches a cosine exponent; a negative power of ``sin(A)`` does not
+(``sin(A)^-1*(sin(A)^2 + cos(A)^2 - 1)`` would stay nonzero), so a
+reciprocal that puts one on a sine atom is rejected.
 
 Trig handling: sine and cosine of a normalized argument become opaque
 atoms.  Double angles are expanded on construction (``sin(2A)`` to
@@ -254,6 +258,8 @@ def _form(e: Expr) -> Form:
                 f"cannot normalize reciprocal of a non-monomial: {render(e.base)}"
             )
         ((m, c),) = base.terms
+        if any(isinstance(g, TrigAtom) and g.fn == "sin" for g, _ in m):
+            raise NormalizationError(f"cannot normalize a negative power of a sine: {render(e)}")
         inverse = {frozenset((g, -k) for g, k in m): 1 / c}
         return _pow(inverse, -e.exponent)
     if isinstance(e, FuncApp):
@@ -268,9 +274,9 @@ def _form(e: Expr) -> Form:
 def normalize(e: Expr) -> PolyNF:
     """Normal form of an expression tree.
 
-    Raises :class:`NormalizationError` on sqrt or arctan nodes and on
-    reciprocals of non-monomial subexpressions; those shapes live outside
-    the polynomial fragment this form covers.
+    Raises :class:`NormalizationError` on sqrt or arctan nodes, on
+    reciprocals of non-monomial subexpressions and on negative powers of
+    a sine; those shapes live outside the fragment this form covers.
     """
     return _collect(_form(e))
 

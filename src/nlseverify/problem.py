@@ -203,7 +203,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
 
     evolution: dict[str, Expr] = {}
     for lineno, key, value in entries("evolution"):
-        if not key.endswith(f"_{time}") or ctx.lookup(key[:-2]) is None:
+        if not key.endswith(f"_{time}") or ctx.lookup(key[:-2]) not in ctx.dependents:
             raise ProblemFormatError(
                 f"evolution key {key!r} must be <dependent>_{time}", path, lineno
             )
@@ -363,6 +363,6 @@ def load_problem(path: str | None = None, printed: bool = False) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(str(exc), path) from None
     return load_problem_text(text, path, printed)

@@ -8,14 +8,18 @@ straightens to a pure translation in canonical coordinates
 with inverse u = w*cos(p + c*s), v = w*sin(p + c*s).  The coordinates are
 built from the problem file: its time and space letters become s and r,
 its two dependents (real and imaginary part) become w and p.  Solutions
-invariant under the combination have w and p independent of s;
-substituting the constant-amplitude profile w = sqrt(eps) turns each
-equation into a rotation by the phase p + c*s of two factors in p(r)
-alone, which this module derives from the substituted equations and
-checks.
+invariant under the combination have w and p independent of s, so the
+pushforward of a jet differentiates the inverse along its letters, a time
+letter as the explicit partial in s and a space letter as the total D_r
+(``jets.substitute_jets``).  Pushing forward with the constant amplitude
+w = sqrt(eps) turns each equation into a rotation by the phase p + c*s of
+two factors in p(r) alone, which this module derives from the substituted
+equations and checks.
 
 Solution candidates (a closed form per dependent, with parameter
-constraints) are classified numerically on a deterministic low-discrepancy
+constraints) go through the same substitution, each dependent and every
+jet that occurs replaced by the closed form and its total derivatives,
+and are classified numerically on a deterministic low-discrepancy
 point set: ``exact`` when every equation vanishes pointwise,
 ``reduced-only`` when only the angular combination u*G1 + v*G2 (each
 dependent times its equation, in declaration order) does, ``neither``
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,20 +42,19 @@ from .exprs import (
     ExprError,
     Gen,
     JetVar,
-    ZERO,
     add,
     collect_refs,
     cos_,
     eval_numeric,
     mul,
-    neg,
+    partial,
     pow_,
     sin_,
     sub,
     substitute,
     var,
 )
-from .jets import MultiplierPair, PDESystem, iterated_derivative, multi_indices
+from .jets import MultiplierPair, PDESystem, substitute_jets, total_derivative
 from .normal import PolyNF, TrigAtom, normalize, replace_even_powers
 
 
@@ -59,91 +62,48 @@ from .normal import PolyNF, TrigAtom, normalize, replace_even_powers
 class CanonicalTransform:
     """Change of variables that straightens translation-plus-rotation."""
 
-    orig_ctx: Context
+    system: PDESystem  # in the original variables
     red_ctx: Context
     theta: Expr  # p + c*s, the restored phase
-    table: dict[Gen, Expr]  # original generators -> reduced expressions
-    derive: Callable[[JetVar], Expr]  # reduced image of an original jet
-    jac: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
-    jac_det: Expr
 
-    def pushforward(self, e: Expr) -> Expr:
-        """Rewrite an original-variable expression in reduced variables,
-        under the invariance ansatz (no s-dependence of w, p).  Jets enter
-        the table on first use, so none deeper than an input is derived."""
-        for g in collect_refs(e):
-            if isinstance(g, JetVar) and g not in self.table:
-                self.table[g] = self.derive(g)
-        return substitute(e, self.table)
+    def pushforward(self, exprs: Sequence[Expr], amplitude: Expr) -> tuple[Expr, ...]:
+        """Rewrite original-variable expressions in reduced variables on the
+        invariant profile u = amplitude*cos(theta), v = amplitude*sin(theta).
 
-    def forward_eval(
-        self, t: float, x: float, u: float, v: float, params: Mapping[str, float]
-    ) -> tuple[float, float, float, float]:
-        """Numeric forward map (s, r, w, p).
-
-        Uses atan2 so the angle is defined for all (u, v) != (0, 0); on
-        the half-plane u > 0 it agrees with the arctan formula.
+        w and p do not depend on s, so a time letter of a jet is the
+        explicit partial in s and a space letter the total derivative D_r.
         """
-        c = float(params["c"])
-        return (t, x, math.hypot(u, v), math.atan2(v, u) - c * t)
+        red, system = self.red_ctx, self.system
+        s, r = red["s"], red["r"]
+        images: dict[Gen, Expr] = {system.time: var(s), system.space: var(r)}
+        profile = (mul(amplitude, cos_(self.theta)), mul(amplitude, sin_(self.theta)))
+        images.update(zip(system.ctx.dependents, profile, strict=True))
 
-    def transform_conserved(self, density: Expr, flux: Expr) -> dict[str, PolyNF]:
-        """Reduced components of a conserved vector.
+        def derive(e: Expr, letter: str) -> Expr:
+            if letter == system.time.name:
+                return partial(e, s)
+            return total_derivative(e, r, red)
 
-        With new components stacked as (T^s, T^r), the rule is
-        adj(A)^T applied to the pushed-forward (T^t, T^x), where A is the
-        Jacobian of the old independents in the new ones.  Here A is the
-        identity (s = t, r = x), so the content is the pushforward plus
-        trigonometric collection.
-        """
-        (a, b), (cc, d) = self.jac
-        adj_t = ((d, neg(cc)), (neg(b), a))
-        old = (self.pushforward(density), self.pushforward(flux))
-        new_s = add(mul(adj_t[0][0], old[0]), mul(adj_t[0][1], old[1]))
-        new_r = add(mul(adj_t[1][0], old[0]), mul(adj_t[1][1], old[1]))
-        return {"s": normalize(new_s), "r": normalize(new_r)}
+        return substitute_jets(exprs, images, derive)
+
+    @property
+    def jac_det(self) -> Expr:
+        """det D(t,x)/D(s,r) of the pushed-forward independents."""
+        red, system = self.red_ctx, self.system
+        s, r = red["s"], red["r"]
+        t, x = self.pushforward((var(system.time), var(system.space)), var(red["w"]))
+        return sub(mul(partial(t, s), partial(x, r)), mul(partial(x, s), partial(t, r)))
 
 
 def build_canonical_transform(system: PDESystem) -> CanonicalTransform:
     """The transform for a system with two dependents.  The reduced context
     declares the file's parameters plus c, eps and sqeps; a file parameter
     named r, s, w or p clashes with the reduced variables (ValueError)."""
-    orig = system.ctx
-    params = [q.name for q in orig.parameters]
+    params = [q.name for q in system.ctx.parameters]
     params += [n for n in ("c", "eps", "sqeps") if n not in params]
-    red = Context(("r", "s"), ("w", "p"), params, orig.max_order)
-    r, s, w, p, c = red["r"], red["s"], red["w"], red["p"], red["c"]
-    theta = add(var(p), mul(var(c), var(s)))
-    images = (mul(var(w), cos_(theta)), mul(var(w), sin_(theta)))
-
-    # A jet's image is the full derivative (D_t -> D_s, D_x -> D_r) with the
-    # invariance ansatz imposed after it: every s-derivative of w, p is zero.
-    kill: dict[Gen, Expr] = {}
-    for dep in (w, p):
-        for word in multi_indices(("r", "s"), red.max_order):
-            if "s" in word:
-                kill[red.jet(dep, word)] = ZERO
-    t, x = system.time, system.space
-    letter = {t.name: "s", x.name: "r"}
-    table: dict[Gen, Expr] = {t: var(s), x: var(r)}
-    table.update(zip(orig.dependents, images, strict=True))
-
-    def derive(g: JetVar) -> Expr:
-        mapped = "".join(sorted(letter[ch] for ch in g.suffix))
-        return substitute(iterated_derivative(table[g.dep], mapped, red), kill)
-
-    jac = (
-        (
-            iterated_derivative(table[t], "s", red),
-            iterated_derivative(table[x], "s", red),
-        ),
-        (
-            iterated_derivative(table[t], "r", red),
-            iterated_derivative(table[x], "r", red),
-        ),
-    )
-    det = sub(mul(jac[0][0], jac[1][1]), mul(jac[0][1], jac[1][0]))
-    return CanonicalTransform(orig, red, theta, table, derive, jac, det)
+    red = Context(("r", "s"), ("w", "p"), params, system.ctx.max_order)
+    theta = add(var(red["p"]), mul(var(red["c"]), var(red["s"])))
+    return CanonicalTransform(system, red, theta)
 
 
 @dataclass(frozen=True)
@@ -189,6 +149,13 @@ class ReducedODE:
         }
 
 
+def _equations_and_angular(system: PDESystem) -> list[Expr]:
+    """The equations, then the angular combination u*G1 + v*G2."""
+    deps = tuple(var(d) for d in system.ctx.dependents)
+    angular = MultiplierPair("angular", deps).combination(system)
+    return [eq for _, eq in system.equations] + [angular]
+
+
 def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
     """Substitute the constant-amplitude invariant profile and derive the
     two factors by rotating the substituted equations back by theta.
@@ -196,21 +163,13 @@ def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
     Raises ValueError when sqrt(eps) cannot be eliminated exactly, or when a
     factor still holds a trig atom or s: then the system does not reduce."""
     red = transform.red_ctx
-    w, s, sqeps, eps = red["w"], red["s"], red["sqeps"], red["eps"]
-    freeze: dict[Gen, Expr] = {w: var(sqeps)}
-    for word in multi_indices(("r", "s"), red.max_order):
-        freeze[red.jet(w, word)] = ZERO
+    s, sqeps, eps = red["s"], red["sqeps"], red["eps"]
+    *trees, combo = transform.pushforward(_equations_and_angular(system), var(sqeps))
+    residual = replace_even_powers(normalize(combo), sqeps, eps)
+    labels = [label for label, _ in system.equations]
+    subs = tuple((label, normalize(tree)) for label, tree in zip(labels, trees))
 
-    def on_profile(e: Expr) -> Expr:
-        return substitute(transform.pushforward(e), freeze)
-
-    deps = [var(d) for d in system.ctx.dependents]
-    combo = MultiplierPair("angular", tuple(deps)).combination(system)
-    residual = replace_even_powers(normalize(on_profile(combo)), sqeps, eps)
-    trees = tuple((label, on_profile(eq)) for label, eq in system.equations)
-    subs = tuple((label, normalize(tree)) for label, tree in trees)
-
-    (_, g1), (_, g2) = trees
+    g1, g2 = trees
     sin_t, cos_t = sin_(transform.theta), cos_(transform.theta)
     over_sqeps = pow_(var(sqeps), -1)
     rotated = {
@@ -288,21 +247,6 @@ def low_discrepancy_points(n: int):
     return pts
 
 
-def candidate_bindings(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr]:
-    """Replace the dependents and their jets, up to the equations' order,
-    by the candidate's closed forms and their derivatives."""
-    cand.check_explicit()
-    ctx = system.ctx
-    names = [vv.name for vv in ctx.independents]
-    out: dict[Gen, Expr] = {}
-    for dep_name, expr in cand.fields.items():
-        dep = ctx[dep_name]
-        out[dep] = expr
-        for word in multi_indices(names, system.order):
-            out[ctx.jet(dep, word)] = iterated_derivative(expr, word, ctx)
-    return out
-
-
 def draw_parameters(ctx: Context, seed: int, count: int) -> list[dict[str, float]]:
     """Seeded parameter draws on [0.1, 2], identical across candidates for
     a given seed."""
@@ -328,11 +272,15 @@ def candidate_residual_exprs(
 ) -> tuple[tuple[Expr, ...], Expr]:
     """The equations and the angular combination u*G1 + v*G2 with the
     candidate substituted.  They do not depend on the parameter values."""
-    bindings = candidate_bindings(cand, system)
-    eq_exprs = tuple(substitute(eq, bindings) for _, eq in system.equations)
-    deps = [var(d) for d in system.ctx.dependents]
-    combo = MultiplierPair("angular", tuple(deps)).combination(system)
-    return eq_exprs, substitute(combo, bindings)
+    cand.check_explicit()
+    ctx = system.ctx
+    images = {ctx[name]: expr for name, expr in cand.fields.items()}
+
+    def derive(e: Expr, letter: str) -> Expr:
+        return total_derivative(e, ctx[letter], ctx)
+
+    *eq_exprs, combo = substitute_jets(_equations_and_angular(system), images, derive)
+    return tuple(eq_exprs), combo
 
 
 def candidate_equation_residuals(

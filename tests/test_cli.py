@@ -558,3 +558,50 @@ def test_parameter_without_value_names_it(capsys, tmp_path, text, message):
     target.write_text(text)
     code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
     assert (code, out, err) == (1, "", f"nlseverify: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "rule", ["beta_t = u", "x_t = u"], ids=["parameter", "independent"]
+)
+def test_evolution_rule_for_a_non_dependent_is_an_error_at_its_line(capsys, tmp_path, rule):
+    text = BUNDLED.replace("\n[multipliers]", f"{rule}\n\n[multipliers]", 1)
+    target = tmp_path / "rule.prob"
+    target.write_text(text)
+    key = rule.split(" = ")[0]
+    where = f"{target}:{line_of(text, rule)}"
+    for command in EVERY_COMMAND:
+        code, out, err = run_cli(capsys, "--problem", str(target), command)
+        assert (code, out) == (1, ""), command
+        assert err == f"nlseverify: error: {where}: evolution key {key!r} must be <dependent>_t\n"
+
+
+def test_non_utf8_problem_file_is_an_error(capsys, tmp_path):
+    target = tmp_path / "utf16.prob"
+    target.write_bytes(b"\xff\xfe" + BUNDLED.encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "--problem", str(target), "verify")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"nlseverify: error: {target}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--dt", "nan"), "dt, T must be positive and finite"),
+        (("--T", "inf"), "dt, T must be positive and finite"),
+        (("--T", "1e300", "--dt", "1e-300"), "T/dt overflows a float"),
+        (("--csv-out", "{missing}/series.csv"), "--csv-out: [Errno 2] No such file"),
+        (("--json-out", "{missing}/report.json"), "--json-out: [Errno 2] No such file"),
+    ],
+    ids=["dt-nan", "T-inf", "steps-overflow", "csv-out", "json-out"],
+)
+def test_bad_simulate_arguments_exit_one(capsys, tmp_path, argv, message):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    if argv[0] == "--json-out":
+        argv = argv + ["simulate", "--T", "0.01"]
+    else:
+        argv = ["simulate", "--T", "0.01", *argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"nlseverify: error: {message}"), err
+    assert err.count("\n") == 1

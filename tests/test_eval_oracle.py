@@ -20,8 +20,10 @@ from nlseverify.exprs import (
     eval_numeric,
     ref_sort_key,
     render,
+    var,
 )
-from nlseverify.reduction import candidate_bindings, draw_parameters, low_discrepancy_points
+from nlseverify.jets import substitute_jets, total_derivative
+from nlseverify.reduction import draw_parameters, low_discrepancy_points
 
 sympy = pytest.importorskip("sympy")
 from sympy.parsing.sympy_parser import (  # noqa: E402
@@ -94,9 +96,22 @@ def test_conserved_vectors_match_sympy(problem):
 
 
 def test_candidates_and_second_jets_match_sympy(problem):
+    """Each candidate's closed forms and their derivatives up to second
+    order, derived as classify derives them."""
+    ctx = problem.ctx
+    gens = [
+        g
+        for dep in ctx.dependents
+        for g in (dep, *(ctx.jet(dep, word) for word in ("t", "x", "tt", "tx", "xx")))
+    ]
+
+    def derive(e, letter):
+        return total_derivative(e, ctx[letter], ctx)
+
     labelled = []
     for cand in problem.candidates:
-        for g, e in candidate_bindings(cand, problem.system).items():
-            labelled.append((f"{cand.label}.{g.name}", e))
+        images = {ctx[name]: e for name, e in cand.fields.items()}
+        jets = substitute_jets([var(g) for g in gens], images, derive)
+        labelled += [(f"{cand.label}.{g.name}", e) for g, e in zip(gens, jets)]
     assert len(labelled) == 12 * 2 * 6
     _check(problem, labelled)

@@ -27,3 +27,14 @@ def test_stdout_matches_the_golden_file(capsys, argv, golden):
     out = capsys.readouterr().out
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
     assert code == (2 if "--printed-variants" in argv else 0)
+
+
+def test_printed_reduce_stdout_is_pinned(capsys):
+    """All five records of the printed ``reduce``, the pushed-forward t2
+    density and flux included; the benchmark's golden set judges only
+    their verdicts."""
+    code = main(["--printed-variants", "reduce"])
+    out = capsys.readouterr().out
+    expected = Path(__file__).resolve().parent / "golden" / "reduce_printed.tsv"
+    assert out == expected.read_text(encoding="utf-8")
+    assert code == 2

@@ -13,8 +13,8 @@ from nlseverify.jets import (
     apply_field,
     euler_operator,
     iterated_derivative,
-    multi_indices,
     prolong,
+    substitute_jets,
     total_derivative,
 )
 from nlseverify.normal import normalize
@@ -83,8 +83,35 @@ def test_iterated_derivative_matches_composition(ctx6):
     assert normalize(step - joint).is_zero
 
 
-def test_multi_indices_enumeration():
-    assert multi_indices(("t", "x"), 2) == ["t", "x", "tt", "tx", "xx"]
+def test_substitute_jets_derives_each_occurring_jet_once(ctx6):
+    """A substituted dependent carries its jets: u_J becomes the derivative
+    of u's image along J; shared prefixes and repeats are derived once."""
+    calls = []
+
+    def derive(e, letter):
+        calls.append(letter)
+        return total_derivative(e, ctx6[letter], ctx6)
+
+    image = ctx6.parse("t*x^3 + beta*x")
+    got = substitute_jets(
+        [ctx6.parse("u_xx*v + u"), ctx6.parse("u_xxx - u_x + u_tx")],
+        {ctx6["u"]: image},
+        derive,
+    )
+    assert normalize(got[0] - ctx6.parse("6*t*x*v + t*x^3 + beta*x")).is_zero
+    assert normalize(got[1] - ctx6.parse("6*t - 3*t*x^2 - beta + 3*x^2")).is_zero
+    # u_t, u_tx, u_x, u_xx, u_xxx: one derivative each
+    assert sorted(calls) == ["t", "x", "x", "x", "x"]
+
+
+def test_substitute_jets_is_simultaneous(ctx6):
+    swap = {ctx6["u"]: ctx6.parse("v"), ctx6["v"]: ctx6.parse("u")}
+
+    def derive(e, letter):
+        return total_derivative(e, ctx6[letter], ctx6)
+
+    (got,) = substitute_jets([ctx6.parse("u_x*v_tt + u")], swap, derive)
+    assert got == ctx6.parse("v_x*u_tt + v")
 
 
 def test_prolongation_classic_coefficients(problem):

@@ -65,6 +65,14 @@ def test_half_angle_needs_all_even_coefficients(ctx):
 def test_reciprocal_of_sum_rejected(ctx):
     with pytest.raises(NormalizationError):
         normalize(ctx.parse("(u + v)^-1"))
+    # a negative sine power would leave this identity nonzero
+    with pytest.raises(NormalizationError):
+        normalize(ctx.parse("sin(u)^-1*(sin(u)^2 + cos(u)^2 - 1)"))
+
+
+def test_negative_cosine_powers_stay_canonical(ctx):
+    assert is_identically_zero(ctx.parse("cos(u)^-3*(sin(u)^2 + cos(u)^2 - 1)"))
+    assert is_identically_zero(ctx.parse("cos(u)^-1*sin(u)^2 - cos(u)^-1 + cos(u)"))
 
 
 def test_sqrt_and_arctan_rejected(ctx):

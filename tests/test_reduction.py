@@ -3,14 +3,15 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from nlseverify.exprs import eval_numeric, sub, var
+from nlseverify.exprs import DEPENDENT, JetVar, collect_refs, eval_numeric, partial, sub, var
+from nlseverify.jets import iterated_derivative
 from nlseverify.normal import normalize
 from nlseverify.problem import bundled_problem_text, load_problem_text
 from nlseverify.reduction import (
     SolutionCandidate,
-    candidate_bindings,
     candidate_equation_residuals,
     candidate_residual_exprs,
     classify,
@@ -19,10 +20,16 @@ from nlseverify.reduction import (
 )
 
 
-def test_jacobian_is_identity(transform):
+def test_jacobian_is_identity(problem, transform):
+    """The pushed-forward independents are s and r themselves."""
     red = transform.red_ctx
+    s, r = red["s"], red["r"]
+    t_img, x_img = transform.pushforward(
+        (var(problem.ctx["t"]), var(problem.ctx["x"])), var(red["w"])
+    )
     one, zero = red.parse("1"), red.parse("0")
-    (a, b), (c, d) = transform.jac
+    a, b = partial(t_img, s), partial(x_img, s)
+    c, d = partial(t_img, r), partial(x_img, r)
     assert normalize(sub(a, one)).is_zero
     assert normalize(b - zero).is_zero
     assert normalize(c - zero).is_zero
@@ -48,32 +55,33 @@ TABLE_CASES = [
 
 
 @pytest.mark.parametrize("name,expected", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
-def test_derivative_table(transform, name, expected):
-    orig, red = transform.orig_ctx, transform.red_ctx
+def test_derivative_table(problem, transform, name, expected):
+    orig, red = problem.ctx, transform.red_ctx
     if "_" in name:
         key = orig.jet(name.split("_")[0], name.split("_")[1])
     else:
         key = orig[name]
-    assert normalize(transform.pushforward(var(key)) - red.parse(expected)).is_zero
+    (image,) = transform.pushforward((var(key),), var(red["w"]))
+    assert normalize(image - red.parse(expected)).is_zero
 
 
-def test_forward_map_inverts_the_table(transform):
+def test_forward_map_inverts_the_table(problem, transform):
+    """(s, r, w, p) = (t, x, hypot(u, v), atan2(v, u) - c*t) is carried
+    back to (u, v) by the pushed-forward dependents."""
     red = transform.red_ctx
-    params = {"c": 0.7}
-    bind_base = {red["c"]: 0.7}
+    c = 0.7
+    images = transform.pushforward(
+        (var(problem.ctx["u"]), var(problem.ctx["v"])), var(red["w"])
+    )
     points = [
         (0.3, 1.2, -0.8, 0.5),
         (1.1, 0.2, 0.6, -0.9),
         (2.0, 0.0, 0.0, 1.3),
     ]
     for t, x, u, v in points:
-        s, r, w, p = transform.forward_eval(t, x, u, v, params)
-        assert (s, r) == (t, x)
-        bind = dict(bind_base)
-        bind[red["s"]], bind[red["r"]] = s, r
-        bind[red["w"]], bind[red["p"]] = w, p
-        u_back = eval_numeric(transform.table[transform.orig_ctx["u"]], bind)
-        v_back = eval_numeric(transform.table[transform.orig_ctx["v"]], bind)
+        bind = {red["c"]: c, red["s"]: t, red["r"]: x}
+        bind[red["w"]], bind[red["p"]] = math.hypot(u, v), math.atan2(v, u) - c * t
+        u_back, v_back = (eval_numeric(e, bind) for e in images)
         assert abs(u_back - u) < 1e-12
         assert abs(v_back - v) < 1e-12
 
@@ -81,16 +89,16 @@ def test_forward_map_inverts_the_table(transform):
 def test_plain_energy_transforms_cleanly(problem, transform):
     t2 = problem.conserved[1]
     red = transform.red_ctx
-    out = transform.transform_conserved(t2.density, t2.flux)
-    assert out["s"] == normalize(red.parse("w^2/2"))
-    assert out["r"] == normalize(red.parse("beta*w^2/2 - gamma*w^2*p_r"))
+    density, flux = transform.pushforward((t2.density, t2.flux), var(red["w"]))
+    assert normalize(density) == normalize(red.parse("w^2/2"))
+    assert normalize(flux) == normalize(red.parse("beta*w^2/2 - gamma*w^2*p_r"))
 
 
 def test_momentum_density_transforms_to_phase_gradient(problem, transform):
     t1 = problem.conserved[0]
     red = transform.red_ctx
-    out = transform.transform_conserved(t1.density, t1.flux)
-    assert out["s"] == normalize(red.parse("w^2*p_r/2"))
+    (density,) = transform.pushforward((t1.density,), var(red["w"]))
+    assert normalize(density) == normalize(red.parse("w^2*p_r/2"))
 
 
 def test_reduced_residual_has_the_five_term_form(ode):
@@ -207,20 +215,45 @@ def test_draw_parameters_are_seeded_and_ordered(problem):
     assert draws[0] != draws[1]
 
 
+def _only_base_variables(exprs) -> bool:
+    refs = set().union(*(collect_refs(e) for e in exprs))
+    return not any(isinstance(g, JetVar) or g.kind == DEPENDENT for g in refs)
+
+
+def _values(e, ctx):
+    """``e`` at 50 sample points (x, t) and fixed parameter values."""
+    xs, ts = zip(*low_discrepancy_points(50))
+    params = {"beta": 1.4, "gamma": 0.6, "delta": 0.8, "c": 0.3, "eps": 1.2, "c1": 0.3}
+    bind = {ctx[k]: val for k, val in params.items()}
+    bind[ctx["x"]], bind[ctx["t"]] = np.array(xs), np.array(ts)
+    return np.broadcast_to(eval_numeric(e, bind), (50,))
+
+
 def test_candidate_bindings_reject_implicit_forms(problem):
     ctx = problem.ctx
     bad = SolutionCandidate("loop", (), {"u": ctx.parse("v"), "v": ctx.parse("0")})
     with pytest.raises(ValueError):
-        candidate_bindings(bad, problem.system)
+        candidate_residual_exprs(bad, problem.system)
 
 
 def test_candidate_bindings_cover_second_jets(problem):
+    """Every dependent and jet of the equations, u_xx and v_xx included,
+    is replaced by the candidate's closed form and its derivatives."""
     ctx = problem.ctx
     cand = {c.label: c for c in problem.candidates}["case1-linear-phase"]
-    binds = candidate_bindings(cand, problem.system)
-    assert ctx.jet("u", "xx") in binds
-    assert ctx.jet("v", "tx") in binds
-    assert ctx["u"] in binds
+    eq_exprs, combo = candidate_residual_exprs(cand, problem.system)
+    assert _only_base_variables((*eq_exprs, combo))
+    u, v = cand.fields["u"], cand.fields["v"]
+
+    def d(f, word):
+        return iterated_derivative(f, word, ctx)
+
+    beta, gamma, delta = (ctx.parse(n) for n in ("beta", "gamma", "delta"))
+    label, eq = problem.system.equations[0]
+    assert (label, str(eq)) == ("g1", "u_t + beta*u_x - gamma*v_xx + delta*v*(u^2 + v^2)")
+    g1 = d(u, "t") + beta * d(u, "x") - gamma * d(v, "xx") + delta * v * (u * u + v * v)
+    assert np.allclose(_values(eq_exprs[0], ctx), _values(g1, ctx), rtol=1e-12, atol=1e-12)
+    assert np.abs(_values(gamma * d(v, "xx"), ctx)).max() > 0.1
 
 
 def test_candidate_bindings_follow_the_system_order(problem):
@@ -230,7 +263,11 @@ def test_candidate_bindings_follow_the_system_order(problem):
     third = load_problem_text(text, "third.prob")
     assert (problem.system.order, third.system.order) == (2, 3)
     cand = {c.label: c for c in third.candidates}["case1-linear-phase"]
-    u_xxx, v_ttx = third.ctx.jet("u", "xxx"), third.ctx.jet("v", "ttx")
-    assert u_xxx in candidate_bindings(cand, third.system)
-    assert v_ttx in candidate_bindings(cand, third.system)
-    assert u_xxx not in candidate_bindings(cand, problem.system)
+    third_eqs, third_combo = candidate_residual_exprs(cand, third.system)
+    bundled_eqs, _ = candidate_residual_exprs(cand, problem.system)
+    assert _only_base_variables((*third_eqs, third_combo))
+    # the third-order g1 gains exactly the image of u_xxx
+    u_xxx = iterated_derivative(cand.fields["u"], "xxx", third.ctx)
+    gained = _values(third_eqs[0], third.ctx) - _values(bundled_eqs[0], problem.ctx)
+    assert np.allclose(gained, _values(u_xxx, third.ctx), rtol=1e-12, atol=1e-12)
+    assert np.abs(_values(u_xxx, third.ctx)).max() > 0.1
