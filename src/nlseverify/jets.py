@@ -16,11 +16,24 @@ the pass criterion:
 
 These are deliberately independent routes; none is derived from another,
 so agreement between them is evidence rather than tautology.
+
+Under the predicates everything works on the normalizer's working form
+(``normal.Form``, monomial -> rational coefficient), so no product tree is
+built only to be expanded again: each problem-file entry is normalized
+once, on first use, and each predicate leaves through ``normalize`` once.
+One rule, :func:`derivation` (each generator to its image, Leibniz over
+each monomial, the chain rule through sin and cos atoms), carries the
+total derivative, the Euler operator, prolongation and the field action;
+on-shell reduction substitutes the evolution rules' derivatives, derived
+once per system.  The tree derivative :func:`total_derivative` remains
+only as the ``derive`` of :func:`substitute_jets`, whose images (a
+candidate, the reduced profile) may hold ``sqrt``, which has no form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .exprs import (
@@ -33,51 +46,48 @@ from .exprs import (
     JetOrderError,
     JetVar,
     VarId,
-    ZERO,
     add,
     collect_refs,
     is_zero_expr,
     jet_order,
     mul,
-    neg,
     partial,
     ref_sort_key,
     substitute,
     var,
 )
-from .normal import PolyNF, normalize
+from .normal import (
+    Form,
+    PolyNF,
+    TrigAtom,
+    accumulate,
+    as_form,
+    mono_mul,
+    mul_forms,
+    normalize,
+    pow_form,
+    trig_form,
+)
+
+_UNIT: Form = {frozenset(): 1}
 
 
 class ProlongationError(ExprError):
     """A prolongation coefficient needed by the computation is missing."""
 
 
-class ReductionError(ExprError):
-    """On-shell reduction failed to eliminate time derivatives."""
-
-
-def _sorted_refs(e: Expr) -> list[Gen]:
-    return sorted(collect_refs(e), key=ref_sort_key)
-
-
 def total_derivative(e: Expr, wrt: VarId, ctx: Context) -> Expr:
-    """Total derivative D_i: explicit part plus the chain over jet variables."""
+    """Total derivative D_i of a tree: explicit part plus the chain over
+    jet variables."""
     if wrt.kind != INDEPENDENT:
         raise ValueError(f"total derivative must be along an independent, not {wrt.name}")
     pieces = [partial(e, wrt)]
-    for g in _sorted_refs(e):
+    for g in sorted(collect_refs(e), key=ref_sort_key):
         if isinstance(g, JetVar) or (isinstance(g, VarId) and g.kind == DEPENDENT):
             pe = partial(e, g)
             if not is_zero_expr(pe):
                 pieces.append(mul(var(ctx.bump(g, wrt)), pe))
     return add(*pieces)
-
-
-def iterated_derivative(e: Expr, word: str, ctx: Context) -> Expr:
-    """Total derivatives along the letters of ``word``, first letter first."""
-    for letter in word:
-        e = total_derivative(e, ctx[letter], ctx)
-    return e
 
 
 def substitute_jets(
@@ -106,21 +116,99 @@ def substitute_jets(
     return tuple(substitute(e, table) for e in exprs)
 
 
-def euler_operator(e: Expr, dep: VarId, ctx: Context) -> Expr:
+# ---------------------------------------------------------------------------
+# calculus on working forms
+
+
+def _generators(f: Form) -> set[Gen]:
+    """The variables and jets of the nonzero terms, inside trig atoms too."""
+    out: set[Gen] = set()
+    for m, c in f.items():
+        if c:
+            for g, _ in m:
+                out |= _generators(g.arg.form()) if isinstance(g, TrigAtom) else {g}
+    return out
+
+
+def derivation(f: Form, image: Callable[[Gen], Form]) -> Form:
+    """The derivation sending each variable or jet ``g`` to ``image(g)``:
+    a term ``c*m`` gives ``k*c*m/g * image(g)`` for each ``g^k`` in ``m``,
+    and the chain rule sends ``sin(A)`` to ``cos(A)*D(A)`` and ``cos(A)``
+    to ``-sin(A)*D(A)``.  A generator is asked for its image only where
+    its term is nonzero."""
+    images: dict = {}
+    out: Form = {}
+    for m, c in f.items():
+        if not c:
+            continue
+        for g, k in m:
+            if g not in images:
+                images[g] = _chain(g, image) if isinstance(g, TrigAtom) else image(g)
+            if images[g]:
+                rest = m - {(g, k)} if k == 1 else (m - {(g, k)}) | {(g, k - 1)}
+                ck = c * k
+                for m2, c2 in images[g].items():
+                    mm = mono_mul(rest, m2)
+                    out[mm] = out.get(mm, 0) + ck * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _chain(atom: TrigAtom, image: Callable[[Gen], Form]) -> Form:
+    partner = frozenset({(TrigAtom("cos" if atom.fn == "sin" else "sin", atom.arg), 1)})
+    sign = 1 if atom.fn == "sin" else -1
+    return {mono_mul(m, partner): sign * c for m, c in derivation(atom.arg.form(), image).items()}
+
+
+def iterated_derivative(f: Form, word: str, ctx: Context) -> Form:
+    """Total derivatives along the letters of ``word``, first letter first:
+    ``u_J`` goes to ``u_{J,i}``, the independent ``i`` to 1, every other
+    variable to 0."""
+    for letter in word:
+        wrt = ctx[letter]
+
+        def image(g: Gen) -> Form:
+            if isinstance(g, JetVar) or g.kind == DEPENDENT:
+                return {frozenset({(ctx.bump(g, wrt), 1)}): 1}
+            return _UNIT if g == wrt else {}
+
+        f = derivation(f, image)
+    return f
+
+
+def euler_operator(f: Form, dep: VarId, ctx: Context) -> Form:
     """Variational derivative with respect to one dependent variable:
-    sum over jets J of (-D)_J applied to the partial of ``e`` at u_J."""
+    sum over jets J of (-D)_J applied to the partial of ``f`` at u_J."""
     if dep.kind != DEPENDENT:
         raise ValueError(f"Euler operator needs a dependent variable, not {dep.name}")
-    pieces = []
-    for g in _sorted_refs(e):
-        if isinstance(g, VarId) and g == dep:
-            pieces.append(partial(e, g))
-        elif isinstance(g, JetVar) and g.dep == dep:
-            term = iterated_derivative(partial(e, g), g.suffix, ctx)
-            if g.total_order % 2:
-                term = neg(term)
-            pieces.append(term)
-    return add(*pieces)
+    out: Form = {}
+    for g in sorted(_generators(f), key=ref_sort_key):
+        if g == dep or (isinstance(g, JetVar) and g.dep == dep):
+            word = g.suffix if isinstance(g, JetVar) else ""
+            at_g = derivation(f, lambda h, g=g: _UNIT if h == g else {})
+            accumulate(out, iterated_derivative(at_g, word, ctx), (-1) ** len(word))
+    return out
+
+
+def _substitute(f: Form, images: Mapping[Gen, Form]) -> Form:
+    """Simultaneous substitution of forms for generators.  A trig atom whose
+    argument changes is rebuilt through ``trig_form``."""
+    memo: dict = {}
+
+    def power(g, k: int) -> Form:
+        if g not in memo:
+            memo[g] = images.get(g)
+            if isinstance(g, TrigAtom) and images.keys() & _generators(g.arg.form()):
+                memo[g] = trig_form(g.fn, normalize(_substitute(g.arg.form(), images)))
+        return {frozenset({(g, k)}): 1} if memo[g] is None else pow_form(memo[g], k)
+
+    out: Form = {}
+    for m, c in f.items():
+        if c:
+            term: Form = {frozenset(): c}
+            for g, k in m:
+                term = mul_forms(term, power(g, k))
+            accumulate(out, term)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +257,7 @@ class PDESystem:
         if missing:
             raise ValueError(f"no evolution rule for {', '.join(missing)}")
         system = cls(ctx, t, space, tuple(equations), evo)
-        for label, eq in system.equations:
+        for (label, _), eq in zip(system.equations, system.equation_forms):
             if not normalize(system.reduce(eq)).is_zero:
                 raise ValueError(
                     f"evolution form does not solve equation {label}"
@@ -181,35 +269,36 @@ class PDESystem:
         """Highest jet order in the equations."""
         return max(jet_order(eq) for _, eq in self.equations)
 
-    def _binding(self, g: JetVar) -> Expr:
-        """The evolution rule differentiated along ``g`` less one time letter."""
-        word = g.suffix.replace(self.time.name, "", 1)
-        return iterated_derivative(self.evolution[g.dep], word, self.ctx)
+    @cached_property
+    def equation_forms(self) -> tuple[Form, ...]:
+        return tuple(as_form(eq) for _, eq in self.equations)
 
-    def reduce(self, e: Expr) -> Expr:
-        """Eliminate every time derivative using the evolution rules.
+    @cached_property
+    def _bindings(self) -> dict[JetVar, Form]:
+        """Time jet -> its on-shell value; those of order one are the rules."""
+        return {self.ctx.jet(d, self.time.name): as_form(r) for d, r in self.evolution.items()}
 
-        Each pass substitutes all current time-bearing jets at once; the
-        maximum time order strictly decreases, so the loop terminates.
-        """
-        out = e
-        for _ in range(self.ctx.max_order + 1):
-            targets = [
-                g
-                for g in _sorted_refs(out)
-                if isinstance(g, JetVar)
-                and g.order_in(self.time.name) > 0
-                and g.dep in self.evolution
-            ]
-            if not targets:
-                return out
-            bindings = {g: self._binding(g) for g in targets}
-            out = substitute(out, bindings)
-        raise ReductionError("time derivatives persist after maximal passes")
+    def _binding(self, g: JetVar) -> Form:
+        """The rule differentiated along ``g``'s word less one time letter,
+        itself reduced on shell; derived once per system."""
+        if g not in self._bindings:
+            rule = self._bindings[self.ctx.jet(g.dep, self.time.name)]
+            word = g.suffix.replace(self.time.name, "", 1)
+            self._bindings[g] = self.reduce(iterated_derivative(rule, word, self.ctx))
+        return self._bindings[g]
+
+    def reduce(self, f: Form) -> Form:
+        """Eliminate every time derivative using the evolution rules.  A
+        rule holds no time jet, so a binding needs only bindings of lower
+        time order, and one substitution of reduced bindings leaves none."""
+        time = self.time.name
+        gens = sorted(_generators(f), key=ref_sort_key)
+        targets = {g: self._binding(g) for g in gens if isinstance(g, JetVar) and g.order_in(time)}
+        return _substitute(f, targets) if targets else f
 
 
 # ---------------------------------------------------------------------------
-# labeled ingredient records
+# labeled ingredient records; each entry is normalized once, on first use
 
 
 @dataclass(frozen=True)
@@ -219,13 +308,15 @@ class MultiplierPair:
     label: str
     q: tuple[Expr, ...]
 
-    def combination(self, system: PDESystem) -> Expr:
-        if len(self.q) != len(system.equations):
-            raise ValueError(
-                f"{self.label}: {len(self.q)} multipliers for "
-                f"{len(system.equations)} equations"
-            )
-        return add(*(mul(qa, eq) for qa, (_, eq) in zip(self.q, system.equations)))
+    @cached_property
+    def forms(self) -> tuple[Form, ...]:
+        return tuple(as_form(qa) for qa in self.q)
+
+    def combination(self, system: PDESystem) -> Form:
+        out: Form = {}
+        for qa, eq in zip(self.forms, system.equation_forms, strict=True):
+            accumulate(out, mul_forms(qa, eq))
+        return out
 
 
 @dataclass(frozen=True)
@@ -236,11 +327,9 @@ class ConservedVector:
     density: Expr
     flux: Expr
 
-    def divergence(self, system: PDESystem) -> Expr:
-        return add(
-            total_derivative(self.density, system.time, system.ctx),
-            total_derivative(self.flux, system.space, system.ctx),
-        )
+    @cached_property
+    def forms(self) -> tuple[Form, Form]:
+        return as_form(self.density), as_form(self.flux)
 
 
 @dataclass(frozen=True)
@@ -274,33 +363,26 @@ class VectorField:
                     f"{self.label}: eta[{name}] exceeds first order"
                 )
 
-    def xi_of(self, v: VarId) -> Expr:
-        return self.xi.get(v.name, ZERO)
-
-    def eta_of(self, v: VarId) -> Expr:
-        return self.eta.get(v.name, ZERO)
+    @cached_property
+    def forms(self) -> dict[str, Form]:
+        """Every given coefficient, xi and eta alike, keyed by its variable."""
+        return {name: as_form(e) for name, e in {**self.xi, **self.eta}.items()}
 
 
 @dataclass(frozen=True)
 class ProlongedField:
     base: VectorField
     order: int
-    zeta: Mapping[JetVar, Expr]
+    zeta: Mapping[JetVar, Form]
 
-    def coefficient(self, g: Gen) -> Expr:
-        if isinstance(g, JetVar):
-            z = self.zeta.get(g)
-            if z is None:
-                raise ProlongationError(
-                    f"{self.base.label} prolonged to order {self.order} has "
-                    f"no coefficient for {g.name}"
-                )
-            return z
-        if g.kind == INDEPENDENT:
-            return self.base.xi_of(g)
-        if g.kind == DEPENDENT:
-            return self.base.eta_of(g)
-        return ZERO  # parameters do not move
+    def coefficient(self, g: Gen) -> Form:
+        if not isinstance(g, JetVar):
+            return self.base.forms.get(g.name, {})  # parameters do not move
+        if g not in self.zeta:
+            raise ProlongationError(
+                f"{self.base.label} prolonged to order {self.order} has no coefficient for {g.name}"
+            )
+        return self.zeta[g]
 
 
 def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
@@ -316,39 +398,33 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
             f"prolongation to order {order} needs jets of order {order + 1}, "
             f"past the maximum {ctx.max_order}"
         )
-    zeta: dict[JetVar, Expr] = {}
+    given = fieldv.forms
+    indep = ctx.independents
+    dxi = {(i, k): iterated_derivative(given.get(k.name, {}), i.name, ctx)
+           for i in indep for k in indep}  # D_i xi^k
+    zeta: dict[JetVar, Form] = {}
     for dep in ctx.dependents:
-        layer: dict[Gen, Expr] = {dep: fieldv.eta_of(dep)}
+        layer: dict[Gen, Form] = {dep: given.get(dep.name, {})}
         for _ in range(order):
-            children: dict[JetVar, Expr] = {}
-            for parent, parent_expr in layer.items():
-                for w in ctx.independents:
+            children: dict[JetVar, Form] = {}
+            for parent, parent_form in layer.items():
+                for w in indep:
                     child = ctx.bump(parent, w)
                     if child in children:
                         continue
-                    pieces = [total_derivative(parent_expr, w, ctx)]
-                    for k in ctx.independents:
-                        dxi = total_derivative(fieldv.xi_of(k), w, ctx)
-                        if not is_zero_expr(dxi):
-                            pieces.append(neg(mul(dxi, var(ctx.bump(parent, k)))))
-                    children[child] = add(*pieces)
+                    z = iterated_derivative(parent_form, w.name, ctx)
+                    for k in indep:
+                        jet = {frozenset({(ctx.bump(parent, k), 1)}): 1}
+                        accumulate(z, mul_forms(dxi[w, k], jet), -1)
+                    children[child] = z
             zeta.update(children)
             layer = children
     return ProlongedField(fieldv, order, zeta)
 
 
-def apply_field(prol: ProlongedField, e: Expr) -> Expr:
-    """Action of the prolonged field on an expression."""
-    pieces = []
-    for g in _sorted_refs(e):
-        pe = partial(e, g)
-        if is_zero_expr(pe):
-            continue
-        coeff = prol.coefficient(g)
-        if is_zero_expr(coeff):
-            continue
-        pieces.append(mul(coeff, pe))
-    return add(*pieces)
+def apply_field(prol: ProlongedField, f: Form) -> Form:
+    """Action of the prolonged field on a form."""
+    return derivation(f, prol.coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +448,10 @@ def divergence_match(
     system: PDESystem, pair: MultiplierPair, vec: ConservedVector
 ) -> PolyNF:
     """D_t(density) + D_x(flux) - multiplier combination, normalized."""
-    return normalize(add(vec.divergence(system), neg(pair.combination(system))))
+    (density, flux), ctx = vec.forms, system.ctx
+    out = iterated_derivative(density, system.time.name, ctx)
+    accumulate(out, iterated_derivative(flux, system.space.name, ctx))
+    return normalize(accumulate(out, pair.combination(system), -1))
 
 
 def symmetry_invariance(system: PDESystem, fieldv: VectorField) -> dict[str, PolyNF]:
@@ -380,7 +459,7 @@ def symmetry_invariance(system: PDESystem, fieldv: VectorField) -> dict[str, Pol
     prol = prolong(fieldv, system.order, system.ctx)
     return {
         label: normalize(system.reduce(apply_field(prol, eq)))
-        for label, eq in system.equations
+        for (label, _), eq in zip(system.equations, system.equation_forms)
     }
 
 
@@ -395,24 +474,16 @@ def association_residual(
     ctx = system.ctx
     order = max(jet_order(vec.density), jet_order(vec.flux), 1)
     prol = prolong(fieldv, order, ctx)
-    t, x = system.time, system.space
-    xit, xix = fieldv.xi_of(t), fieldv.xi_of(x)
-    dt_xit = total_derivative(xit, t, ctx)
-    dx_xix = total_derivative(xix, x, ctx)
-    dt_xix = total_derivative(xix, t, ctx)
-    dx_xit = total_derivative(xit, x, ctx)
-    trace = add(dt_xit, dx_xix)
-    comp_t = add(
-        apply_field(prol, vec.density),
-        mul(vec.density, trace),
-        neg(add(mul(vec.density, dt_xit), mul(vec.flux, dx_xit))),
-    )
-    comp_x = add(
-        apply_field(prol, vec.flux),
-        mul(vec.flux, trace),
-        neg(add(mul(vec.density, dt_xix), mul(vec.flux, dx_xix))),
-    )
-    return {
-        t.name: normalize(system.reduce(comp_t)),
-        x.name: normalize(system.reduce(comp_x)),
-    }
+    t, x = system.time.name, system.space.name
+    components = {t: vec.forms[0], x: vec.forms[1]}
+    # D_k xi^i, keyed (k, i)
+    dxi = {(k, i): iterated_derivative(prol.coefficient(ctx[i]), k, ctx)
+           for k in (t, x) for i in (t, x)}
+    trace = accumulate(dict(dxi[t, t]), dxi[x, x])
+    out = {}
+    for i, t_i in components.items():
+        comp = accumulate(apply_field(prol, t_i), mul_forms(t_i, trace))
+        for k, t_k in components.items():
+            accumulate(comp, mul_forms(t_k, dxi[k, i]), -1)
+        out[i] = normalize(system.reduce(comp))
+    return out

@@ -6,9 +6,11 @@ nonzero exact rational coefficients.  Two expressions that agree as
 polynomial/trig identities normalize to equal forms; the empty form is
 the decisive zero test used by every verification predicate.
 
-:func:`normalize` is the only constructor.  It walks the tree into one
-working form, a dict from monomials (frozensets of ``(generator,
-exponent)`` pairs, so unordered) to ``Fraction`` coefficients, and
+:func:`normalize` is the only constructor.  It takes a tree, which
+:func:`as_form` walks into the working form, a dict from monomials
+(frozensets of ``(generator, exponent)`` pairs, so unordered) to exact
+coefficients, or a working form built by the jet calculus (``mul_forms``,
+``pow_form``, ``accumulate``, ``trig_form``), and
 :func:`_collect` turns that into a :class:`PolyNF` once, when the form
 is returned: it rewrites every ``sin(A)^2`` to ``1 - cos(A)^2``, drops
 zero coefficients and sorts.  The rewrite reduces modulo
@@ -60,12 +62,23 @@ class NormalizationError(ExprError):
     """The expression is not polynomial in the supported generators."""
 
 
+def _hash_once(self) -> int:
+    """The field hash, kept after the first call: every monomial operation
+    rehashes a trig atom, whose argument is a whole normal form."""
+    kept = vars(self)  # written past the frozen __setattr__, as cached_property does
+    if "_hash" not in kept:
+        kept["_hash"] = hash(tuple(getattr(self, name) for name in self.__match_args__))
+    return kept["_hash"]
+
+
 @dataclass(frozen=True, repr=False)
 class TrigAtom:
     """sin or cos of a canonical (normalized) argument."""
 
     fn: str  # "sin" | "cos"
     arg: "PolyNF"
+
+    __hash__ = _hash_once
 
     @property
     def name(self) -> str:
@@ -106,6 +119,8 @@ class PolyNF:
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
+    __hash__ = _hash_once
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -117,6 +132,10 @@ class PolyNF:
         if len(self.terms) == 1 and not self.terms[0][0]:
             return self.terms[0][1]
         return None
+
+    def form(self, k=1) -> "Form":
+        """``k`` times this normal form as a working form."""
+        return {frozenset(m): k * c for m, c in self.terms}
 
     def to_expr(self) -> Expr:
         pieces = []
@@ -136,8 +155,10 @@ class PolyNF:
         return f"<nf {render(self.to_expr())}>"
 
 
-# The working form inside normalize: unordered monomial -> coefficient.
-Form = dict[frozenset, Fraction]
+# The working form: unordered monomial -> exact coefficient, an int while it
+# is integral (int arithmetic is far cheaper than Fraction's); _collect
+# makes every coefficient a Fraction.
+Form = dict[frozenset, int | Fraction]
 
 _ONE = frozenset()
 
@@ -150,9 +171,9 @@ def _collect(f: Form) -> PolyNF:
     """
     acc: Form = {}
     for m, c in f.items():
-        _accumulate(acc, _square_sines_rewritten(m), c)
+        accumulate(acc, _square_sines_rewritten(m), c)
     terms = [
-        (tuple(sorted(m, key=lambda ge: gen_key(ge[0]))), c)
+        (tuple(sorted(m, key=lambda ge: gen_key(ge[0]))), Fraction(c))
         for m, c in acc.items()
         if c
     ]
@@ -162,31 +183,26 @@ def _collect(f: Form) -> PolyNF:
 
 def _square_sines_rewritten(m: frozenset) -> Form:
     """``m`` with each ``sin(A)^k``, k >= 2, as ``sin(A)^(k % 2)*(1 - cos(A)^2)^(k // 2)``."""
-    out: Form = {m: Fraction(1)}
+    out: Form = {m: 1}
     for g, k in m:
         if isinstance(g, TrigAtom) and g.fn == "sin" and k >= 2:
             # (1 - cos(A)^2) / sin(A)^2, once per square taken out
             ratio = {
-                frozenset({(g, -2)}): Fraction(1),
+                frozenset({(g, -2)}): 1,
                 frozenset({(g, -2), (TrigAtom("cos", g.arg), 2)}): Fraction(-1),
             }
-            out = _mul(out, _pow(ratio, k // 2))
+            out = mul_forms(out, pow_form(ratio, k // 2))
     return out
 
 
-def _working(nf: PolyNF, k) -> Form:
-    """``k*nf`` as a working form."""
-    return {frozenset(m): k * c for m, c in nf.terms}
-
-
-def _accumulate(acc: Form, f: Form, k=1) -> Form:
+def accumulate(acc: Form, f: Form, k=1) -> Form:
     """Add ``k*f`` into ``acc`` in place."""
     for m, c in f.items():
         acc[m] = acc.get(m, 0) + k * c
     return acc
 
 
-def _mono_mul(a: frozenset, b: frozenset) -> frozenset:
+def mono_mul(a: frozenset, b: frozenset) -> frozenset:
     if not a:
         return b
     if not b:
@@ -197,88 +213,92 @@ def _mono_mul(a: frozenset, b: frozenset) -> frozenset:
     return frozenset((g, e) for g, e in d.items() if e)
 
 
-def _mul(a: Form, b: Form) -> Form:
+def mul_forms(a: Form, b: Form) -> Form:
     out: Form = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
+            m = mono_mul(m1, m2)
             out[m] = out.get(m, 0) + c1 * c2
     return out
 
 
-def _pow(f: Form, n: int) -> Form:
-    out: Form = {_ONE: Fraction(1)}
-    while n:
-        if n & 1:
-            out = _mul(out, f)
-        n >>= 1
-        if n:
-            f = _mul(f, f)
-    return out
-
-
-def _trig(fn: str, arg: PolyNF) -> Form:
-    """Atom construction with constant folding, double-angle expansion,
-    and odd/even argument-sign canonicalization."""
-    if arg.is_zero:
-        return {} if fn == "sin" else {_ONE: Fraction(1)}
-    if all(c.denominator == 1 and c.numerator % 2 == 0 for _, c in arg.terms):
-        half = _collect(_working(arg, Fraction(1, 2)))
-        s, c = _trig("sin", half), _trig("cos", half)
-        if fn == "sin":
-            return _accumulate({}, _mul(s, c), 2)
-        return _accumulate(_mul(c, c), _mul(s, s), -1)
-    if arg.terms[0][1] < 0:
-        flipped = _trig(fn, _collect(_working(arg, -1)))
-        return _accumulate({}, flipped, -1) if fn == "sin" else flipped
-    return {frozenset({(TrigAtom(fn, arg), 1)}): Fraction(1)}
-
-
-def _form(e: Expr) -> Form:
-    if isinstance(e, Const):
-        return {_ONE: e.value}
-    if isinstance(e, Var):
-        return {frozenset({(e.ref, 1)}): Fraction(1)}
-    if isinstance(e, Sum):
-        acc: Form = {}
-        for t in e.terms:
-            _accumulate(acc, _form(t))
-        return acc
-    if isinstance(e, Prod):
-        out: Form = {_ONE: Fraction(1)}
-        for f in e.factors:
-            out = _mul(out, _form(f))
-        return out
-    if isinstance(e, Pow):
-        if e.exponent >= 0:
-            return _pow(_form(e.base), e.exponent)
-        base = normalize(e.base)
+def pow_form(f: Form, n: int) -> Form:
+    """``f^n``.  A negative ``n`` needs ``f`` to collect to a single
+    monomial with no sine in it (see the module docstring)."""
+    if n < 0:
+        base = _collect(f)
         if len(base.terms) != 1:
             raise NormalizationError(
-                f"cannot normalize reciprocal of a non-monomial: {render(e.base)}"
+                f"cannot normalize reciprocal of a non-monomial: {render(base.to_expr())}"
             )
         ((m, c),) = base.terms
         if any(isinstance(g, TrigAtom) and g.fn == "sin" for g, _ in m):
-            raise NormalizationError(f"cannot normalize a negative power of a sine: {render(e)}")
-        inverse = {frozenset((g, -k) for g, k in m): 1 / c}
-        return _pow(inverse, -e.exponent)
+            shown = render(pow_(base.to_expr(), n))
+            raise NormalizationError(f"cannot normalize a negative power of a sine: {shown}")
+        f, n = {frozenset((g, -k) for g, k in m): 1 / c}, -n
+    out: Form = {_ONE: 1}
+    while n:
+        if n & 1:
+            out = mul_forms(out, f)
+        n >>= 1
+        if n:
+            f = mul_forms(f, f)
+    return out
+
+
+def trig_form(fn: str, arg: PolyNF) -> Form:
+    """Atom construction with constant folding, double-angle expansion,
+    and odd/even argument-sign canonicalization."""
+    if arg.is_zero:
+        return {} if fn == "sin" else {_ONE: 1}
+    if all(c.denominator == 1 and c.numerator % 2 == 0 for _, c in arg.terms):
+        half = _collect(arg.form(Fraction(1, 2)))
+        s, c = trig_form("sin", half), trig_form("cos", half)
+        if fn == "sin":
+            return accumulate({}, mul_forms(s, c), 2)
+        return accumulate(mul_forms(c, c), mul_forms(s, s), -1)
+    if arg.terms[0][1] < 0:
+        flipped = trig_form(fn, _collect(arg.form(-1)))
+        return accumulate({}, flipped, -1) if fn == "sin" else flipped
+    return {frozenset({(TrigAtom(fn, arg), 1)}): 1}
+
+
+def as_form(e: Expr) -> Form:
+    """The working form of a tree (not yet collected)."""
+    if isinstance(e, Const):
+        c = e.value
+        return {_ONE: c.numerator if c.denominator == 1 else c}
+    if isinstance(e, Var):
+        return {frozenset({(e.ref, 1)}): 1}
+    if isinstance(e, Sum):
+        acc: Form = {}
+        for t in e.terms:
+            accumulate(acc, as_form(t))
+        return acc
+    if isinstance(e, Prod):
+        out: Form = {_ONE: 1}
+        for f in e.factors:
+            out = mul_forms(out, as_form(f))
+        return out
+    if isinstance(e, Pow):
+        return pow_form(as_form(e.base), e.exponent)
     if isinstance(e, FuncApp):
         if e.fn in ("sin", "cos"):
-            return _trig(e.fn, normalize(e.arg))
+            return trig_form(e.fn, normalize(e.arg))
         raise NormalizationError(
             f"{e.fn} is not polynomial; offending subtree: {render(e)}"
         )
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def normalize(e: Expr) -> PolyNF:
-    """Normal form of an expression tree.
+def normalize(e: Expr | Form) -> PolyNF:
+    """Normal form of an expression tree or of a working form.
 
     Raises :class:`NormalizationError` on sqrt or arctan nodes, on
     reciprocals of non-monomial subexpressions and on negative powers of
     a sine; those shapes live outside the fragment this form covers.
     """
-    return _collect(_form(e))
+    return _collect(e if isinstance(e, dict) else as_form(e))
 
 
 def is_identically_zero(e: Expr) -> bool:

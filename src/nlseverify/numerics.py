@@ -16,10 +16,11 @@ symbols ``nu`` and ``mu`` make the semi-discrete plane wave an exact
 solution of the spatially discretized cubic system, which isolates
 time-integration error in convergence measurements.
 
-Stability assumes a dispersive term ``gamma*u_xx``: its linear part has
-imaginary eigenvalues up to about ``gamma * 16 / (3 dx^2)`` plus the transport
-contribution; RK4 requires ``lambda * dt`` inside its stability region
-(imaginary axis reach 2*sqrt(2)), hence :func:`suggested_dt`.
+Stability is set by the rules' second-order spatial jets: a term
+``gamma*u_xx`` has imaginary eigenvalues up to about ``gamma * 16 / (3 dx^2)``
+plus the transport contribution; RK4 requires ``lambda * dt`` inside its
+stability region (imaginary axis reach 2*sqrt(2)), hence :func:`suggested_dt`,
+which reads the largest such coefficient off the ``[evolution]`` rules.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .exprs import (
     Expr,
     JetVar,
     eval_numeric,
+    partial,
 )
 from .jets import PDESystem
 
@@ -155,9 +157,16 @@ def step_rk4(
     return out
 
 
-def suggested_dt(grid: Grid, params: Mapping[str, float]) -> float:
-    gamma = max(abs(params.get("gamma", 0.0)), 1e-12)
-    return 0.2 * grid.dx * grid.dx / gamma  # 0.2: safety factor
+def suggested_dt(grid: Grid, system: PDESystem, params: Mapping[str, float]) -> float:
+    """0.2 (a safety factor) times dx^2 over the largest |coefficient| of a
+    second-order spatial jet in the evolution rules at ``params``; each must
+    be a constant expression of the parameters (else UnboundGeneratorError)."""
+    ctx = system.ctx
+    bind = {p: params[p.name] for p in ctx.parameters if p.name in params}
+    second = [ctx.jet(dep, 2 * system.space.name) for dep in ctx.dependents]
+    rules = system.evolution.values()
+    largest = max(abs(eval_numeric(partial(r, jet), bind)) for r in rules for jet in second)
+    return 0.2 * grid.dx * grid.dx / max(largest, 1e-12)
 
 
 # ---------------------------------------------------------------------------

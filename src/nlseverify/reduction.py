@@ -54,7 +54,7 @@ from .exprs import (
     substitute,
     var,
 )
-from .jets import MultiplierPair, PDESystem, substitute_jets, total_derivative
+from .jets import PDESystem, substitute_jets, total_derivative
 from .normal import PolyNF, TrigAtom, normalize, replace_even_powers
 
 
@@ -151,9 +151,11 @@ class ReducedODE:
 
 def _equations_and_angular(system: PDESystem) -> list[Expr]:
     """The equations, then the angular combination u*G1 + v*G2."""
-    deps = tuple(var(d) for d in system.ctx.dependents)
-    angular = MultiplierPair("angular", deps).combination(system)
-    return [eq for _, eq in system.equations] + [angular]
+    eqs = [eq for _, eq in system.equations]
+    deps = system.ctx.dependents
+    if len(deps) != len(eqs):
+        raise ValueError("the angular combination needs one equation per dependent")
+    return eqs + [add(*(mul(var(d), eq) for d, eq in zip(deps, eqs)))]
 
 
 def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
@@ -185,6 +187,21 @@ def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
                     raise ValueError(f"the {name} factor still holds {g.name}")
         factors.append(nf)
     return ReducedODE(transform, residual, factors[0], factors[1], subs)
+
+
+def first_integral_residual(ode: ReducedODE, flux: Expr) -> PolyNF:
+    """Double reduction: D_r of a conserved flux pushed forward at
+    w = sqrt(eps), plus eps*curvature.  Zero means the reduced flux T^r is a
+    first integral: D_r T^r = -eps*curvature, so the curvature factor
+    vanishes exactly where T^r is constant along the profile."""
+    transform = ode.transform
+    red = transform.red_ctx
+    (reduced_flux,) = transform.pushforward((flux,), var(red["sqeps"]))
+    gap = add(
+        total_derivative(reduced_flux, red["r"], red),
+        mul(var(red["eps"]), ode.curvature.to_expr()),
+    )
+    return replace_even_powers(normalize(gap), red["sqeps"], red["eps"])
 
 
 # ---------------------------------------------------------------------------

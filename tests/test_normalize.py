@@ -114,3 +114,16 @@ def test_replace_even_powers(ctx):
 def test_trig_atoms_survive_round_trip(ctx):
     e = ctx.parse("beta*sin(u + v)^2*cos(2*t)")
     assert normalize(normalize(e).to_expr()) == normalize(e)
+
+
+def test_hash_is_kept_and_equality_unchanged(ctx):
+    """A normal form and a trig atom hash their fields once; equal forms
+    built apart stay equal, hash alike and find each other in a dict."""
+    text = "sin(u + 2*v)*cos(u_x) + beta*sin(u + 2*v)^3"
+    a, b = normalize(ctx.parse(text)), normalize(ctx.parse(text))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    atom = next(g for m, _ in a.terms for g, _ in m if hasattr(g, "arg"))
+    hash(atom)
+    assert vars(a)["_hash"] == hash(a) and vars(atom)["_hash"] == hash(atom)
+    assert a != normalize(ctx.parse("sin(u + 2*v)*cos(u_x)"))

@@ -25,7 +25,7 @@ from nlseverify.numerics import (
     step_rk4,
     suggested_dt,
 )
-from nlseverify.problem import load_problem_text
+from nlseverify.problem import bundled_problem_text, load_problem_text
 
 PARAMS = {"beta": 1.0, "gamma": 0.5, "delta": 1.0}
 
@@ -231,11 +231,30 @@ def test_unstable_step_raises_blowup(system):
             state = step_rk4(state, system, PARAMS, 1e-3)
 
 
-def test_suggested_dt_is_stable_for_rk4():
+def test_suggested_dt_is_stable_for_rk4(system):
     grid = Grid(256, 2.0 * math.pi)
-    dt = suggested_dt(grid, PARAMS)
+    dt = suggested_dt(grid, system, PARAMS)
     z = PARAMS["gamma"] * stencil_mu(math.pi / grid.dx, grid.dx) * dt
     assert z < 2.0 * math.sqrt(2.0)
+
+
+def test_suggested_dt_reads_the_dispersion_off_the_rules(system):
+    """The coefficient of the second-order spatial jets sets the step,
+    whatever the parameter is called."""
+    renamed = load_problem_text(
+        bundled_problem_text().replace("gamma", "kappa"), "kappa.prob"
+    ).system
+    grid = Grid(256, 2.0 * math.pi)
+    params = {"beta": 1.0, "kappa": 0.5, "delta": 1.0}
+    assert suggested_dt(grid, renamed, params) == suggested_dt(grid, system, PARAMS)
+    wider = suggested_dt(grid, renamed, {**params, "kappa": -2.0})
+    assert wider == pytest.approx(suggested_dt(grid, system, PARAMS) / 4.0)
+    z = 2.0 * stencil_mu(math.pi / grid.dx, grid.dx) * wider
+    assert z < 2.0 * math.sqrt(2.0)
+    # gamma names no coefficient of the renamed rules
+    assert suggested_dt(grid, renamed, {**params, "gamma": 100.0}) == suggested_dt(
+        grid, renamed, params
+    )
 
 
 def test_grid_bindings_reject_time_jets(problem):

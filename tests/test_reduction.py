@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from nlseverify.exprs import DEPENDENT, JetVar, collect_refs, eval_numeric, partial, sub, var
-from nlseverify.jets import iterated_derivative
+from nlseverify.jets import total_derivative
 from nlseverify.normal import normalize
 from nlseverify.problem import bundled_problem_text, load_problem_text
 from nlseverify.reduction import (
     SolutionCandidate,
+    build_canonical_transform,
     candidate_equation_residuals,
     candidate_residual_exprs,
     classify,
     draw_parameters,
+    first_integral_residual,
     low_discrepancy_points,
+    reduced_ode,
 )
 
 
@@ -134,6 +137,24 @@ def test_factorization_checks_the_reported_factors(ode, factor):
     assert not any(nf.is_zero for nf in residuals.values())
 
 
+def test_t2_flux_reduces_to_a_first_integral(problem, ode):
+    """Double reduction: D_r of the reduced t2 flux is -eps*curvature."""
+    t2 = {vec.label: vec for vec in problem.conserved}["t2"]
+    assert first_integral_residual(ode, t2.flux).is_zero
+
+
+def test_first_integral_fails_for_a_flipped_flux():
+    flipped = bundled_problem_text().replace(
+        "+ 2*gamma*u_x) - 2*gamma*u*v_x", "- 2*gamma*u_x) + 2*gamma*u*v_x"
+    )
+    assert flipped != bundled_problem_text()
+    problem = load_problem_text(flipped, "flipped.prob")
+    t2 = {vec.label: vec for vec in problem.conserved}["t2"]
+    ode = reduced_ode(build_canonical_transform(problem.system), problem.system)
+    residual = first_integral_residual(ode, t2.flux)
+    assert residual == normalize(ode.transform.red_ctx.parse("2*eps*gamma*p_rr"))
+
+
 EXPECTED_VERDICTS = {
     "case1-const-u": ("reduced-only", True),
     "case1-const-vneg": ("reduced-only", True),
@@ -246,7 +267,9 @@ def test_candidate_bindings_cover_second_jets(problem):
     u, v = cand.fields["u"], cand.fields["v"]
 
     def d(f, word):
-        return iterated_derivative(f, word, ctx)
+        for letter in word:
+            f = total_derivative(f, ctx[letter], ctx)
+        return f
 
     beta, gamma, delta = (ctx.parse(n) for n in ("beta", "gamma", "delta"))
     label, eq = problem.system.equations[0]
@@ -267,7 +290,9 @@ def test_candidate_bindings_follow_the_system_order(problem):
     bundled_eqs, _ = candidate_residual_exprs(cand, problem.system)
     assert _only_base_variables((*third_eqs, third_combo))
     # the third-order g1 gains exactly the image of u_xxx
-    u_xxx = iterated_derivative(cand.fields["u"], "xxx", third.ctx)
+    u_xxx = cand.fields["u"]
+    for _ in range(3):
+        u_xxx = total_derivative(u_xxx, third.ctx["x"], third.ctx)
     gained = _values(third_eqs[0], third.ctx) - _values(bundled_eqs[0], problem.ctx)
     assert np.allclose(gained, _values(u_xxx, third.ctx), rtol=1e-12, atol=1e-12)
     assert np.abs(_values(u_xxx, third.ctx)).max() > 0.1
