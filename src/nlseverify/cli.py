@@ -14,14 +14,15 @@ import sys
 import numpy as np
 
 from . import numerics
-from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render, sub, var
+from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render, var
 from .jets import (
     association_residual,
     divergence_match,
     multiplier_condition,
+    prolong,
     symmetry_invariance,
 )
-from .normal import PolyNF, normalize
+from .normal import PolyNF, accumulate, as_form, normalize
 from .problem import Problem, ProblemFormatError, load_problem
 from .reduction import build_canonical_transform, classify, reduced_ode
 from .report import Report
@@ -41,6 +42,12 @@ def _join(parts: dict[str, PolyNF]) -> str:
     if not bad:
         return "0"
     return "; ".join(f"{k}: {render(v.to_expr())}" for k, v in bad.items())
+
+
+def _angular(problem: Problem) -> str:
+    """The angular combination in the file's names, e.g. ``u*g1 + v*g2``."""
+    angular = zip(problem.ctx.dependents, problem.system.equations)
+    return " + ".join(f"{dep.name}*{label}" for dep, (label, _) in angular)
 
 
 def build_parser() -> _Parser:
@@ -120,8 +127,11 @@ def verify_report(problem: Problem) -> Report:
 def associate_report(problem: Problem) -> Report:
     rep = Report("associate")
     for fieldv in problem.symmetries:
+        prolonged = {}  # order -> fieldv prolonged to it
         for vec in problem.conserved:
-            res = association_residual(problem.system, fieldv, vec)
+            if vec.order not in prolonged:
+                prolonged[vec.order] = prolong(fieldv, vec.order, problem.ctx)
+            res = association_residual(problem.system, prolonged[vec.order], vec)
             ok = all(v.is_zero for v in res.values())
             rep.add(
                 f"associate.{fieldv.label}.{vec.label}",
@@ -142,18 +152,18 @@ def reduce_report(problem: Problem) -> Report:
     except ValueError as exc:  # a file name taken by the reduced variables
         raise UsageError(f"reduce: {exc}; r, s, w, p name the reduced variables") from None
     rep = Report("reduce")
-    det_gap = normalize(sub(tr.jac_det, 1))
+    det_gap = normalize(accumulate(tr.jac_det, {frozenset(): 1}, -1))
+    time_space = f"{system.time.name},{system.space.name}"
     rep.add(
         "reduce.jacobian",
-        f"({system.time.name},{system.space.name})->(s,r)",
+        f"({time_space})->(s,r)",
         "pass" if det_gap.is_zero else "fail",
         render(det_gap.to_expr()),
-        "det[D(t,x)/D(s,r)] = 1",
+        f"det[D({time_space})/D(s,r)] = 1",
     )
     by_label = {vec.label: vec for vec in problem.conserved}
     if "t2" in by_label:
-        t2 = by_label["t2"]
-        pushed = tr.pushforward((t2.density, t2.flux), var(tr.red_ctx["w"]))
+        pushed = tr.pushforward(by_label["t2"].forms, as_form(var(tr.red_ctx["w"])))
         for part, e in zip(("density", "flux"), pushed):
             rep.add(
                 f"reduce.{part}.t2",
@@ -164,14 +174,13 @@ def reduce_report(problem: Problem) -> Report:
             )
     try:
         ode = reduced_ode(tr, system)
-    except ValueError as exc:  # the amplitude cannot be eliminated exactly
+    except ValueError as exc:  # the system does not reduce
         ode, verdict, residual = None, "fail", str(exc)
     else:
         verdict, residual = "info", render(ode.residual.to_expr())
-    angular = zip(problem.ctx.dependents, system.equations)
     rep.add(
         "reduce.ode",
-        " + ".join(f"{dep.name}*{label}" for dep, (label, _) in angular),
+        _angular(problem),
         verdict,
         residual,
         "constant-amplitude invariant profile, w^2 = eps",
@@ -223,6 +232,7 @@ def classify_report(problem: Problem, seed: int, tol: float, case: str | None) -
             "classify: the angular combination needs one equation per dependent, "
             f"got {n_eq} equations for {n_dep} dependents"
         )
+    angular = _angular(problem)
     for cr in classify(problem.system, cands, seed=seed, tol=tol):
         causes = [d.cause for d in cr.draws if d.cause]
         eq_max = max(d.eq_residual for d in cr.draws)
@@ -232,7 +242,7 @@ def classify_report(problem: Problem, seed: int, tol: float, case: str | None) -
             cr.candidate.label,
             cr.verdict if cr.adjudicated or cr.verdict == "fail" else "suspect",
             causes[0] if causes else f"eq={eq_max:.3e},angular={ang_max:.3e}",
-            "max|g_a| and max|u*g1 + v*g2| over seeded draws and sample points",
+            f"max|g_a| and max|{angular}| over seeded draws and sample points",
         )
     return rep
 

@@ -414,55 +414,6 @@ def jet_order(e: Expr) -> int:
     return best
 
 
-def is_zero_expr(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0
-
-
-# ---------------------------------------------------------------------------
-# calculus on the tree
-
-
-def partial(e: Expr, g: Gen) -> Expr:
-    """Formal partial derivative treating every generator as independent.
-
-    In particular ``partial(u_x, u) == 0``: a jet variable is its own
-    generator, and explicit dependence is all that counts.
-    """
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.ref == g else ZERO
-    if isinstance(e, Sum):
-        return add(*(partial(t, g) for t in e.terms))
-    if isinstance(e, Prod):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            df = partial(f, g)
-            if is_zero_expr(df):
-                continue
-            rest = e.factors[:i] + e.factors[i + 1 :]
-            pieces.append(mul(df, *rest))
-        return add(*pieces)
-    if isinstance(e, Pow):
-        db = partial(e.base, g)
-        if is_zero_expr(db):
-            return ZERO
-        return mul(const(e.exponent), pow_(e.base, e.exponent - 1), db)
-    if isinstance(e, FuncApp):
-        da = partial(e.arg, g)
-        if is_zero_expr(da):
-            return ZERO
-        if e.fn == "sin":
-            return mul(cos_(e.arg), da)
-        if e.fn == "cos":
-            return mul(const(-1), sin_(e.arg), da)
-        if e.fn == "sqrt":
-            return mul(const(Fraction(1, 2)), pow_(sqrt_(e.arg), -1), da)
-        if e.fn == "arctan":
-            return mul(pow_(add(ONE, pow_(e.arg, 2)), -1), da)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def substitute(e: Expr, bindings: Mapping[Gen, Expr]) -> Expr:
     """Simultaneous substitution of generators by expressions.
 

@@ -17,28 +17,27 @@ the pass criterion:
 These are deliberately independent routes; none is derived from another,
 so agreement between them is evidence rather than tautology.
 
-Under the predicates everything works on the normalizer's working form
-(``normal.Form``, monomial -> rational coefficient), so no product tree is
-built only to be expanded again: each problem-file entry is normalized
-once, on first use, and each predicate leaves through ``normalize`` once.
-One rule, :func:`derivation` (each generator to its image, Leibniz over
-each monomial, the chain rule through sin and cos atoms), carries the
-total derivative, the Euler operator, prolongation and the field action;
-on-shell reduction substitutes the evolution rules' derivatives, derived
-once per system.  The tree derivative :func:`total_derivative` remains
-only as the ``derive`` of :func:`substitute_jets`, whose images (a
-candidate, the reduced profile) may hold ``sqrt``, which has no form.
+Everything works on the normalizer's working form (``normal.Form``,
+monomial -> rational coefficient), so no product tree is built only to be
+expanded again: each problem-file entry is normalized once, on first use,
+and each predicate leaves through ``normalize`` once.  One rule,
+:func:`derivation` (each generator to its image, Leibniz over each
+monomial, the chain rule through the sin, cos and sqrt atoms), carries the
+total derivative, the explicit partial, the Euler operator, prolongation
+and the field action.  :func:`jet_table` gives a substituted dependent its
+jets, each derived once from its prefix; on-shell reduction, the
+canonical pushforward and the classify candidates all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .exprs import (
     DEPENDENT,
-    INDEPENDENT,
     Context,
     Expr,
     ExprError,
@@ -46,27 +45,21 @@ from .exprs import (
     JetOrderError,
     JetVar,
     VarId,
-    add,
     collect_refs,
-    is_zero_expr,
+    func,
     jet_order,
-    mul,
-    partial,
     ref_sort_key,
-    substitute,
-    var,
 )
 from .normal import (
+    Atom,
     Form,
     PolyNF,
-    TrigAtom,
     accumulate,
     as_form,
     mono_mul,
     mul_forms,
     normalize,
     pow_form,
-    trig_form,
 )
 
 _UNIT: Form = {frozenset(): 1}
@@ -74,46 +67,6 @@ _UNIT: Form = {frozenset(): 1}
 
 class ProlongationError(ExprError):
     """A prolongation coefficient needed by the computation is missing."""
-
-
-def total_derivative(e: Expr, wrt: VarId, ctx: Context) -> Expr:
-    """Total derivative D_i of a tree: explicit part plus the chain over
-    jet variables."""
-    if wrt.kind != INDEPENDENT:
-        raise ValueError(f"total derivative must be along an independent, not {wrt.name}")
-    pieces = [partial(e, wrt)]
-    for g in sorted(collect_refs(e), key=ref_sort_key):
-        if isinstance(g, JetVar) or (isinstance(g, VarId) and g.kind == DEPENDENT):
-            pe = partial(e, g)
-            if not is_zero_expr(pe):
-                pieces.append(mul(var(ctx.bump(g, wrt)), pe))
-    return add(*pieces)
-
-
-def substitute_jets(
-    exprs: Sequence[Expr],
-    images: Mapping[Gen, Expr],
-    derive: Callable[[Expr, str], Expr],
-) -> tuple[Expr, ...]:
-    """Substitute ``images`` for generators in every expression, each
-    substituted dependent carrying its jets along: the image of ``u_J``
-    is ``derive(image, letter)`` applied to the image of ``u`` for each
-    letter of ``J``, first letter first.  Only the jets that occur in
-    ``exprs`` (and their prefixes) are derived, each once for all the
-    expressions."""
-    table = dict(images)
-
-    def image(g: Gen) -> Expr:
-        if g not in table:
-            parent = JetVar(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
-            table[g] = derive(image(parent), g.suffix[-1])
-        return table[g]
-
-    for e in exprs:
-        for g in collect_refs(e):
-            if isinstance(g, JetVar) and g.dep in images:
-                image(g)
-    return tuple(substitute(e, table) for e in exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +79,7 @@ def _generators(f: Form) -> set[Gen]:
     for m, c in f.items():
         if c:
             for g, _ in m:
-                out |= _generators(g.arg.form()) if isinstance(g, TrigAtom) else {g}
+                out |= _generators(g.arg.form()) if isinstance(g, Atom) else {g}
     return out
 
 
@@ -143,7 +96,7 @@ def derivation(f: Form, image: Callable[[Gen], Form]) -> Form:
             continue
         for g, k in m:
             if g not in images:
-                images[g] = _chain(g, image) if isinstance(g, TrigAtom) else image(g)
+                images[g] = _chain(g, image) if isinstance(g, Atom) else image(g)
             if images[g]:
                 rest = m - {(g, k)} if k == 1 else (m - {(g, k)}) | {(g, k - 1)}
                 ck = c * k
@@ -153,25 +106,37 @@ def derivation(f: Form, image: Callable[[Gen], Form]) -> Form:
     return {m: c for m, c in out.items() if c}
 
 
-def _chain(atom: TrigAtom, image: Callable[[Gen], Form]) -> Form:
-    partner = frozenset({(TrigAtom("cos" if atom.fn == "sin" else "sin", atom.arg), 1)})
-    sign = 1 if atom.fn == "sin" else -1
-    return {mono_mul(m, partner): sign * c for m, c in derivation(atom.arg.form(), image).items()}
+def _chain(atom: Atom, image: Callable[[Gen], Form]) -> Form:
+    if atom.fn == "sqrt":  # the argument is a parameter, so this is 0 in practice
+        partner, k = frozenset({(atom, -1)}), Fraction(1, 2)
+    else:
+        partner = frozenset({(Atom("cos" if atom.fn == "sin" else "sin", atom.arg), 1)})
+        k = 1 if atom.fn == "sin" else -1
+    return {mono_mul(m, partner): k * c for m, c in derivation(atom.arg.form(), image).items()}
+
+
+def explicit_partial(f: Form, g: Gen) -> Form:
+    """The partial derivative in ``g`` with every other generator held
+    fixed; a jet is its own generator, so the partial of ``u_x`` in ``u`` is 0."""
+    return derivation(f, lambda h: _UNIT if h == g else {})
+
+
+def total_derivative(f: Form, wrt: VarId, ctx: Context) -> Form:
+    """Total derivative D_i along an independent: ``u_J`` goes to
+    ``u_{J,i}``, ``i`` itself to 1, every other variable to 0."""
+
+    def image(g: Gen) -> Form:
+        if isinstance(g, JetVar) or g.kind == DEPENDENT:
+            return {frozenset({(ctx.bump(g, wrt), 1)}): 1}
+        return _UNIT if g == wrt else {}
+
+    return derivation(f, image)
 
 
 def iterated_derivative(f: Form, word: str, ctx: Context) -> Form:
-    """Total derivatives along the letters of ``word``, first letter first:
-    ``u_J`` goes to ``u_{J,i}``, the independent ``i`` to 1, every other
-    variable to 0."""
+    """Total derivatives along the letters of ``word``, first letter first."""
     for letter in word:
-        wrt = ctx[letter]
-
-        def image(g: Gen) -> Form:
-            if isinstance(g, JetVar) or g.kind == DEPENDENT:
-                return {frozenset({(ctx.bump(g, wrt), 1)}): 1}
-            return _UNIT if g == wrt else {}
-
-        f = derivation(f, image)
+        f = total_derivative(f, ctx[letter], ctx)
     return f
 
 
@@ -184,21 +149,21 @@ def euler_operator(f: Form, dep: VarId, ctx: Context) -> Form:
     for g in sorted(_generators(f), key=ref_sort_key):
         if g == dep or (isinstance(g, JetVar) and g.dep == dep):
             word = g.suffix if isinstance(g, JetVar) else ""
-            at_g = derivation(f, lambda h, g=g: _UNIT if h == g else {})
-            accumulate(out, iterated_derivative(at_g, word, ctx), (-1) ** len(word))
+            accumulate(out, iterated_derivative(explicit_partial(f, g), word, ctx), (-1) ** len(word))
     return out
 
 
-def _substitute(f: Form, images: Mapping[Gen, Form]) -> Form:
-    """Simultaneous substitution of forms for generators.  A trig atom whose
-    argument changes is rebuilt through ``trig_form``."""
+def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
+    """Simultaneous substitution of forms for generators.  An atom whose
+    argument changes is rebuilt from its new argument by ``as_form``."""
     memo: dict = {}
 
     def power(g, k: int) -> Form:
         if g not in memo:
             memo[g] = images.get(g)
-            if isinstance(g, TrigAtom) and images.keys() & _generators(g.arg.form()):
-                memo[g] = trig_form(g.fn, normalize(_substitute(g.arg.form(), images)))
+            if isinstance(g, Atom) and images.keys() & _generators(g.arg.form()):
+                arg = normalize(substitute_forms(g.arg.form(), images))
+                memo[g] = as_form(func(g.fn, arg.to_expr()))
         return {frozenset({(g, k)}): 1} if memo[g] is None else pow_form(memo[g], k)
 
     out: Form = {}
@@ -209,6 +174,28 @@ def _substitute(f: Form, images: Mapping[Gen, Form]) -> Form:
                 term = mul_forms(term, power(g, k))
             accumulate(out, term)
     return out
+
+
+def jet_table(
+    images: Mapping[Gen, Form], forms: Sequence[Form], derive: Callable[[Form, str], Form]
+) -> dict[Gen, Form]:
+    """``images`` extended by every jet of a substituted dependent that
+    occurs in ``forms``: the image of ``u_J`` is ``derive(image, letter)``
+    applied to the image of ``u`` for each letter of ``J``, first letter
+    first.  Each jet and each of its prefixes is derived once."""
+    table = dict(images)
+
+    def image(g: Gen) -> Form:
+        if g not in table:
+            parent = JetVar(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
+            table[g] = derive(image(parent), g.suffix[-1])
+        return table[g]
+
+    for f in forms:
+        for g in sorted(_generators(f), key=ref_sort_key):
+            if isinstance(g, JetVar) and g.dep in images:
+                image(g)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +281,7 @@ class PDESystem:
         time = self.time.name
         gens = sorted(_generators(f), key=ref_sort_key)
         targets = {g: self._binding(g) for g in gens if isinstance(g, JetVar) and g.order_in(time)}
-        return _substitute(f, targets) if targets else f
+        return substitute_forms(f, targets) if targets else f
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +317,11 @@ class ConservedVector:
     @cached_property
     def forms(self) -> tuple[Form, Form]:
         return as_form(self.density), as_form(self.flux)
+
+    @property
+    def order(self) -> int:
+        """The prolongation order its association check needs."""
+        return max(jet_order(self.density), jet_order(self.flux), 1)
 
 
 @dataclass(frozen=True)
@@ -464,16 +456,16 @@ def symmetry_invariance(system: PDESystem, fieldv: VectorField) -> dict[str, Pol
 
 
 def association_residual(
-    system: PDESystem, fieldv: VectorField, vec: ConservedVector
+    system: PDESystem, prol: ProlongedField, vec: ConservedVector
 ) -> dict[str, PolyNF]:
     """Invariance of a conserved vector under a symmetry, on shell.
 
     Components of  prX(T^i) + T^i D_k xi^k - T^k D_k xi^i  reduced against
     the evolution form; both must vanish for the pair to be associated.
+    ``prol`` is the symmetry prolonged to ``vec.order``, so a caller
+    checking one field against many vectors prolongs it once per order.
     """
     ctx = system.ctx
-    order = max(jet_order(vec.density), jet_order(vec.flux), 1)
-    prol = prolong(fieldv, order, ctx)
     t, x = system.time.name, system.space.name
     components = {t: vec.forms[0], x: vec.forms[1]}
     # D_k xi^i, keyed (k, i)

@@ -1,7 +1,7 @@
-"""Canonical polynomial normal form with opaque trig atoms.
+"""Canonical polynomial normal form with opaque sin, cos and sqrt atoms.
 
 A normal form maps monomials over a fixed, totally ordered set of
-generators (plain variables, jet variables, and sin/cos atoms) to
+generators (plain variables, jet variables, and sin/cos/sqrt atoms) to
 nonzero exact rational coefficients.  Two expressions that agree as
 polynomial/trig identities normalize to equal forms; the empty form is
 the decisive zero test used by every verification predicate.
@@ -12,11 +12,14 @@ the decisive zero test used by every verification predicate.
 coefficients, or a working form built by the jet calculus (``mul_forms``,
 ``pow_form``, ``accumulate``, ``trig_form``), and
 :func:`_collect` turns that into a :class:`PolyNF` once, when the form
-is returned: it rewrites every ``sin(A)^2`` to ``1 - cos(A)^2``, drops
-zero coefficients and sorts.  The rewrite reduces modulo
-``sin(A)^2 + cos(A)^2 - 1``, one relation per atom pair, and those
-relations share no generators, so on polynomials the reduced form is
-unique and rewriting once at the end equals rewriting after every step.
+is returned: it rewrites every ``sin(A)^2`` to ``1 - cos(A)^2`` and every
+``sqrt(p)^k`` to ``p^(k // 2)*sqrt(p)^(k % 2)`` (floor division, so for
+negative ``k`` too), drops zero coefficients and sorts.  The rewrites
+reduce modulo ``sin(A)^2 + cos(A)^2 - 1`` and ``sqrt(p)^2 - p`` (Cox,
+Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2), one
+relation per atom pair or root, and those relations share no leading
+generators, so on polynomials the reduced form is unique and rewriting
+once at the end equals rewriting after every step.
 Negative powers of ``cos(A)`` keep it unique, since the rewrite never
 touches a cosine exponent; a negative power of ``sin(A)`` does not
 (``sin(A)^-1*(sin(A)^2 + cos(A)^2 - 1)`` would stay nonzero), so a
@@ -26,8 +29,13 @@ Trig handling: sine and cosine of a normalized argument become opaque
 atoms.  Double angles are expanded on construction (``sin(2A)`` to
 ``2*sin(A)*cos(A)``, ``cos(2A)`` to ``cos(A)^2 - sin(A)^2``) so one atom
 pair per argument family survives, and the sign of the argument is
-fixed so that its leading coefficient is positive.  Square roots and
-arctangents are not polynomial and are rejected.
+fixed so that its leading coefficient is positive.
+
+Square roots: ``sqrt(p)`` is an atom only when ``p`` is a single declared
+parameter, so every monomial holds it to the power 0 or 1.  A wider
+argument (``sqrt(2*eps)``, ``sqrt(2)``, ``sqrt(u)``) would make the form
+depend on how the argument is factored (``sqrt(8*eps)`` against
+``2*sqrt(2*eps)``) and is rejected, as are arctangents.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from fractions import Fraction
 from typing import Union
 
 from .exprs import (
+    PARAMETER,
     Const,
     Expr,
     ExprError,
@@ -72,10 +81,11 @@ def _hash_once(self) -> int:
 
 
 @dataclass(frozen=True, repr=False)
-class TrigAtom:
-    """sin or cos of a canonical (normalized) argument."""
+class Atom:
+    """sin or cos of a canonical (normalized) argument, or sqrt of a
+    single parameter."""
 
-    fn: str  # "sin" | "cos"
+    fn: str  # "sin" | "cos" | "sqrt"
     arg: "PolyNF"
 
     __hash__ = _hash_once
@@ -88,13 +98,15 @@ class TrigAtom:
         return self.name
 
 
-NGen = Union[VarId, JetVar, TrigAtom]
+NGen = Union[VarId, JetVar, Atom]
 Monomial = tuple[tuple[NGen, int], ...]
+
+_FN_RANK = {"sin": 0, "cos": 1, "sqrt": 2}
 
 
 def gen_key(g: NGen) -> tuple:
-    if isinstance(g, TrigAtom):
-        return (2, 0 if g.fn == "sin" else 1, nf_key(g.arg))
+    if isinstance(g, Atom):
+        return (2, _FN_RANK[g.fn], nf_key(g.arg))
     return ref_sort_key(g)
 
 
@@ -115,7 +127,7 @@ def nf_key(nf: "PolyNF") -> tuple:
 @dataclass(frozen=True, repr=False)
 class PolyNF:
     """Sorted, fully collected normal form.  Built only by :func:`normalize`
-    (and :func:`replace_even_powers`) through :func:`_collect`."""
+    through :func:`_collect`."""
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
@@ -142,11 +154,7 @@ class PolyNF:
         for m, c in self.terms:
             factors = [const(c)]
             for g, e in m:
-                base = (
-                    func(g.fn, g.arg.to_expr())
-                    if isinstance(g, TrigAtom)
-                    else var(g)
-                )
+                base = func(g.fn, g.arg.to_expr()) if isinstance(g, Atom) else var(g)
                 factors.append(pow_(base, e))
             pieces.append(mul(*factors))
         return add(*pieces)
@@ -164,14 +172,14 @@ _ONE = frozenset()
 
 
 def _collect(f: Form) -> PolyNF:
-    """The one exit: rewrite sine squares, drop zeros, sort.
+    """The one exit: rewrite sine squares and root powers, drop zeros, sort.
 
     Pairs inside a monomial are sorted by generator, and terms by degree,
     then monomial, descending.
     """
     acc: Form = {}
     for m, c in f.items():
-        accumulate(acc, _square_sines_rewritten(m), c)
+        accumulate(acc, _rewritten(m), c)
     terms = [
         (tuple(sorted(m, key=lambda ge: gen_key(ge[0]))), Fraction(c))
         for m, c in acc.items()
@@ -181,15 +189,21 @@ def _collect(f: Form) -> PolyNF:
     return PolyNF(tuple(terms))
 
 
-def _square_sines_rewritten(m: frozenset) -> Form:
-    """``m`` with each ``sin(A)^k``, k >= 2, as ``sin(A)^(k % 2)*(1 - cos(A)^2)^(k // 2)``."""
+def _rewritten(m: frozenset) -> Form:
+    """``m`` with each ``sin(A)^k``, k >= 2, as ``sin(A)^(k % 2)*(1 - cos(A)^2)^(k // 2)``
+    and each ``sqrt(p)^k``, k outside 0..1, as ``p^(k // 2)*sqrt(p)^(k % 2)``."""
     out: Form = {m: 1}
     for g, k in m:
-        if isinstance(g, TrigAtom) and g.fn == "sin" and k >= 2:
+        if not isinstance(g, Atom):
+            continue
+        if g.fn == "sqrt" and not 0 <= k <= 1:
+            ((p, _),) = g.arg.terms[0][0]
+            out = mul_forms(out, {frozenset({(g, -2 * (k // 2)), (p, k // 2)}): 1})
+        elif g.fn == "sin" and k >= 2:
             # (1 - cos(A)^2) / sin(A)^2, once per square taken out
             ratio = {
                 frozenset({(g, -2)}): 1,
-                frozenset({(g, -2), (TrigAtom("cos", g.arg), 2)}): Fraction(-1),
+                frozenset({(g, -2), (Atom("cos", g.arg), 2)}): Fraction(-1),
             }
             out = mul_forms(out, pow_form(ratio, k // 2))
     return out
@@ -232,7 +246,7 @@ def pow_form(f: Form, n: int) -> Form:
                 f"cannot normalize reciprocal of a non-monomial: {render(base.to_expr())}"
             )
         ((m, c),) = base.terms
-        if any(isinstance(g, TrigAtom) and g.fn == "sin" for g, _ in m):
+        if any(isinstance(g, Atom) and g.fn == "sin" for g, _ in m):
             shown = render(pow_(base.to_expr(), n))
             raise NormalizationError(f"cannot normalize a negative power of a sine: {shown}")
         f, n = {frozenset((g, -k) for g, k in m): 1 / c}, -n
@@ -260,7 +274,7 @@ def trig_form(fn: str, arg: PolyNF) -> Form:
     if arg.terms[0][1] < 0:
         flipped = trig_form(fn, _collect(arg.form(-1)))
         return accumulate({}, flipped, -1) if fn == "sin" else flipped
-    return {frozenset({(TrigAtom(fn, arg), 1)}): 1}
+    return {frozenset({(Atom(fn, arg), 1)}): 1}
 
 
 def as_form(e: Expr) -> Form:
@@ -285,6 +299,9 @@ def as_form(e: Expr) -> Form:
     if isinstance(e, FuncApp):
         if e.fn in ("sin", "cos"):
             return trig_form(e.fn, normalize(e.arg))
+        root = e.arg.ref if e.fn == "sqrt" and isinstance(e.arg, Var) else None
+        if isinstance(root, VarId) and root.kind == PARAMETER:
+            return {frozenset({(Atom("sqrt", normalize(e.arg)), 1)}): 1}
         raise NormalizationError(
             f"{e.fn} is not polynomial; offending subtree: {render(e)}"
         )
@@ -294,38 +311,9 @@ def as_form(e: Expr) -> Form:
 def normalize(e: Expr | Form) -> PolyNF:
     """Normal form of an expression tree or of a working form.
 
-    Raises :class:`NormalizationError` on sqrt or arctan nodes, on
-    reciprocals of non-monomial subexpressions and on negative powers of
-    a sine; those shapes live outside the fragment this form covers.
+    Raises :class:`NormalizationError` on arctan nodes, on sqrt of
+    anything but a single parameter, on reciprocals of non-monomial
+    subexpressions and on negative powers of a sine; those shapes live
+    outside the fragment this form covers.
     """
     return _collect(e if isinstance(e, dict) else as_form(e))
-
-
-def is_identically_zero(e: Expr) -> bool:
-    return normalize(e).is_zero
-
-
-def canonical(e: Expr) -> Expr:
-    """Re-expansion of the normal form: a canonical representative tree."""
-    return normalize(e).to_expr()
-
-
-def replace_even_powers(f: PolyNF, src: VarId, dst: VarId) -> PolyNF:
-    """Map ``src^(2k)`` to ``dst^k`` in every monomial.
-
-    Raises ValueError if ``src`` occurs to an odd power anywhere; callers
-    use this to eliminate an auxiliary square-root symbol exactly.
-    """
-    out: Form = {}
-    for m, c in f.terms:
-        d = dict(m)
-        k = d.pop(src, 0)
-        if k % 2 != 0:
-            raise ValueError(
-                f"{src.name} occurs to odd power {k}; cannot eliminate"
-            )
-        if k:
-            d[dst] = d.get(dst, 0) + k // 2
-        mono = frozenset((g, e) for g, e in d.items() if e)
-        out[mono] = out.get(mono, 0) + c
-    return _collect(out)

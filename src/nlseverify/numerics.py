@@ -36,9 +36,9 @@ from .exprs import (
     Expr,
     JetVar,
     eval_numeric,
-    partial,
 )
-from .jets import PDESystem
+from .jets import PDESystem, explicit_partial
+from .normal import as_form, normalize
 
 
 class BlowupError(RuntimeError):
@@ -164,8 +164,9 @@ def suggested_dt(grid: Grid, system: PDESystem, params: Mapping[str, float]) -> 
     ctx = system.ctx
     bind = {p: params[p.name] for p in ctx.parameters if p.name in params}
     second = [ctx.jet(dep, 2 * system.space.name) for dep in ctx.dependents]
-    rules = system.evolution.values()
-    largest = max(abs(eval_numeric(partial(r, jet), bind)) for r in rules for jet in second)
+    rules = [as_form(r) for r in system.evolution.values()]
+    coefficients = (normalize(explicit_partial(r, jet)).to_expr() for r in rules for jet in second)
+    largest = max(abs(eval_numeric(k, bind)) for k in coefficients)
     return 0.2 * grid.dx * grid.dx / max(largest, 1e-12)
 
 

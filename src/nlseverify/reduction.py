@@ -11,19 +11,21 @@ its two dependents (real and imaginary part) become w and p.  Solutions
 invariant under the combination have w and p independent of s, so the
 pushforward of a jet differentiates the inverse along its letters, a time
 letter as the explicit partial in s and a space letter as the total D_r
-(``jets.substitute_jets``).  Pushing forward with the constant amplitude
+(``jets.jet_table``).  Pushing forward with the constant amplitude
 w = sqrt(eps) turns each equation into a rotation by the phase p + c*s of
 two factors in p(r) alone, which this module derives from the substituted
-equations and checks.
+equations and checks.  Everything is exact on normal forms, where
+``sqrt(eps)`` is an atom whose square is eps.
 
 Solution candidates (a closed form per dependent, with parameter
-constraints) go through the same substitution, each dependent and every
-jet that occurs replaced by the closed form and its total derivatives,
-and are classified numerically on a deterministic low-discrepancy
-point set: ``exact`` when every equation vanishes pointwise,
-``reduced-only`` when only the angular combination u*G1 + v*G2 (each
-dependent times its equation, in declaration order) does, ``neither``
-otherwise.
+constraints) get their jets from the same table: each dependent and every
+jet that occurs in the equations becomes the closed form and its total
+derivatives, normalized once per candidate.  The file's own equations are
+then evaluated with those jets bound, on a deterministic low-discrepancy
+point set, and classified: ``exact`` when every equation vanishes
+pointwise, ``reduced-only`` when only the angular combination u*G1 + v*G2
+(each dependent times its equation, in declaration order) does,
+``neither`` otherwise.
 """
 
 from __future__ import annotations
@@ -42,20 +44,29 @@ from .exprs import (
     ExprError,
     Gen,
     JetVar,
-    add,
     collect_refs,
-    cos_,
     eval_numeric,
-    mul,
-    partial,
-    pow_,
-    sin_,
-    sub,
-    substitute,
+    sqrt_,
     var,
 )
-from .jets import PDESystem, substitute_jets, total_derivative
-from .normal import PolyNF, TrigAtom, normalize, replace_even_powers
+from .jets import (
+    PDESystem,
+    explicit_partial,
+    jet_table,
+    substitute_forms,
+    total_derivative,
+)
+from .normal import (
+    Atom,
+    Form,
+    PolyNF,
+    accumulate,
+    as_form,
+    mul_forms,
+    normalize,
+    pow_form,
+    trig_form,
+)
 
 
 @dataclass(frozen=True)
@@ -64,10 +75,10 @@ class CanonicalTransform:
 
     system: PDESystem  # in the original variables
     red_ctx: Context
-    theta: Expr  # p + c*s, the restored phase
+    theta: PolyNF  # p + c*s, the restored phase
 
-    def pushforward(self, exprs: Sequence[Expr], amplitude: Expr) -> tuple[Expr, ...]:
-        """Rewrite original-variable expressions in reduced variables on the
+    def pushforward(self, forms: Sequence[Form], amplitude: Form) -> tuple[Form, ...]:
+        """Rewrite original-variable forms in reduced variables on the
         invariant profile u = amplitude*cos(theta), v = amplitude*sin(theta).
 
         w and p do not depend on s, so a time letter of a jet is the
@@ -75,34 +86,47 @@ class CanonicalTransform:
         """
         red, system = self.red_ctx, self.system
         s, r = red["s"], red["r"]
-        images: dict[Gen, Expr] = {system.time: var(s), system.space: var(r)}
-        profile = (mul(amplitude, cos_(self.theta)), mul(amplitude, sin_(self.theta)))
-        images.update(zip(system.ctx.dependents, profile, strict=True))
+        u, v = system.ctx.dependents
+        images = {
+            system.time: as_form(var(s)),
+            system.space: as_form(var(r)),
+            u: mul_forms(amplitude, trig_form("cos", self.theta)),
+            v: mul_forms(amplitude, trig_form("sin", self.theta)),
+        }
 
-        def derive(e: Expr, letter: str) -> Expr:
+        def derive(f: Form, letter: str) -> Form:
             if letter == system.time.name:
-                return partial(e, s)
-            return total_derivative(e, r, red)
+                return explicit_partial(f, s)
+            return total_derivative(f, r, red)
 
-        return substitute_jets(exprs, images, derive)
+        table = jet_table(images, forms, derive)
+        return tuple(substitute_forms(f, table) for f in forms)
 
     @property
-    def jac_det(self) -> Expr:
+    def root_eps(self) -> Form:
+        """The constant amplitude sqrt(eps)."""
+        return as_form(sqrt_(var(self.red_ctx["eps"])))
+
+    @property
+    def jac_det(self) -> Form:
         """det D(t,x)/D(s,r) of the pushed-forward independents."""
         red, system = self.red_ctx, self.system
         s, r = red["s"], red["r"]
-        t, x = self.pushforward((var(system.time), var(system.space)), var(red["w"]))
-        return sub(mul(partial(t, s), partial(x, r)), mul(partial(x, s), partial(t, r)))
+        t, x = self.pushforward(
+            (as_form(var(system.time)), as_form(var(system.space))), as_form(var(red["w"]))
+        )
+        det = mul_forms(explicit_partial(t, s), explicit_partial(x, r))
+        return accumulate(det, mul_forms(explicit_partial(x, s), explicit_partial(t, r)), -1)
 
 
 def build_canonical_transform(system: PDESystem) -> CanonicalTransform:
     """The transform for a system with two dependents.  The reduced context
-    declares the file's parameters plus c, eps and sqeps; a file parameter
-    named r, s, w or p clashes with the reduced variables (ValueError)."""
+    declares the file's parameters plus c and eps; a file parameter named
+    r, s, w or p clashes with the reduced variables (ValueError)."""
     params = [q.name for q in system.ctx.parameters]
-    params += [n for n in ("c", "eps", "sqeps") if n not in params]
+    params += [n for n in ("c", "eps") if n not in params]
     red = Context(("r", "s"), ("w", "p"), params, system.ctx.max_order)
-    theta = add(var(red["p"]), mul(var(red["c"]), var(red["s"])))
+    theta = normalize(red.parse("p + c*s"))
     return CanonicalTransform(system, red, theta)
 
 
@@ -111,16 +135,16 @@ class ReducedODE:
     """The system restricted to constant-amplitude invariant profiles.
 
     ``residual`` is the angular combination u*G1 + v*G2 after the
-    substitution, with the amplitude parameter eliminated exactly;
-    ``phase_balance`` and ``curvature`` are the two factors whose joint
-    vanishing is equivalent to the full substituted system.
+    substitution, where sqrt(eps) squares to eps; ``phase_balance`` and
+    ``curvature`` are the two factors whose joint vanishing is equivalent
+    to the full substituted system.
     """
 
     transform: CanonicalTransform
     residual: PolyNF  # eps * (phase_balance * sin(2 theta) - curvature * cos(2 theta))
-    phase_balance: PolyNF  # (G1 sin(theta) + G2 cos(theta)) / sqeps
-    curvature: PolyNF  # (G2 sin(theta) - G1 cos(theta)) / sqeps
-    equation_subs: tuple[tuple[str, PolyNF], ...]  # each over sqrt-amplitude
+    phase_balance: PolyNF  # (G1 sin(theta) + G2 cos(theta)) / sqrt(eps)
+    curvature: PolyNF  # (G2 sin(theta) - G1 cos(theta)) / sqrt(eps)
+    equation_subs: tuple[tuple[str, PolyNF], ...]  # each over sqrt(eps)
 
     def factorization_residuals(self) -> dict[str, PolyNF]:
         """Exact identities tying the substituted system to the factors.
@@ -129,79 +153,77 @@ class ReducedODE:
         are invertible, the identities prove: both substituted equations
         vanish if and only if phase_balance = 0 and curvature = 0.
         """
-        red = self.transform.red_ctx
-        theta = self.transform.theta
-        eps, sqeps = var(red["eps"]), var(red["sqeps"])
-        balance_eps = self.phase_balance.to_expr()
-        balance_sq = substitute(balance_eps, {red["eps"]: pow_(sqeps, 2)})
-        curv = self.curvature.to_expr()
-        two_theta = mul(2, theta)
-        expected_residual = mul(
-            eps, sub(mul(balance_eps, sin_(two_theta)), mul(curv, cos_(two_theta)))
-        )
-        label1, label2 = self.equation_subs[0][0], self.equation_subs[1][0]
-        expected_1 = mul(sqeps, sub(mul(balance_sq, sin_(theta)), mul(curv, cos_(theta))))
-        expected_2 = mul(sqeps, add(mul(balance_sq, cos_(theta)), mul(curv, sin_(theta))))
-        return {
-            "combination": normalize(sub(self.residual.to_expr(), expected_residual)),
-            label1: normalize(sub(self.equation_subs[0][1].to_expr(), expected_1)),
-            label2: normalize(sub(self.equation_subs[1][1].to_expr(), expected_2)),
+        tr = self.transform
+        theta, amp = tr.theta, tr.root_eps
+        sin_t, cos_t = trig_form("sin", theta), trig_form("cos", theta)
+        two_theta = normalize(theta.form(2))
+        sin_2t, cos_2t = trig_form("sin", two_theta), trig_form("cos", two_theta)
+        balance, curv = self.phase_balance.form(), self.curvature.form()
+
+        def rotated(a: Form, b: Form, sign: int) -> Form:  # balance*a + sign*curv*b
+            return accumulate(mul_forms(balance, a), mul_forms(curv, b), sign)
+
+        (label1, sub1), (label2, sub2) = self.equation_subs
+        eps = as_form(var(tr.red_ctx["eps"]))
+        expected = {
+            "combination": (self.residual, mul_forms(eps, rotated(sin_2t, cos_2t, -1))),
+            label1: (sub1, mul_forms(amp, rotated(sin_t, cos_t, -1))),
+            label2: (sub2, mul_forms(amp, rotated(cos_t, sin_t, 1))),
         }
+        return {k: normalize(accumulate(got.form(), want, -1)) for k, (got, want) in expected.items()}
 
 
-def _equations_and_angular(system: PDESystem) -> list[Expr]:
-    """The equations, then the angular combination u*G1 + v*G2."""
-    eqs = [eq for _, eq in system.equations]
-    deps = system.ctx.dependents
+def _angular_combination(system: PDESystem) -> Form:
+    """u*G1 + v*G2: each dependent times its equation, in declaration order."""
+    deps, eqs = system.ctx.dependents, system.equation_forms
     if len(deps) != len(eqs):
         raise ValueError("the angular combination needs one equation per dependent")
-    return eqs + [add(*(mul(var(d), eq) for d, eq in zip(deps, eqs)))]
+    out: Form = {}
+    for dep, eq in zip(deps, eqs):
+        accumulate(out, mul_forms(as_form(var(dep)), eq))
+    return out
 
 
 def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
     """Substitute the constant-amplitude invariant profile and derive the
     two factors by rotating the substituted equations back by theta.
 
-    Raises ValueError when sqrt(eps) cannot be eliminated exactly, or when a
-    factor still holds a trig atom or s: then the system does not reduce."""
-    red = transform.red_ctx
-    s, sqeps, eps = red["s"], red["sqeps"], red["eps"]
-    *trees, combo = transform.pushforward(_equations_and_angular(system), var(sqeps))
-    residual = replace_even_powers(normalize(combo), sqeps, eps)
-    labels = [label for label, _ in system.equations]
-    subs = tuple((label, normalize(tree)) for label, tree in zip(labels, trees))
-
-    g1, g2 = trees
-    sin_t, cos_t = sin_(transform.theta), cos_(transform.theta)
-    over_sqeps = pow_(var(sqeps), -1)
+    Raises ValueError when a factor still holds a sin, a cos or s: then
+    the system does not reduce."""
+    amp = transform.root_eps
+    *pushed, combo = transform.pushforward(
+        (*system.equation_forms, _angular_combination(system)), amp
+    )
+    subs = tuple((label, normalize(f)) for (label, _), f in zip(system.equations, pushed))
+    g1, g2 = (nf.form() for _, nf in subs)
+    sin_t, cos_t = trig_form("sin", transform.theta), trig_form("cos", transform.theta)
+    over_amp = pow_form(amp, -1)
     rotated = {
-        "phase balance": mul(add(mul(g1, sin_t), mul(g2, cos_t)), over_sqeps),
-        "curvature": mul(sub(mul(g2, sin_t), mul(g1, cos_t)), over_sqeps),
+        "phase balance": accumulate(mul_forms(g1, sin_t), mul_forms(g2, cos_t)),
+        "curvature": accumulate(mul_forms(g2, sin_t), mul_forms(g1, cos_t), -1),
     }
+    s = transform.red_ctx["s"]
     factors = []
-    for name, tree in rotated.items():
-        nf = replace_even_powers(normalize(tree), sqeps, eps)
+    for name, f in rotated.items():
+        nf = normalize(mul_forms(f, over_amp))
         for mono, _ in nf.terms:
             for g, _ in mono:
-                if isinstance(g, TrigAtom) or g == s:
+                if (isinstance(g, Atom) and g.fn != "sqrt") or g == s:
                     raise ValueError(f"the {name} factor still holds {g.name}")
         factors.append(nf)
-    return ReducedODE(transform, residual, factors[0], factors[1], subs)
+    return ReducedODE(transform, normalize(combo), factors[0], factors[1], subs)
 
 
-def first_integral_residual(ode: ReducedODE, flux: Expr) -> PolyNF:
+def first_integral_residual(ode: ReducedODE, flux: Form) -> PolyNF:
     """Double reduction: D_r of a conserved flux pushed forward at
     w = sqrt(eps), plus eps*curvature.  Zero means the reduced flux T^r is a
     first integral: D_r T^r = -eps*curvature, so the curvature factor
     vanishes exactly where T^r is constant along the profile."""
     transform = ode.transform
     red = transform.red_ctx
-    (reduced_flux,) = transform.pushforward((flux,), var(red["sqeps"]))
-    gap = add(
-        total_derivative(reduced_flux, red["r"], red),
-        mul(var(red["eps"]), ode.curvature.to_expr()),
-    )
-    return replace_even_powers(normalize(gap), red["sqeps"], red["eps"])
+    (reduced_flux,) = transform.pushforward((flux,), transform.root_eps)
+    gap = total_derivative(reduced_flux, red["r"], red)
+    return normalize(accumulate(gap, mul_forms(as_form(var(red["eps"])), ode.curvature.form())))
 
 
 # ---------------------------------------------------------------------------
@@ -284,39 +306,41 @@ def _apply_constraints(
     return params
 
 
-def candidate_residual_exprs(
-    cand: SolutionCandidate, system: PDESystem
-) -> tuple[tuple[Expr, ...], Expr]:
-    """The equations and the angular combination u*G1 + v*G2 with the
-    candidate substituted.  They do not depend on the parameter values."""
+def candidate_jets(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr]:
+    """Each dependent and every jet that occurs in the equations as the
+    candidate's closed form and its total derivatives, normalized once.
+    They do not depend on the parameter values."""
     cand.check_explicit()
     ctx = system.ctx
-    images = {ctx[name]: expr for name, expr in cand.fields.items()}
+    images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
 
-    def derive(e: Expr, letter: str) -> Expr:
-        return total_derivative(e, ctx[letter], ctx)
+    def derive(f: Form, letter: str) -> Form:
+        return total_derivative(f, ctx[letter], ctx)
 
-    *eq_exprs, combo = substitute_jets(_equations_and_angular(system), images, derive)
-    return tuple(eq_exprs), combo
+    table = jet_table(images, system.equation_forms, derive)
+    return {g: normalize(f).to_expr() for g, f in table.items()}
 
 
 def candidate_equation_residuals(
-    residual_exprs: tuple[tuple[Expr, ...], Expr],
+    jets: Mapping[Gen, Expr],
     system: PDESystem,
     params: Mapping[str, float],
     points: Sequence[tuple[float, float]] | np.ndarray,
 ) -> tuple[float, float]:
-    """(max |G_a|, max |u*G1 + v*G2|) over the point set, evaluated on
-    arrays of all the points; a nan anywhere makes its maximum nan."""
+    """(max |G_a|, max |u*G1 + v*G2|) over the point set: the candidate's
+    jets evaluated on arrays of all the points, then the equations with
+    them bound; a nan anywhere makes its maximum nan."""
     ctx = system.ctx
     xs, ts = np.array(points, dtype=float).T
-    bind = {ctx[k]: val for k, val in params.items()}
-    bind[system.time] = ts
-    bind[system.space] = xs
-    eq_exprs, combo_expr = residual_exprs
+    values = {ctx[k]: val for k, val in params.items()}
+    values[system.time] = ts
+    values[system.space] = xs
     with np.errstate(all="ignore"):
-        eq_max = np.max([np.max(np.abs(eval_numeric(e, bind))) for e in eq_exprs])
-        combo_max = np.max(np.abs(eval_numeric(combo_expr, bind)))
+        values.update({g: eval_numeric(e, values) for g, e in jets.items()})
+        gs = [eval_numeric(eq, values) for _, eq in system.equations]
+        eq_max = np.max([np.max(np.abs(g)) for g in gs])
+        angular = sum(values[d] * g for d, g in zip(ctx.dependents, gs, strict=True))
+        combo_max = np.max(np.abs(angular))
     return float(eq_max), float(combo_max)
 
 
@@ -333,14 +357,12 @@ def classify(
     bases = draw_parameters(system.ctx, seed, 3)
     reports = []
     for cand in candidates:
-        residual_exprs = candidate_residual_exprs(cand, system)
+        jets = candidate_jets(cand, system)
         results = []
         for base in bases:
             try:
                 params = _apply_constraints(cand, base, system.ctx)
-                eq_max, combo_max = candidate_equation_residuals(
-                    residual_exprs, system, params, points
-                )
+                eq_max, combo_max = candidate_equation_residuals(jets, system, params, points)
             except ExprError as exc:
                 results.append(DrawResult(dict(base), math.nan, math.nan, "fail", str(exc)))
                 continue

@@ -83,7 +83,7 @@ def test_printed_reduction_is_a_fail_record(capsys):
     ]
     assert fields["reduce.jacobian"][2] == "pass"
     assert fields["reduce.ode"][2] == "fail"
-    assert fields["reduce.ode"][3] == "sqeps occurs to odd power 3; cannot eliminate"
+    assert fields["reduce.ode"][3] == "the phase balance factor still holds cos(s*c + p)"
     assert "FAIL reduce.ode" in err
 
 
@@ -253,10 +253,12 @@ CUBIC_HEADER = (
     [
         ("neg-eps : c = 0, eps = -1 : u = sqrt(eps) : v = 0",
          "sqrt of negative value -1.0 in sqrt(eps)"),
-        ("huge : c = 0 : u = (x + 10)^400 : v = 0", "non-finite residual"),
+        ("huge : c = 0 : u = x^400 : v = 0", "non-finite residual"),
+        # The candidate's form is expanded, so its binomial coefficients overflow.
+        ("huge-sum : c = 0 : u = (x + 10)^400 : v = 0", "a constant of 309 digits overflows a float"),
         ("huge-const : c = 0, eps = 2 : u = eps^2000 : v = 0", "overflow in eps^2000"),
     ],
-    ids=["negative-sqrt", "array-overflow", "scalar-overflow"],
+    ids=["negative-sqrt", "array-overflow", "expanded-constant-overflow", "scalar-overflow"],
 )
 def test_classify_domain_failures_are_fail_records(capsys, tmp_path, candidate, cause):
     target = tmp_path / "domain.prob"
@@ -373,6 +375,20 @@ def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands):
         assert "not polynomial" in err or "non-monomial" in err
         if commands == EVERY_COMMAND:
             assert err.startswith(f"nlseverify: error: {target}: ")
+
+
+def test_non_polynomial_candidate_exits_one(capsys, tmp_path):
+    """A candidate field follows the rule of every other entry: only
+    polynomials in sin, cos and the square root of a single parameter."""
+    line = "case1-const-u : c = 0, gamma = 0 : u = sqrt(eps) : v = 0"
+    target = tmp_path / "candidate.prob"
+    for field in ("arctan(x)", "sqrt(x + 1)", "sqrt(2*eps)"):
+        target.write_text(BUNDLED.replace(line, line.replace("sqrt(eps)", field)))
+        code, out, err = run_cli(capsys, "--problem", str(target), "classify")
+        assert (code, out) == (1, ""), field
+        assert err.startswith("nlseverify: error: ") and "is not polynomial" in err, field
+    for command in EVERY_COMMAND:
+        assert run_cli(capsys, "--problem", str(target), command)[0] in (0, 1, 2), command
 
 
 THIRD_ORDER = BUNDLED.replace(

@@ -4,7 +4,8 @@ Every expression is rendered to text, parsed by SymPy and compiled with
 ``lambdify`` over the ``math`` module, then compared point by point with
 one array call of ``eval_numeric`` at the classify sample points.  The
 scalar path of ``eval_numeric`` must agree with every array element too.
-SymPy is a test-only dependency.
+A candidate's jets are compared with SymPy's derivatives of its closed
+forms.  SymPy is a test-only dependency.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from nlseverify.exprs import (
     render,
     var,
 )
-from nlseverify.jets import substitute_jets, total_derivative
+from nlseverify.jets import jet_table, total_derivative
+from nlseverify.normal import as_form, normalize
 from nlseverify.reduction import draw_parameters, low_discrepancy_points
 
 sympy = pytest.importorskip("sympy")
@@ -31,6 +33,8 @@ from sympy.parsing.sympy_parser import (  # noqa: E402
     parse_expr,
     standard_transformations,
 )
+
+from sympy_jets import SympyJets  # noqa: E402
 
 RTOL = 1e-12
 
@@ -70,11 +74,13 @@ def _sympy_values(e, bind) -> list[float]:
 
 
 def _check(problem, labelled) -> None:
+    """Each (label, expression, reference): ``eval_numeric`` of the
+    expression against SymPy's value of the reference."""
     bad = []
-    for label, e in labelled:
-        bind = _sample_bindings(problem, collect_refs(e))
+    for label, e, reference in labelled:
+        bind = _sample_bindings(problem, collect_refs(e) | collect_refs(reference))
         array_vals = np.broadcast_to(eval_numeric(e, bind), (100,))
-        oracle = _sympy_values(e, bind)
+        oracle = _sympy_values(reference, bind)
         for i in range(100):
             scalar_bind = {g: float(np.broadcast_to(v, (100,))[i]) for g, v in bind.items()}
             scalar = eval_numeric(e, scalar_bind)
@@ -85,33 +91,41 @@ def _check(problem, labelled) -> None:
 
 
 def test_equations_match_sympy(problem):
-    _check(problem, problem.system.equations)
+    _check(problem, [(label, eq, eq) for label, eq in problem.system.equations])
 
 
 def test_conserved_vectors_match_sympy(problem):
     labelled = []
     for vec in problem.conserved:
-        labelled += [(f"{vec.label}.density", vec.density), (f"{vec.label}.flux", vec.flux)]
+        labelled += [
+            (f"{vec.label}.density", vec.density, vec.density),
+            (f"{vec.label}.flux", vec.flux, vec.flux),
+        ]
     _check(problem, labelled)
 
 
 def test_candidates_and_second_jets_match_sympy(problem):
     """Each candidate's closed forms and their derivatives up to second
-    order, derived as classify derives them."""
+    order, derived as classify derives them (one jet table per candidate),
+    against SymPy's derivatives of the closed forms."""
     ctx = problem.ctx
+    oracle = SympyJets(ctx)
     gens = [
         g
         for dep in ctx.dependents
         for g in (dep, *(ctx.jet(dep, word) for word in ("t", "x", "tt", "tx", "xx")))
     ]
 
-    def derive(e, letter):
-        return total_derivative(e, ctx[letter], ctx)
+    def derive(f, letter):
+        return total_derivative(f, ctx[letter], ctx)
 
     labelled = []
     for cand in problem.candidates:
-        images = {ctx[name]: e for name, e in cand.fields.items()}
-        jets = substitute_jets([var(g) for g in gens], images, derive)
-        labelled += [(f"{cand.label}.{g.name}", e) for g, e in zip(gens, jets)]
+        images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
+        table = jet_table(images, [as_form(var(g)) for g in gens], derive)
+        for g in gens:
+            dep, word = (g.dep, g.suffix) if isinstance(g, JetVar) else (g, "")
+            reference = oracle.total_derivative(cand.fields[dep.name], word)
+            labelled.append((f"{cand.label}.{g.name}", normalize(table[g]).to_expr(), reference))
     assert len(labelled) == 12 * 2 * 6
     _check(problem, labelled)

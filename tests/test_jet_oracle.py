@@ -17,7 +17,6 @@ rewritten in exponentials and expanded.  SymPy is a test-only dependency.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -28,46 +27,15 @@ from nlseverify.normal import accumulate, as_form, normalize
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
-from sympy.parsing.sympy_parser import (  # noqa: E402
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
+
+from sympy_jets import SympyJets  # noqa: E402
 
 CTX = Context(("t", "x"), ("u", "v"), ("beta", "gamma"), max_order=6)
-T, X = sympy.symbols("t x")
-FUNCS = {d.name: sympy.Function(d.name)(T, X) for d in CTX.dependents}
+ORACLE = SympyJets(CTX)
+T, X = ORACLE.symbols["t"], ORACLE.symbols["x"]
+FUNCS = ORACLE.funcs
 NAMES = ("t", "x", "u", "v", "beta", "u_x", "u_t", "v_x", "u_tx", "v_xx")
-
-
-def _jets(order: int) -> dict[str, object]:
-    """Every jet name up to ``order`` mapped to its SymPy derivative."""
-    out = {}
-    for name, f in FUNCS.items():
-        for k in range(1, order + 1):
-            for word in combinations_with_replacement("tx", k):
-                letters = (sympy.Symbol(c) for c in word)
-                out[f"{name}_{''.join(word)}"] = sympy.Derivative(f, *letters)
-    return out
-
-
-JETS = _jets(CTX.max_order)
-PARAMS = {p.name: sympy.Symbol(p.name) for p in CTX.parameters}
-LOCALS = {"t": T, "x": X, **PARAMS, **FUNCS, **JETS}
-# xreplace matches whole subtrees first, so u_xx is never read through u.
-PLAIN = {f: sympy.Symbol(n) for n, f in {**FUNCS, **JETS}.items()}
-
-
-def to_sympy(e):
-    return parse_expr(
-        render(e), local_dict=LOCALS, transformations=standard_transformations + (convert_xor,)
-    )
-
-
-def same(a, b) -> bool:
-    """SymPy expressions over jets agree as functions."""
-    gap = (a - b).xreplace(PLAIN)
-    return sympy.expand(gap.rewrite(sympy.exp)) == 0
+to_sympy, same = ORACLE.to_sympy, ORACLE.same
 
 
 def jet_polynomial(seed: int):

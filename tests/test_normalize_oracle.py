@@ -11,6 +11,11 @@ of small integer combinations of one or two generators and powers up to
 * the form is canonical: adding a multiple of ``sin(A)^2 + cos(A)^2 - 1``
   leaves it unchanged.
 
+A second family holds ``sqrt(eps)`` and ``sqrt(beta)`` to powers from -3
+to 4 beside plain and jet variables: the form equals the tree for SymPy,
+each root survives to the power 1 at most, and adding a multiple of
+``sqrt(eps)^2 - eps`` leaves the form unchanged.
+
 SymPy is a test-only dependency.
 """
 
@@ -54,9 +59,26 @@ trees = st.recursive(
 )
 
 
-def to_sympy(e):
+ROOT_CTX = Context(("t", "x"), ("u", "v"), ("beta", "eps"))
+ROOT_NAMES = ("u", "v", "u_x", "beta", "eps", "sqrt(eps)", "sqrt(beta)")
+ROOT_SYMBOLS = {name: sympy.Symbol(name) for name in ("u", "v", "u_x", "beta", "eps")}
+
+powers = st.builds(
+    pow_, st.sampled_from([ROOT_CTX.parse(name) for name in ROOT_NAMES]), st.integers(-3, 4)
+)
+root_trees = st.recursive(
+    powers | constants,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: add(*xs)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: mul(*xs)),
+    ),
+    max_leaves=8,
+)
+
+
+def to_sympy(e, symbols=SYMBOLS):
     return parse_expr(
-        render(e), local_dict=SYMBOLS, transformations=standard_transformations + (convert_xor,)
+        render(e), local_dict=symbols, transformations=standard_transformations + (convert_xor,)
     )
 
 
@@ -68,3 +90,15 @@ def test_normalize_agrees_with_sympy(e, w, a):
     assert normalize(CTX.parse(render(nf.to_expr()))) == nf
     pythagoras = sub(add(pow_(sin_(a), 2), pow_(cos_(a), 2)), 1)
     assert normalize(add(e, mul(w, pythagoras))) == nf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(e=root_trees, w=root_trees)
+def test_square_roots_agree_with_sympy(e, w):
+    nf = normalize(e)
+    assert sympy.expand(to_sympy(nf.to_expr(), ROOT_SYMBOLS) - to_sympy(e, ROOT_SYMBOLS)) == 0
+    assert normalize(ROOT_CTX.parse(render(nf.to_expr()))) == nf
+    roots = [k for m, _ in nf.terms for g, k in m if getattr(g, "fn", None) == "sqrt"]
+    assert all(k == 1 for k in roots)
+    square = sub(pow_(ROOT_CTX.parse("sqrt(eps)"), 2), ROOT_CTX.parse("eps"))
+    assert normalize(add(e, mul(w, square))) == nf

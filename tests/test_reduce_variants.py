@@ -45,6 +45,12 @@ EDITS = {
         ("g1 = u_t + beta*u_x", "g1 = u_t + u_xxx + beta*u_x"),
         ("u_t = -beta*u_x", "u_t = -u_xxx - beta*u_x"),
     ),
+    # A source term in the real part only: the phase balance gains
+    # sin(theta)/sqrt(eps), a lone sin beside the root.
+    "source": (
+        ("g1 = u_t + beta*u_x", "g1 = u_t + beta*u_x + 1"),
+        ("u_t = -beta*u_x", "u_t = -beta*u_x - 1"),
+    ),
     "param-w": (("[params]\n", "[params]\nw\n"),),
 }
 
@@ -106,6 +112,9 @@ def test_unreduced_system_names_the_leftover_atom(capsys, tmp_path):
     assert "odd power" not in cause
     assert "reduce.phase-balance" not in fields
     assert "FAIL reduce.ode" in err
+    # sqrt(eps) may stay in a factor; a sin may not
+    _, _, _, fields = run_reduce(capsys, tmp_path, variant("source"))
+    assert fields["reduce.ode"][2:4] == ["fail", "the phase balance factor still holds sin(s*c + p)"]
 
 
 def test_renamed_dependents_reduce_to_the_same_records(capsys, tmp_path):
@@ -130,6 +139,7 @@ def test_labels_follow_the_file_names(capsys, tmp_path):
     code, _, _, fields = run_reduce(capsys, tmp_path, text)
     assert code == 0
     assert fields["reduce.jacobian"][1:3] == ["(t,y)->(s,r)", "pass"]
+    assert fields["reduce.jacobian"][4] == "det[D(t,y)/D(s,r)] = 1"
     assert fields["reduce.ode"][1:3] == ["q*re + m*im", "info"]
     assert fields["reduce.phase-balance"][3] == "gamma*p_r^2 + delta*eps - beta*p_r - c"
     assert fields["reduce.curvature"][3] == "gamma*p_rr"

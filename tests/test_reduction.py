@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from nlseverify.exprs import DEPENDENT, JetVar, collect_refs, eval_numeric, partial, sub, var
-from nlseverify.jets import total_derivative
-from nlseverify.normal import normalize
+from nlseverify.exprs import DEPENDENT, JetVar, collect_refs, eval_numeric, var
+from nlseverify.jets import explicit_partial
+from nlseverify.normal import as_form, normalize
 from nlseverify.problem import bundled_problem_text, load_problem_text
 from nlseverify.reduction import (
     SolutionCandidate,
     build_canonical_transform,
     candidate_equation_residuals,
-    candidate_residual_exprs,
+    candidate_jets,
     classify,
     draw_parameters,
     first_integral_residual,
@@ -23,21 +23,27 @@ from nlseverify.reduction import (
 )
 
 
+def pushed(transform, *exprs):
+    """Trees pushed forward at the amplitude w, as normal forms."""
+    forms = transform.pushforward([as_form(e) for e in exprs], as_form(transform.red_ctx.parse("w")))
+    return [normalize(f) for f in forms]
+
+
 def test_jacobian_is_identity(problem, transform):
     """The pushed-forward independents are s and r themselves."""
     red = transform.red_ctx
     s, r = red["s"], red["r"]
-    t_img, x_img = transform.pushforward(
-        (var(problem.ctx["t"]), var(problem.ctx["x"])), var(red["w"])
+    t_img, x_img = (
+        nf.form() for nf in pushed(transform, var(problem.ctx["t"]), var(problem.ctx["x"]))
     )
-    one, zero = red.parse("1"), red.parse("0")
-    a, b = partial(t_img, s), partial(x_img, s)
-    c, d = partial(t_img, r), partial(x_img, r)
-    assert normalize(sub(a, one)).is_zero
-    assert normalize(b - zero).is_zero
-    assert normalize(c - zero).is_zero
-    assert normalize(sub(d, one)).is_zero
-    assert normalize(sub(transform.jac_det, one)).is_zero
+    one, zero = normalize(red.parse("1")), normalize(red.parse("0"))
+    a, b = explicit_partial(t_img, s), explicit_partial(x_img, s)
+    c, d = explicit_partial(t_img, r), explicit_partial(x_img, r)
+    assert normalize(a) == one
+    assert normalize(b) == zero
+    assert normalize(c) == zero
+    assert normalize(d) == one
+    assert normalize(transform.jac_det) == one
 
 
 TABLE_CASES = [
@@ -64,8 +70,8 @@ def test_derivative_table(problem, transform, name, expected):
         key = orig.jet(name.split("_")[0], name.split("_")[1])
     else:
         key = orig[name]
-    (image,) = transform.pushforward((var(key),), var(red["w"]))
-    assert normalize(image - red.parse(expected)).is_zero
+    (image,) = pushed(transform, var(key))
+    assert image == normalize(red.parse(expected))
 
 
 def test_forward_map_inverts_the_table(problem, transform):
@@ -73,9 +79,9 @@ def test_forward_map_inverts_the_table(problem, transform):
     back to (u, v) by the pushed-forward dependents."""
     red = transform.red_ctx
     c = 0.7
-    images = transform.pushforward(
-        (var(problem.ctx["u"]), var(problem.ctx["v"])), var(red["w"])
-    )
+    images = [
+        nf.to_expr() for nf in pushed(transform, var(problem.ctx["u"]), var(problem.ctx["v"]))
+    ]
     points = [
         (0.3, 1.2, -0.8, 0.5),
         (1.1, 0.2, 0.6, -0.9),
@@ -92,16 +98,16 @@ def test_forward_map_inverts_the_table(problem, transform):
 def test_plain_energy_transforms_cleanly(problem, transform):
     t2 = problem.conserved[1]
     red = transform.red_ctx
-    density, flux = transform.pushforward((t2.density, t2.flux), var(red["w"]))
-    assert normalize(density) == normalize(red.parse("w^2/2"))
-    assert normalize(flux) == normalize(red.parse("beta*w^2/2 - gamma*w^2*p_r"))
+    density, flux = pushed(transform, t2.density, t2.flux)
+    assert density == normalize(red.parse("w^2/2"))
+    assert flux == normalize(red.parse("beta*w^2/2 - gamma*w^2*p_r"))
 
 
 def test_momentum_density_transforms_to_phase_gradient(problem, transform):
     t1 = problem.conserved[0]
     red = transform.red_ctx
-    (density,) = transform.pushforward((t1.density,), var(red["w"]))
-    assert normalize(density) == normalize(red.parse("w^2*p_r/2"))
+    (density,) = pushed(transform, t1.density)
+    assert density == normalize(red.parse("w^2*p_r/2"))
 
 
 def test_reduced_residual_has_the_five_term_form(ode):
@@ -140,7 +146,7 @@ def test_factorization_checks_the_reported_factors(ode, factor):
 def test_t2_flux_reduces_to_a_first_integral(problem, ode):
     """Double reduction: D_r of the reduced t2 flux is -eps*curvature."""
     t2 = {vec.label: vec for vec in problem.conserved}["t2"]
-    assert first_integral_residual(ode, t2.flux).is_zero
+    assert first_integral_residual(ode, t2.forms[1]).is_zero
 
 
 def test_first_integral_fails_for_a_flipped_flux():
@@ -151,7 +157,7 @@ def test_first_integral_fails_for_a_flipped_flux():
     problem = load_problem_text(flipped, "flipped.prob")
     t2 = {vec.label: vec for vec in problem.conserved}["t2"]
     ode = reduced_ode(build_canonical_transform(problem.system), problem.system)
-    residual = first_integral_residual(ode, t2.flux)
+    residual = first_integral_residual(ode, t2.forms[1])
     assert residual == normalize(ode.transform.red_ctx.parse("2*eps*gamma*p_rr"))
 
 
@@ -199,7 +205,7 @@ def test_const_phase_candidate_residual_laws(problem, system):
     params = {"beta": 0.0, "gamma": 1.1, "delta": 1.3, "c": 0.0, "eps": 0.7, "c1": 0.9}
     points = low_discrepancy_points(50)
     eq_max, combo_max = candidate_equation_residuals(
-        candidate_residual_exprs(cand, system), system, params, points
+        candidate_jets(cand, system), system, params, points
     )
     amp = 1.3 * 0.7**1.5
     assert abs(eq_max - amp * max(abs(math.sin(0.9)), abs(math.cos(0.9)))) < 1e-12
@@ -210,7 +216,7 @@ def test_exact_candidate_is_pointwise_zero(problem, system):
     cand = {c.label: c for c in problem.candidates}["case1-linear-phase"]
     params = {"beta": 1.4, "gamma": 0.0, "delta": 0.8, "c": 0.0, "eps": 1.2, "c1": 0.3}
     eq_max, combo_max = candidate_equation_residuals(
-        candidate_residual_exprs(cand, system), system, params, low_discrepancy_points(50)
+        candidate_jets(cand, system), system, params, low_discrepancy_points(50)
     )
     assert eq_max < 1e-12
     assert combo_max < 1e-12
@@ -241,12 +247,14 @@ def _only_base_variables(exprs) -> bool:
     return not any(isinstance(g, JetVar) or g.kind == DEPENDENT for g in refs)
 
 
-def _values(e, ctx):
-    """``e`` at 50 sample points (x, t) and fixed parameter values."""
+def _values(e, ctx, jets=None):
+    """``e`` at 50 sample points (x, t) and fixed parameter values, with
+    the values of ``jets`` (trees over the base variables) bound."""
     xs, ts = zip(*low_discrepancy_points(50))
     params = {"beta": 1.4, "gamma": 0.6, "delta": 0.8, "c": 0.3, "eps": 1.2, "c1": 0.3}
     bind = {ctx[k]: val for k, val in params.items()}
     bind[ctx["x"]], bind[ctx["t"]] = np.array(xs), np.array(ts)
+    bind.update((g, eval_numeric(j, bind)) for g, j in (jets or {}).items())
     return np.broadcast_to(eval_numeric(e, bind), (50,))
 
 
@@ -254,29 +262,35 @@ def test_candidate_bindings_reject_implicit_forms(problem):
     ctx = problem.ctx
     bad = SolutionCandidate("loop", (), {"u": ctx.parse("v"), "v": ctx.parse("0")})
     with pytest.raises(ValueError):
-        candidate_residual_exprs(bad, problem.system)
+        candidate_jets(bad, problem.system)
+
+
+def _occurring(system):
+    """The dependents and jets of the equations."""
+    refs = set().union(*(collect_refs(eq) for _, eq in system.equations))
+    return {g for g in refs if isinstance(g, JetVar) or g.kind == DEPENDENT}
 
 
 def test_candidate_bindings_cover_second_jets(problem):
     """Every dependent and jet of the equations, u_xx and v_xx included,
-    is replaced by the candidate's closed form and its derivatives."""
+    is the candidate's closed form and its derivatives, SymPy's here."""
     ctx = problem.ctx
+    oracle = pytest.importorskip("sympy_jets").SympyJets(ctx)
     cand = {c.label: c for c in problem.candidates}["case1-linear-phase"]
-    eq_exprs, combo = candidate_residual_exprs(cand, problem.system)
-    assert _only_base_variables((*eq_exprs, combo))
-    u, v = cand.fields["u"], cand.fields["v"]
-
-    def d(f, word):
-        for letter in word:
-            f = total_derivative(f, ctx[letter], ctx)
-        return f
-
-    beta, gamma, delta = (ctx.parse(n) for n in ("beta", "gamma", "delta"))
+    jets = candidate_jets(cand, problem.system)
+    assert _only_base_variables(jets.values())
+    occurring = _occurring(problem.system)
+    assert {g.name for g in occurring} == {"u", "v", "u_t", "u_x", "u_xx", "v_t", "v_x", "v_xx"}
+    want = {
+        g: oracle.total_derivative(cand.fields[getattr(g, "dep", g).name], getattr(g, "suffix", ""))
+        for g in occurring
+    }
     label, eq = problem.system.equations[0]
     assert (label, str(eq)) == ("g1", "u_t + beta*u_x - gamma*v_xx + delta*v*(u^2 + v^2)")
-    g1 = d(u, "t") + beta * d(u, "x") - gamma * d(v, "xx") + delta * v * (u * u + v * v)
-    assert np.allclose(_values(eq_exprs[0], ctx), _values(g1, ctx), rtol=1e-12, atol=1e-12)
-    assert np.abs(_values(gamma * d(v, "xx"), ctx)).max() > 0.1
+    for e in (eq, *(var(g) for g in occurring)):
+        got, expected = _values(e, ctx, jets), _values(e, ctx, want)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), e
+    assert np.abs(_values(ctx.parse("gamma*v_xx"), ctx, want)).max() > 0.1
 
 
 def test_candidate_bindings_follow_the_system_order(problem):
@@ -285,14 +299,18 @@ def test_candidate_bindings_follow_the_system_order(problem):
     ).replace("u_t = -beta*u_x", "u_t = -u_xxx - beta*u_x")
     third = load_problem_text(text, "third.prob")
     assert (problem.system.order, third.system.order) == (2, 3)
+    oracle = pytest.importorskip("sympy_jets").SympyJets(third.ctx)
     cand = {c.label: c for c in third.candidates}["case1-linear-phase"]
-    third_eqs, third_combo = candidate_residual_exprs(cand, third.system)
-    bundled_eqs, _ = candidate_residual_exprs(cand, problem.system)
-    assert _only_base_variables((*third_eqs, third_combo))
+    third_jets = candidate_jets(cand, third.system)
+    bundled_jets = candidate_jets(cand, problem.system)
+    assert _only_base_variables(third_jets.values())
+    # the third-order system binds exactly one more jet, u_xxx
+    u_xxx = third.ctx.jet("u", "xxx")
+    assert set(third_jets) - set(bundled_jets) == {u_xxx}
+    want = _values(oracle.total_derivative(cand.fields["u"], "xxx"), third.ctx)
+    assert np.allclose(_values(var(u_xxx), third.ctx, third_jets), want, rtol=1e-12, atol=1e-12)
     # the third-order g1 gains exactly the image of u_xxx
-    u_xxx = cand.fields["u"]
-    for _ in range(3):
-        u_xxx = total_derivative(u_xxx, third.ctx["x"], third.ctx)
-    gained = _values(third_eqs[0], third.ctx) - _values(bundled_eqs[0], problem.ctx)
-    assert np.allclose(gained, _values(u_xxx, third.ctx), rtol=1e-12, atol=1e-12)
-    assert np.abs(_values(u_xxx, third.ctx)).max() > 0.1
+    (_, third_g1), (_, bundled_g1) = third.system.equations[0], problem.system.equations[0]
+    gained = _values(third_g1, third.ctx, third_jets) - _values(bundled_g1, problem.ctx, bundled_jets)
+    assert np.allclose(gained, want, rtol=1e-12, atol=1e-12)
+    assert np.abs(want).max() > 0.1

@@ -2,8 +2,8 @@
 
 The bundled file with u, v spelled a, b everywhere (declarations, jets,
 rules, _eta_ keys, candidate fields and labels) gives every command's
-bundled stdout with the same spelling change in the check_id, subject and
-residual columns, and the same exit code.
+bundled stdout with the same spelling change in the check_id, subject,
+residual and anchor columns, and the same exit code.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def respell_records(stdout: str) -> str:
     lines = []
     for line in stdout.splitlines(keepends=True):
         cols = line.split("\t")
-        for i in (0, 1, 3):
+        for i in (0, 1, 3, 4):
             cols[i] = respell(cols[i])
         lines.append("\t".join(cols))
     return "".join(lines)
