@@ -173,29 +173,24 @@ class ReducedODE:
         return {k: normalize(accumulate(got.form(), want, -1)) for k, (got, want) in expected.items()}
 
 
-def _angular_combination(system: PDESystem) -> Form:
-    """u*G1 + v*G2: each dependent times its equation, in declaration order."""
-    deps, eqs = system.ctx.dependents, system.equation_forms
-    if len(deps) != len(eqs):
-        raise ValueError("the angular combination needs one equation per dependent")
-    out: Form = {}
-    for dep, eq in zip(deps, eqs):
-        accumulate(out, mul_forms(as_form(var(dep)), eq))
-    return out
-
-
 def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
     """Substitute the constant-amplitude invariant profile and derive the
-    two factors by rotating the substituted equations back by theta.
+    two factors by rotating the substituted equations back by theta; the
+    residual is the angular combination u*G1 + v*G2 of the substituted
+    dependents and equations.
 
     Raises ValueError when a factor still holds a sin, a cos or s: then
     the system does not reduce."""
+    deps = system.ctx.dependents
+    if len(deps) != len(system.equations):
+        raise ValueError("the angular combination needs one equation per dependent")
     amp = transform.root_eps
-    *pushed, combo = transform.pushforward(
-        (*system.equation_forms, _angular_combination(system)), amp
+    *pushed, u, v = transform.pushforward(
+        (*system.equation_forms, *(as_form(var(d)) for d in deps)), amp
     )
     subs = tuple((label, normalize(f)) for (label, _), f in zip(system.equations, pushed))
     g1, g2 = (nf.form() for _, nf in subs)
+    combo = accumulate(mul_forms(u, g1), mul_forms(v, g2))
     sin_t, cos_t = trig_form("sin", transform.theta), trig_form("cos", transform.theta)
     over_amp = pow_form(amp, -1)
     rotated = {
