@@ -53,7 +53,6 @@ def _angular(problem: Problem) -> str:
 def build_parser() -> _Parser:
     p = _Parser(prog="nlseverify", description=__doc__)
     p.add_argument("--problem", metavar="PATH", help="problem file (default: bundled)")
-    p.add_argument("--tol", type=float, default=1e-10, help="numeric zero tolerance")
     p.add_argument("--seed", type=int, default=7, help="seed for parameter draws")
     p.add_argument(
         "--printed-variants",
@@ -219,7 +218,7 @@ def reduce_report(problem: Problem) -> Report:
     return rep
 
 
-def classify_report(problem: Problem, seed: int, tol: float, case: str | None) -> Report:
+def classify_report(problem: Problem, seed: int, case: str | None) -> Report:
     rep = Report("classify")
     cands = problem.candidates
     if case is not None:
@@ -233,7 +232,7 @@ def classify_report(problem: Problem, seed: int, tol: float, case: str | None) -
             f"got {n_eq} equations for {n_dep} dependents"
         )
     angular = _angular(problem)
-    for cr in classify(problem.system, cands, seed=seed, tol=tol):
+    for cr in classify(problem.system, cands, seed=seed):
         causes = [d.cause for d in cr.draws if d.cause]
         eq_max = max(d.eq_residual for d in cr.draws)
         ang_max = max(d.reduced_residual for d in cr.draws)
@@ -341,7 +340,7 @@ def main(argv=None) -> int:
         elif args.command == "reduce":
             rep = reduce_report(problem)
         elif args.command == "classify":
-            rep = classify_report(problem, args.seed, args.tol, args.case)
+            rep = classify_report(problem, args.seed, args.case)
         else:
             rep = simulate_report(problem, args)
         if args.json_out:

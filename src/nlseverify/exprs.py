@@ -11,6 +11,7 @@ independent ones).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -24,6 +25,8 @@ PARAMETER = "parameter"
 _KIND_RANK = {INDEPENDENT: 0, DEPENDENT: 1, PARAMETER: 2}
 
 FUNCTION_NAMES = ("sin", "cos", "sqrt", "arctan")
+
+NAME = re.compile(r"[a-z][a-z0-9]*")  # a variable name; the tokenizer's identifier
 
 
 class ExprError(Exception):
@@ -362,7 +365,7 @@ def render(e: Expr) -> str:
         parts = [render(e.terms[0])]
         for t in e.terms[1:]:
             negative, body = _split_negative(t)
-            parts.append((" - " if negative else " + ") + render(body))
+            parts.append((" - " if negative else " + ") + _wrap(body, _PREC_SUM + 1))
         return "".join(parts)
     if isinstance(e, Prod):
         factors = list(e.factors)
@@ -534,7 +537,7 @@ class Context:
             raise ValueError("max_order must be at least 1")
         names: dict[str, VarId] = {}
         for v in self.independents + self.dependents + self.parameters:
-            if not v.name.isidentifier() or not v.name[0].islower():
+            if not NAME.fullmatch(v.name):
                 raise ValueError(f"bad variable name {v.name!r}")
             if v.name in names:
                 raise ValueError(f"duplicate variable name {v.name!r}")

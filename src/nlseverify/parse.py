@@ -9,27 +9,32 @@ Grammar (whitespace insensitive)::
     exponent := ['-'] INT | '(' ['-'] INT ')'
     atom     := INT | IDENT | FUNC '(' expr ')' | '(' expr ')'
 
-Identifiers are ``[a-z][a-z0-9]*`` optionally followed by ``_sfx`` where
-``sfx`` is a word over the declared independent-variable letters; such a
-name is a jet variable and its suffix is canonicalized alphabetically
-(``u_xt`` parses to the same node as ``u_tx``).  Integer literals joined
-by ``/`` fold to exact rationals, so ``3/2`` is the rational three
-halves.
+Identifiers are ``[a-z][a-z0-9]*`` (``exprs.NAME``, which also checks the
+declared names) optionally followed by ``_sfx`` where ``sfx`` is a word
+over the declared independent-variable letters; such a name is a jet
+variable and its suffix is canonicalized alphabetically (``u_xt`` parses
+to the same node as ``u_tx``).  Integer literals joined by ``/`` fold to
+exact rationals, so ``3/2`` is the rational three halves.
+
+A chain of terms is built by one ``add`` call and a chain of factors by
+one ``mul`` call, a divisor entering as its ``-1`` power; the smart
+constructors flatten and fold constants, so this gives the same tree as
+folding the operands in pairs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .exprs import (
     FUNCTION_NAMES,
+    NAME,
     Context,
     DEPENDENT,
     Expr,
+    ExprError,
     add,
     const,
-    div,
     func,
     mul,
     neg,
@@ -41,176 +46,132 @@ from .exprs import (
 class ParseError(Exception):
     """Syntax or resolution failure, carrying the offending position."""
 
-    def __init__(self, message: str, text: str, pos: int) -> None:
+    def __init__(self, message: str, pos: int) -> None:
         super().__init__(f"{message} (column {pos + 1})")
         self.message = message
-        self.text = text
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT | IDENT | OP | END
-    value: str
-    pos: int
-
-
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<INT>\d+)|(?P<IDENT>[a-z][a-z0-9]*(?:_[a-z0-9]+)?)|(?P<OP>[-+*/^()]))"
+    rf"(?P<INT>\d+)|(?P<IDENT>{NAME.pattern}(?:_[a-z0-9]+)?)|(?P<OP>[-+*/^()])|(?P<BAD>\S)"
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[at]!r}", text, at)
-        kind = m.lastgroup
-        out.append(Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    out.append(Token("END", "", len(text)))
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, pos)`` triples, kind ``INT``, ``IDENT``, ``OP`` or a
+    final ``END``.  An operator is told by its value alone: no other
+    token's value is an operator character."""
+    out = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in out:
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {value!r}", pos)
+    out.append(("END", "", len(text)))
     return out
 
 
 class _Parser:
+    """One method per grammar rule; ``i`` indexes the next token."""
+
     def __init__(self, text: str, ctx: Context) -> None:
-        self.text = text
         self.ctx = ctx
-        self.tokens = tokenize(text)
+        self.toks = tokenize(text)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.next()
-        if tok.kind != "OP" or tok.value != op:
-            raise ParseError(f"expected {op!r}", self.text, tok.pos)
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.value in ops
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(f"unexpected trailing {tok.value!r}", self.text, tok.pos)
-        return e
-
     def expr(self) -> Expr:
-        e = self.term()
-        while self.at_op("+", "-"):
-            op = self.next().value
+        terms = [self.term()]
+        while (op := self.toks[self.i][1]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
-            e = add(e, rhs) if op == "+" else add(e, neg(rhs))
-        return e
+            terms.append(rhs if op == "+" else neg(rhs))
+        return terms[0] if len(terms) == 1 else add(*terms)
 
     def term(self) -> Expr:
-        e = self.unary()
-        while self.at_op("*", "/"):
-            op = self.next()
+        factors = [self.unary()]
+        while (tok := self.toks[self.i])[1] in ("*", "/"):
+            self.i += 1
             rhs = self.unary()
-            if op.value == "*":
-                e = mul(e, rhs)
-            else:
+            if tok[1] == "/":
                 try:
-                    e = div(e, rhs)
+                    rhs = pow_(rhs, -1)
                 except ZeroDivisionError:
-                    raise ParseError("division by zero", self.text, op.pos) from None
-        return e
+                    raise ParseError("division by zero", tok[2]) from None
+            factors.append(rhs)
+        return factors[0] if len(factors) == 1 else mul(*factors)
 
     def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.next()
+        if self.toks[self.i][1] == "-":
+            self.i += 1
             return neg(self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.at_op("^"):
-            tok = self.next()
-            try:
-                return pow_(base, self.exponent())
-            except ZeroDivisionError:
-                raise ParseError(
-                    "zero raised to a negative power", self.text, tok.pos
-                ) from None
-        return base
+        _, value, pos = self.toks[self.i]
+        if value != "^":
+            return base
+        self.i += 1
+        exponent = self.exponent()
+        try:
+            return pow_(base, exponent)
+        except ZeroDivisionError:
+            raise ParseError("zero raised to a negative power", pos) from None
 
     def exponent(self) -> int:
-        sign = 1
-        parens = False
-        if self.at_op("("):
-            self.next()
-            parens = True
-        if self.at_op("-"):
-            self.next()
-            sign = -1
-        tok = self.next()
-        if tok.kind != "INT":
-            raise ParseError("exponent must be an integer literal", self.text, tok.pos)
+        toks, i = self.toks, self.i
+        parens = toks[i][1] == "("
+        negative = toks[i + parens][1] == "-"
+        i += parens + negative
+        kind, value, pos = toks[i]
+        if kind != "INT":
+            raise ParseError("exponent must be an integer literal", pos)
+        i += 1
         if parens:
-            self.expect_op(")")
-        return sign * int(tok.value)
+            if toks[i][1] != ")":
+                raise ParseError("expected ')'", toks[i][2])
+            i += 1
+        self.i = i
+        return -int(value) if negative else int(value)
 
     def atom(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "INT":
-            return const(int(tok.value))
-        if tok.kind == "OP" and tok.value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if tok.kind == "IDENT":
-            return self.resolve(tok)
-        raise ParseError(f"unexpected {tok.value!r}", self.text, tok.pos)
+        kind, value, pos = self.toks[self.i]
+        self.i += 1
+        if kind == "INT":
+            return const(int(value))
+        if kind == "IDENT" and value not in FUNCTION_NAMES:
+            return self.ident(value, pos)
+        if kind == "IDENT":
+            if self.toks[self.i][1] != "(":
+                raise ParseError(f"expected '(' after function name {value!r}", pos)
+            self.i += 1
+        elif value != "(":
+            raise ParseError(f"unexpected {value!r}", pos)
+        e = self.expr()
+        _, close, at = self.toks[self.i]
+        if close != ")":
+            raise ParseError("expected ')'", at)
+        self.i += 1
+        return func(value, e) if kind == "IDENT" else e
 
-    def resolve(self, tok: Token) -> Expr:
-        name = tok.value
-        if name in FUNCTION_NAMES:
-            if not self.at_op("("):
-                raise ParseError(
-                    f"expected '(' after function name {name!r}", self.text, tok.pos
-                )
-            self.next()
-            arg = self.expr()
-            self.expect_op(")")
-            return func(name, arg)
-        if "_" in name:
-            base, suffix = name.split("_", 1)
-            dep = self.ctx.lookup(base)
-            if dep is None:
-                raise ParseError(f"unknown identifier {base!r}", self.text, tok.pos)
-            if dep.kind != DEPENDENT:
-                raise ParseError(
-                    f"cannot take derivatives of {dep.kind} variable {base!r}",
-                    self.text,
-                    tok.pos,
-                )
-            try:
-                jv = self.ctx.jet(dep, suffix)
-            except Exception as exc:
-                raise ParseError(str(exc), self.text, tok.pos) from None
-            return var(jv)
-        ref = self.ctx.lookup(name)
+    def ident(self, name: str, pos: int) -> Expr:
+        base, _, suffix = name.partition("_")
+        ref = self.ctx.lookup(base)
         if ref is None:
-            raise ParseError(f"unknown identifier {name!r}", self.text, tok.pos)
-        return var(ref)
+            raise ParseError(f"unknown identifier {base!r}", pos)
+        if not suffix:
+            return var(ref)
+        if ref.kind != DEPENDENT:
+            raise ParseError(f"cannot take derivatives of {ref.kind} variable {base!r}", pos)
+        try:
+            return var(self.ctx.jet(ref, suffix))
+        except (ValueError, ExprError) as exc:
+            raise ParseError(str(exc), pos) from None
 
 
 def parse(text: str, ctx: Context) -> Expr:
     """Parse ``text`` against the declarations in ``ctx``."""
-    return _Parser(text, ctx).parse()
+    parser = _Parser(text, ctx)
+    e = parser.expr()
+    kind, value, pos = parser.toks[parser.i]
+    if kind != "END":
+        raise ParseError(f"unexpected trailing {value!r}", pos)
+    return e

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .exprs import Context, Expr, ExprError, collect_refs, eval_numeric
+from .exprs import NAME, Context, Expr, ExprError, collect_refs, eval_numeric
 from .jets import ConservedVector, MultiplierPair, PDESystem, VectorField
 from .parse import ParseError, parse
 from .reduction import SolutionCandidate
@@ -58,7 +58,6 @@ class ProblemFormatError(Exception):
     def __init__(self, message: str, path: str, lineno: int | None = None) -> None:
         where = f"{path}:{lineno}" if lineno else path
         super().__init__(f"{where}: {message}")
-        self.path = path
         self.lineno = lineno
 
 
@@ -112,13 +111,17 @@ def _split_sections(text: str, path: str) -> dict[str, list[tuple[int, str]]]:
     return sections
 
 
-def _keyed(lines: list[tuple[int, str]], path: str) -> list[tuple[int, str, str]]:
-    out = []
+def _keyed(lines: list[tuple[int, str]], path: str) -> dict[str, tuple[int, str]]:
+    """A ``key = value`` section as key -> (lineno, value), in file order;
+    a key may appear once."""
+    out: dict[str, tuple[int, str]] = {}
     for lineno, line in lines:
         if "=" not in line:
             raise ProblemFormatError("expected 'key = value'", path, lineno)
-        key, value = line.split("=", 1)
-        out.append((lineno, key.strip(), value.strip()))
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in out:
+            raise ProblemFormatError(f"duplicate key {key!r}", path, lineno)
+        out[key] = (lineno, value)
     return out
 
 
@@ -131,15 +134,32 @@ def _parse_expr(text: str, ctx: Context, path: str, lineno: int) -> Expr:
 
 _PAIR_RE = re.compile(r"pair(\d+)_q(\d+)$")
 _VEC_RE = re.compile(r"t(\d+)_(density|flux)$")
-_SYM_RE = re.compile(r"x(\d+)_(xi|eta)_([a-z][a-z0-9]*)$")
+_SYM_RE = re.compile(rf"x(\d+)_((xi|eta)_({NAME.pattern}))$")
 _LABEL_RE = re.compile(r"[a-z][a-z0-9-]*$")
 
 
-def _contiguous(indices, what: str, path: str) -> int:
+def _contiguous(indices, what: str, path: str) -> None:
     n = len(indices)
     if sorted(indices) != list(range(1, n + 1)):
         raise ProblemFormatError(f"{what} indices must be 1..{n}", path)
-    return n
+
+
+def _indexed(entries, pattern: re.Pattern, what: str, build, ctx: Context, path: str) -> list:
+    """One ``build(n, {part: expression})`` per index ``n`` 1..N, in order.
+    ``pattern`` captures the index, then the part (``pair2_q1``: 2, ``1``);
+    ``what`` names the objects (``multiplier pair``), its first word the keys."""
+    groups: dict[int, dict[str, Expr]] = {}
+    for key, (lineno, value) in entries:
+        m = pattern.match(key)
+        if not m:
+            raise ProblemFormatError(f"bad {what.split()[0]} key {key!r}", path, lineno)
+        parts = groups.setdefault(int(m[1]), {})
+        if m[2] in parts:  # the index spelled with a leading zero
+            raise ProblemFormatError(f"duplicate key {key!r}", path, lineno)
+        parts[m[2]] = _parse_expr(value, ctx, path, lineno)
+    built = [build(n, groups[n]) for n in sorted(groups)]
+    _contiguous(groups, what, path)
+    return built
 
 
 def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
@@ -183,26 +203,23 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         raise ProblemFormatError("[independents] must list exactly two variables, time first", path)
     time = ctx.independents[0].name
 
-    printed_map: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in _keyed(sections.get("printed", []), path):
-        printed_map[key] = (lineno, value)
+    def keyed(section: str) -> dict[str, tuple[int, str]]:
+        return _keyed(sections.get(section, []), path)
+
+    printed_map = keyed("printed")
     overridable: set[str] = set()
 
     def entries(section: str):
-        """The section's (lineno, key, value) entries, with the [printed]
+        """The section's (key, (lineno, value)) entries, with the [printed]
         spelling swapped in when loading printed; records each key seen."""
-        for lineno, key, value in _keyed(sections.get(section, []), path):
-            overridable.add(key)
-            if printed and key in printed_map:
-                lineno, value = printed_map[key]
-            yield lineno, key, value
+        out = keyed(section)
+        overridable.update(out)
+        return [(k, printed_map.get(k, v) if printed else v) for k, v in out.items()]
 
-    equations = []
-    for lineno, key, value in entries("equations"):
-        equations.append((key, _parse_expr(value, ctx, path, lineno)))
+    equations = [(k, _parse_expr(v, ctx, path, n)) for k, (n, v) in entries("equations")]
 
     evolution: dict[str, Expr] = {}
-    for lineno, key, value in entries("evolution"):
+    for key, (lineno, value) in entries("evolution"):
         if not key.endswith(f"_{time}") or ctx.lookup(key[:-2]) not in ctx.dependents:
             raise ProblemFormatError(
                 f"evolution key {key!r} must be <dependent>_{time}", path, lineno
@@ -213,72 +230,47 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     except (ValueError, ExprError) as exc:
         raise ProblemFormatError(str(exc), path) from None
 
-    pair_parts: dict[int, dict[int, Expr]] = {}
-    for lineno, key, value in entries("multipliers"):
-        m = _PAIR_RE.match(key)
-        if not m:
-            raise ProblemFormatError(f"bad multiplier key {key!r}", path, lineno)
-        n, q = int(m.group(1)), int(m.group(2))
-        pair_parts.setdefault(n, {})[q] = _parse_expr(value, ctx, path, lineno)
-    multipliers = []
-    for n in sorted(pair_parts):
-        qs = pair_parts[n]
-        _contiguous(list(qs), f"pair{n} multiplier", path)
+    def pair(n: int, qs: dict[str, Expr]) -> MultiplierPair:
+        _contiguous([int(q) for q in qs], f"pair{n} multiplier", path)
         if len(qs) != len(equations):
-            raise ProblemFormatError(
-                f"pair{n} has {len(qs)} multipliers for {len(equations)} equations",
-                path,
-            )
-        multipliers.append(
-            MultiplierPair(f"pair{n}", tuple(qs[i] for i in sorted(qs)))
-        )
-    _contiguous(list(pair_parts), "multiplier pair", path)
+            msg = f"pair{n} has {len(qs)} multipliers for {len(equations)} equations"
+            raise ProblemFormatError(msg, path)
+        return MultiplierPair(f"pair{n}", tuple(qs[q] for q in sorted(qs, key=int)))
 
-    vec_parts: dict[int, dict[str, Expr]] = {}
-    for lineno, key, value in entries("conserved"):
-        m = _VEC_RE.match(key)
-        if not m:
-            raise ProblemFormatError(f"bad conserved key {key!r}", path, lineno)
-        vec_parts.setdefault(int(m.group(1)), {})[m.group(2)] = _parse_expr(
-            value, ctx, path, lineno
-        )
-    conserved = []
-    for n in sorted(vec_parts):
-        parts = vec_parts[n]
+    def vector(n: int, parts: dict[str, Expr]) -> ConservedVector:
         if set(parts) != {"density", "flux"}:
             raise ProblemFormatError(f"t{n} needs both density and flux", path)
-        conserved.append(ConservedVector(f"t{n}", parts["density"], parts["flux"]))
-    _contiguous(list(vec_parts), "conserved vector", path)
+        return ConservedVector(f"t{n}", parts["density"], parts["flux"])
 
-    sym_parts: dict[int, dict[str, dict[str, Expr]]] = {}
     indep_names = {v.name for v in ctx.independents}
     dep_names = {v.name for v in ctx.dependents}
-    for lineno, key, value in _keyed(sections.get("symmetries", []), path):
-        m = _SYM_RE.match(key)
-        if not m:
-            raise ProblemFormatError(f"bad symmetry key {key!r}", path, lineno)
-        n, part, target = int(m.group(1)), m.group(2), m.group(3)
-        expected = indep_names if part == "xi" else dep_names
-        if target not in expected:
-            raise ProblemFormatError(
-                f"symmetry key {key!r} targets unknown variable {target!r}",
-                path,
-                lineno,
-            )
-        sym_parts.setdefault(n, {"xi": {}, "eta": {}})[part][target] = _parse_expr(
-            value, ctx, path, lineno
-        )
-    symmetries = []
-    for n in sorted(sym_parts):
-        fieldv = VectorField(f"x{n}", sym_parts[n]["xi"], sym_parts[n]["eta"])
+
+    def targeted(entries):
+        """[symmetries] entries, each naming a declared variable of its kind."""
+        for key, (lineno, value) in entries:
+            m = _SYM_RE.match(key)
+            if m and m[4] not in (indep_names if m[3] == "xi" else dep_names):
+                msg = f"symmetry key {key!r} targets unknown variable {m[4]!r}"
+                raise ProblemFormatError(msg, path, lineno)
+            yield key, (lineno, value)
+
+    def symmetry(n: int, parts: dict[str, Expr]) -> VectorField:
+        coefficients: dict[str, dict[str, Expr]] = {"xi": {}, "eta": {}}
+        for part, e in parts.items():
+            kind, _, target = part.partition("_")
+            coefficients[kind][target] = e
+        fieldv = VectorField(f"x{n}", coefficients["xi"], coefficients["eta"])
         try:
             fieldv.validate(ctx)
         except ValueError as ve:
             raise ProblemFormatError(str(ve), path) from None
-        symmetries.append(fieldv)
-    _contiguous(list(sym_parts), "symmetry", path)
+        return fieldv
 
-    candidates = []
+    multipliers = _indexed(entries("multipliers"), _PAIR_RE, "multiplier pair", pair, ctx, path)
+    conserved = _indexed(entries("conserved"), _VEC_RE, "conserved vector", vector, ctx, path)
+    symmetries = _indexed(targeted(keyed("symmetries").items()), _SYM_RE, "symmetry", symmetry, ctx, path)
+
+    candidates: list[SolutionCandidate] = []
     deps = [d.name for d in ctx.dependents]
     for lineno, line in sections.get("candidates", []):
         parts = [p.strip() for p in line.split(":")]
@@ -288,6 +280,8 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         label = parts[0]
         if not _LABEL_RE.match(label):
             raise ProblemFormatError(f"bad candidate label {label!r}", path, lineno)
+        if any(c.label == label for c in candidates):
+            raise ProblemFormatError(f"duplicate key {label!r}", path, lineno)
         suspect = False
         constraints = []
         if parts[1]:
@@ -333,9 +327,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             raise ProblemFormatError(str(ve), path, lineno) from None
         candidates.append(cand)
 
-    reduced_notes = {}
-    for lineno, key, value in _keyed(sections.get("reduced", []), path):
-        reduced_notes[key] = value
+    reduced_notes = {key: value for key, (_, value) in keyed("reduced").items()}
 
     for key, (lineno, _) in printed_map.items():
         if key not in overridable:

@@ -339,11 +339,11 @@ def candidate_equation_residuals(
     return float(eq_max), float(combo_max)
 
 
+TOL = 1e-10  # largest residual a draw may leave and still vanish
+
+
 def classify(
-    system: PDESystem,
-    candidates: Sequence[SolutionCandidate],
-    seed: int = 7,
-    tol: float = 1e-10,
+    system: PDESystem, candidates: Sequence[SolutionCandidate], seed: int = 7
 ) -> list[CandidateReport]:
     """Adjudicate every candidate on three seeded draws and 100 fixed
     sample points.  A draw that leaves the numeric domain or has a
@@ -365,9 +365,9 @@ def classify(
             if not (math.isfinite(eq_max) and math.isfinite(combo_max)):
                 verdict = "fail"
                 cause = f"non-finite residual eq={eq_max:.3e},angular={combo_max:.3e}"
-            elif eq_max < tol:
+            elif eq_max < TOL:
                 verdict = "exact"
-            elif combo_max < tol:
+            elif combo_max < TOL:
                 verdict = "reduced-only"
             else:
                 verdict = "neither"

@@ -209,6 +209,15 @@ def test_unknown_command_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["--tol", "1e-3", "classify"], ["--tol=1e-3", "classify"]])
+def test_tolerance_is_not_an_option(capsys, argv):
+    """The zero tolerance is ``reduction.TOL``; ``--tol`` is a usage error."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_json_output(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "--json-out", str(target), "verify")

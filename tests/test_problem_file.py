@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from nlseverify.exprs import render
+from nlseverify.cli import main
+from nlseverify.exprs import Context, render
 from nlseverify.problem import ProblemFormatError, load_problem, load_problem_text
 
 MINIMAL = """\
@@ -252,3 +253,67 @@ def test_load_problem_from_path(tmp_path):
     assert prob.path == str(target)
     with pytest.raises(ProblemFormatError):
         load_problem(str(tmp_path / "absent.prob"))
+
+
+REPEATS = {  # section -> (file, the line that repeats an earlier key)
+    "equations": (TWO_DEP.replace("g2 = v_t", "g1 = v_t"), "g1 = v_t + beta*v_x"),
+    "evolution": (TWO_DEP.replace("v_t = -beta*v_x", "u_t = -u_x*beta"), "u_t = -u_x*beta"),
+    "multipliers": (
+        TWO_DEP + "\n[multipliers]\npair1_q1 = u\npair1_q2 = v\npair1_q1 = v\n",
+        "pair1_q1 = v",
+    ),
+    "conserved": (TWO_DEP + "\n[conserved]\nt1_density = u\nt1_flux = v\nt1_density = v\n", "t1_density = v"),
+    "conserved-leading-zero": (
+        TWO_DEP + "\n[conserved]\nt1_density = u\nt1_flux = v\nt01_density = v\n",
+        "t01_density = v",
+    ),
+    "symmetries": (TWO_DEP + "\n[symmetries]\nx1_xi_t = 1\nx1_xi_x = 1\nx1_xi_t = 2\n", "x1_xi_t = 2"),
+    "candidates": (
+        TWO_DEP + "\n[candidates]\nc1 : : u = 1 : v = 0\nc2 : : u = 0 : v = 1\nc1 : : u = 2 : v = 0\n",
+        "c1 : : u = 2 : v = 0",
+    ),
+    "printed": (TWO_DEP + "\n[printed]\ng2 = v_t + beta*v_x\ng2 = v_t\n", "g2 = v_t"),
+    "reduced": (TWO_DEP + "\n[reduced]\nnote = a\nother = b\nnote = c\n", "note = c"),
+}
+
+
+@pytest.mark.parametrize("section", REPEATS)
+def test_repeated_key_is_an_error_at_its_line(section):
+    """The second spelling of a key used to replace the first silently."""
+    text, repeat = REPEATS[section]
+    err = expect_error(text, "duplicate key")
+    assert err.lineno == text.splitlines().index(repeat) + 1
+
+
+def test_printed_override_is_not_a_repeat():
+    text = TWO_DEP + "\n[printed]\ng2 = v_t\n"
+    plain = load_problem_text(text, "<test>")
+    assert render(dict(plain.system.equations)["g2"]) == "v_t + beta*v_x"
+    printed = load_problem_text(text.replace("v_t = -beta*v_x", "v_t = 0"), "<test>", True)
+    assert render(dict(printed.system.equations)["g2"]) == "v_t"
+
+
+def test_repeated_equation_label_stops_verify(tmp_path, capsys):
+    """Two equations labelled g1 collapsed in the per-label symmetry check,
+    so a field that moves g2 passed; the file is now refused at the repeat."""
+    text = TWO_DEP.replace("[params]\nbeta\n\n", "").replace("beta*", "")
+    text = text.replace("g2 = v_t", "g1 = v_t") + "\n[symmetries]\nx1_eta_u = x\n"
+    target = tmp_path / "repeat.prob"
+    target.write_text(text)
+    assert main(["--problem", str(target), "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{target}:11: duplicate key 'g1'" in captured.err
+    target.write_text(text.replace("g1 = v_t", "g2 = v_t"))
+    assert main(["--problem", str(target), "verify"]) == 2
+    assert "verify.symmetry.x1\tx1\tfail\tg1: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["k_1", "kA", "é", "_k"])
+def test_names_follow_the_identifier_grammar(name):
+    """A name the expression grammar cannot spell used to load and then
+    fail at its first use with a misleading message."""
+    with pytest.raises(ValueError, match="bad variable name"):
+        Context(("t", "x"), ("u",), (name,))
+    expect_error(MINIMAL.replace("[params]\nbeta\n", f"[params]\nbeta\n{name}\n"), "bad variable name")
+    assert Context(("t", "x"), ("u",), ("k1",)).parse("k1*u") is not None
