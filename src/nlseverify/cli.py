@@ -11,8 +11,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import numerics
 from .exprs import EvalDomainError, ExprError, UnboundGeneratorError, render, var
 from .jets import (
@@ -255,10 +253,8 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
     if not (0 < args.dt < math.inf and 0 < args.T < math.inf) or args.sample_every < 1:
         raise UsageError("dt, T must be positive and finite and sample-every at least 1")
     params = dict(problem.param_values)
-    if args.init == "plane-wave":  # a*exp(i*k*x); omega only enters at t > 0
-        state = numerics.FieldState(
-            grid, 0.0, (args.a * np.cos(args.k * grid.x), args.a * np.sin(args.k * grid.x))
-        )
+    if args.init == "plane-wave":
+        state = numerics.plane_wave_start(grid, args.a, args.k)
     elif args.init == "case1-exact":
         params["gamma"] = 0.0  # the profile is exact only without dispersion
         try:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-import numpy as np
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -43,6 +42,14 @@ class EvalDomainError(ExprError):
 
 class UnboundGeneratorError(ExprError):
     """Numeric evaluation met a generator with no binding."""
+
+
+class DeclarationError(ValueError):
+    """:class:`Context` refuses the declared variable ``name``."""
+
+    def __init__(self, message: str, name: str) -> None:
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -443,16 +450,13 @@ def _subst(e: Expr, bindings: Mapping[Gen, Expr]) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_FUNCTIONS = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "sqrt": (math.sqrt, np.sqrt),
-    "arctan": (math.atan, np.arctan),
-}
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "arctan": math.atan}
+
+_SCALARS = frozenset((int, bool, Fraction))  # bound as floats, like float and numpy's float64
 
 
 def _any(mask) -> bool:
-    return mask.any() if isinstance(mask, np.ndarray) else mask
+    return mask if isinstance(mask, bool) else mask.any()
 
 
 def _digit_count(n: int) -> int:
@@ -461,12 +465,13 @@ def _digit_count(n: int) -> int:
     return d - (10 ** (d - 1) > n) + (10**d <= n)
 
 
-def eval_numeric(e: Expr, bindings: Mapping[Gen, float | np.ndarray]) -> float | np.ndarray:
+def eval_numeric(e: Expr, bindings: Mapping[Gen, object]) -> object:
     """Evaluate to a float, or to an array when a binding is a numpy array.
 
     Every generator present must be bound; arrays broadcast.  Any negative
     value under sqrt, any zero base under a negative exponent, and scalar
-    overflow raise EvalDomainError; array overflow leaves inf or nan.
+    overflow raise EvalDomainError; array overflow leaves inf or nan.  Only
+    a value that is already an array reaches numpy: floats need no import.
     """
     if isinstance(e, Const):
         try:
@@ -479,7 +484,7 @@ def eval_numeric(e: Expr, bindings: Mapping[Gen, float | np.ndarray]) -> float |
             value = bindings[e.ref]
         except KeyError:
             raise UnboundGeneratorError(f"no value bound for {e.ref}") from None
-        return value if isinstance(value, np.ndarray) else float(value)
+        return float(value) if isinstance(value, float) or type(value) in _SCALARS else value
     if isinstance(e, Sum):
         return sum(eval_numeric(t, bindings) for t in e.terms)
     if isinstance(e, Prod):
@@ -497,15 +502,14 @@ def eval_numeric(e: Expr, bindings: Mapping[Gen, float | np.ndarray]) -> float |
             raise EvalDomainError(f"overflow in {render(e)}") from None
     if isinstance(e, FuncApp):
         a = eval_numeric(e.arg, bindings)
-        scalar_fn, array_fn = _FUNCTIONS[e.fn]
+        scalar = isinstance(a, float)
         if e.fn == "sqrt" and _any(a < 0):
-            raise EvalDomainError(
-                f"sqrt of negative value {float(np.nanmin(a))} in {render(e)}"
-            )
-        if isinstance(a, np.ndarray):
-            return array_fn(a)
+            low = a if scalar else sys.modules["numpy"].nanmin(a)
+            raise EvalDomainError(f"sqrt of negative value {float(low)} in {render(e)}")
+        if not scalar:  # an array, so numpy is loaded
+            return getattr(sys.modules["numpy"], e.fn)(a)
         try:
-            return scalar_fn(a)
+            return _FUNCTIONS[e.fn](a)
         except ValueError:  # math.sin(inf) and the like
             raise EvalDomainError(f"{e.fn} of {a} in {render(e)}") from None
     raise TypeError(f"not an expression node: {e!r}")
@@ -538,17 +542,16 @@ class Context:
         names: dict[str, VarId] = {}
         for v in self.independents + self.dependents + self.parameters:
             if not NAME.fullmatch(v.name):
-                raise ValueError(f"bad variable name {v.name!r}")
+                raise DeclarationError(f"bad variable name {v.name!r}", v.name)
             if v.name in names:
-                raise ValueError(f"duplicate variable name {v.name!r}")
+                raise DeclarationError(f"duplicate variable name {v.name!r}", v.name)
             if v.name in FUNCTION_NAMES:
-                raise ValueError(f"{v.name!r} is a reserved function name")
+                raise DeclarationError(f"{v.name!r} is a reserved function name", v.name)
             names[v.name] = v
         for v in self.independents:
             if len(v.name) != 1:
-                raise ValueError(
-                    f"independent variable {v.name!r} must be a single letter"
-                )
+                msg = f"independent variable {v.name!r} must be a single letter"
+                raise DeclarationError(msg, v.name)
         self._by_name = names
 
     def lookup(self, name: str) -> VarId | None:

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .exprs import (
     INDEPENDENT,
     Expr,
@@ -39,6 +37,18 @@ from .exprs import (
 )
 from .jets import PDESystem, explicit_partial
 from .normal import as_form, normalize
+
+
+class _Numpy:
+    """numpy, imported in this stand-in's place on first use; the exact commands never use it."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 
 class BlowupError(RuntimeError):
@@ -77,7 +87,7 @@ class FieldState:
     fields: tuple[np.ndarray, ...]  # one per dependent, in declaration order
 
     def max_abs(self) -> float:
-        return float(max(np.max(np.abs(f)) for f in self.fields))
+        return float(np.max([np.max(np.abs(f)) for f in self.fields]))  # nan if any is nan
 
 
 def _shifts(f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -242,10 +252,11 @@ class QuantitySeries:
             self.values[lb].append(sampled[lb])
 
     def drift(self, label: str) -> float:
+        """max |Q(t) - Q(0)| / max(1, |Q(0)|); nan if any sample is nan."""
         vals = self.values[label]
         v0 = vals[0]
         scale = max(1.0, abs(v0))
-        return max(abs(v - v0) for v in vals) / scale
+        return float(np.max(np.abs(np.array(vals) - v0))) / scale
 
     def to_csv(self) -> str:
         lines = ["time," + ",".join(self.labels)]
@@ -311,6 +322,11 @@ def plane_wave_exact(
         raise ValueError(f"unknown dispersion {dispersion!r}")
     phase = k * grid.x - omega * t
     return FieldState(grid, t, (a * np.cos(phase), a * np.sin(phase)))
+
+
+def plane_wave_start(grid: Grid, a: float, k: float) -> FieldState:
+    """a*exp(i*k*x) at t = 0, for any parameters: omega only enters at t > 0."""
+    return FieldState(grid, 0.0, (a * np.cos(k * grid.x), a * np.sin(k * grid.x)))
 
 
 def case1_steady_state(grid: Grid, params: Mapping[str, float], c1: float = 0.0) -> FieldState:

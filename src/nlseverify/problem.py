@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .exprs import NAME, Context, Expr, ExprError, collect_refs, eval_numeric
+from .exprs import NAME, Context, DeclarationError, Expr, ExprError, collect_refs, eval_numeric
 from .jets import ConservedVector, MultiplierPair, PDESystem, VectorField
 from .parse import ParseError, parse
 from .reduction import SolutionCandidate
@@ -165,6 +165,7 @@ def _indexed(entries, pattern: re.Pattern, what: str, build, ctx: Context, path:
 def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     sections = _split_sections(text, path)
     value_text: dict[str, tuple[int, str]] = {}  # [params] name -> (lineno, value)
+    declared_at: dict[str, int] = {}  # name -> line of its last declaration
 
     def names(section: str) -> list[str]:
         """The declared names; a [params] line may also give a value."""
@@ -177,13 +178,14 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
                 )
             if eq:
                 value_text[name] = (lineno, value)
+            declared_at[name] = lineno
             out.append(name)
         return out
 
     try:
         ctx = Context(names("independents"), names("dependents"), names("params"))
-    except ValueError as ve:
-        raise ProblemFormatError(str(ve), path) from None
+    except DeclarationError as de:
+        raise ProblemFormatError(str(de), path, declared_at[de.name]) from None
     param_values: dict[str, float] = {}
     for name, (lineno, source) in value_text.items():
         expr = _parse_expr(source, ctx, path, lineno)
@@ -302,6 +304,8 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
                         path,
                         lineno,
                     )
+                if any(name == cname for name, _ in constraints):
+                    raise ProblemFormatError(f"duplicate constraint target {cname!r}", path, lineno)
                 constraints.append((cname, _parse_expr(cval, ctx, path, lineno)))
         exprs = {}
         for piece in parts[2:]:

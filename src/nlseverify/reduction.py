@@ -35,8 +35,6 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .exprs import (
     DEPENDENT,
     Context,
@@ -320,11 +318,12 @@ def candidate_equation_residuals(
     jets: Mapping[Gen, Expr],
     system: PDESystem,
     params: Mapping[str, float],
-    points: Sequence[tuple[float, float]] | np.ndarray,
+    points: Sequence[tuple[float, float]],
 ) -> tuple[float, float]:
     """(max |G_a|, max |u*G1 + v*G2|) over the point set: the candidate's
     jets evaluated on arrays of all the points, then the equations with
     them bound; a nan anywhere makes its maximum nan."""
+    import numpy as np  # here and in classify: the exact commands never load it
     ctx = system.ctx
     xs, ts = np.array(points, dtype=float).T
     values = {ctx[k]: val for k, val in params.items()}
@@ -348,6 +347,7 @@ def classify(
     """Adjudicate every candidate on three seeded draws and 100 fixed
     sample points.  A draw that leaves the numeric domain or has a
     non-finite residual fails, with its cause, and fails the candidate."""
+    import numpy as np
     points = np.array(low_discrepancy_points(100))
     bases = draw_parameters(system.ctx, seed, 3)
     reports = []

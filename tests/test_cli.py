@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 
 from nlseverify.cli import main
@@ -633,3 +634,35 @@ def test_bad_simulate_arguments_exit_one(capsys, tmp_path, argv, message):
     assert (code, out) == (1, "")
     assert err.startswith(f"nlseverify: error: {message}"), err
     assert err.count("\n") == 1
+
+
+def test_a_nan_field_is_a_blowup_record(capsys, tmp_path):
+    """inf - inf fills v with nan while u stays finite: the step used to
+    accept it and the four drift records passed with drift 0."""
+    overflow = "(100*u)^400 - (100*u)^400"
+    text = re.sub(r"(?m)^g1 = .*$", "g1 = u_t", BUNDLED)
+    text = re.sub(r"(?m)^g2 = .*$", f"g2 = -v_t + {overflow}", text)
+    text = re.sub(r"(?m)^u_t = .*$", "u_t = 0", text)
+    text = re.sub(r"(?m)^v_t = .*$", f"v_t = {overflow}", text)
+    target = tmp_path / "nan.prob"
+    target.write_text(text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
+    assert code == 2
+    (record,) = out.splitlines()
+    assert record.split("\t")[:3] == ["simulate.blowup", "plane-wave", "fail"]
+    assert "solution magnitude nan at t=0.001" in record
+
+
+def test_a_nan_sample_fails_its_drift_record(capsys, tmp_path):
+    """Q2 is finite at t = 0 and nan afterwards, with finite fields."""
+    spike = "(1000*t + u - u)^400"
+    text = BUNDLED.replace("t2_density = (u^2 + v^2)/2", f"t2_density = (u^2 + v^2)/2 + {spike} - {spike}")
+    target = tmp_path / "nan-sample.prob"
+    target.write_text(text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.02")
+    assert code == 2
+    verdicts = {line.split("\t")[0]: line.split("\t")[2:4] for line in out.splitlines()}
+    assert verdicts["simulate.drift.Q2"] == ["fail", "nan"]
+    assert verdicts["simulate.drift.Q1"][0] == "pass"

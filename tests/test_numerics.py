@@ -282,3 +282,19 @@ def test_series_drift_and_csv():
     assert lines[0] == "time,Q1,Q2"
     assert len(lines) == 3
     assert [float(f) for f in lines[2].split(",")] == [0.1, 2.5, 0.6]
+
+
+@pytest.mark.parametrize("nan_first", [False, True])
+def test_a_nan_anywhere_is_the_largest_magnitude(nan_first):
+    """A Python ``max`` kept the finite maximum when the nan came second."""
+    grid = Grid(16, 1.0)
+    fields = (np.ones(grid.n), np.full(grid.n, np.nan))
+    state = FieldState(grid, 0.0, fields[::-1] if nan_first else fields)
+    assert math.isnan(state.max_abs())
+
+
+def test_a_nan_sample_makes_the_drift_nan():
+    series = QuantitySeries(("Q1",))
+    for t, q in ((0.0, 2.0), (0.1, math.nan), (0.2, 2.0)):
+        series.record(t, {"Q1": q})
+    assert math.isnan(series.drift("Q1"))

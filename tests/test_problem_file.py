@@ -317,3 +317,38 @@ def test_names_follow_the_identifier_grammar(name):
         Context(("t", "x"), ("u",), (name,))
     expect_error(MINIMAL.replace("[params]\nbeta\n", f"[params]\nbeta\n{name}\n"), "bad variable name")
     assert Context(("t", "x"), ("u",), ("k1",)).parse("k1*u") is not None
+
+
+DECLARATIONS = {  # case -> (file, the offending declaration, message)
+    "bad-name": (MINIMAL.replace("[params]\nbeta\n", "[params]\nbeta\nk_1\n"), "k_1", "bad variable name 'k_1'"),
+    "repeated-param": (
+        MINIMAL.replace("[params]\nbeta\n", "[params]\nbeta = 1\ngamma\nbeta = 2\n"),
+        "beta = 2",
+        "duplicate variable name 'beta'",
+    ),
+    "repeated-dependent": (TWO_DEP.replace("u\nv\n", "u\nv\nu\n"), "u\n\n[equations]", "duplicate variable name 'u'"),
+    "reserved": (MINIMAL.replace("[params]\nbeta\n", "[params]\nbeta\nsin\n"), "sin", "'sin' is a reserved function name"),
+    "long-independent": (
+        MINIMAL.replace("t\nx\n", "t\nxy\n"),
+        "xy",
+        "independent variable 'xy' must be a single letter",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DECLARATIONS)
+def test_declaration_errors_carry_their_line(case):
+    """Context's refusals used to name the file but not the line."""
+    text, offending, message = DECLARATIONS[case]
+    lineno = text[: text.index(f"\n{offending}\n") + 1].count("\n") + 1
+    err = expect_error(text, f"<test>:{lineno}: {message}")
+    assert err.lineno == lineno
+
+
+def test_repeated_constraint_target_is_an_error_at_its_line():
+    """The last value used to win silently in the draws."""
+    text = MINIMAL + "\n[candidates]\nfoo : beta = 0, beta = 1 : u = x\n"
+    err = expect_error(text, "duplicate constraint target 'beta'")
+    assert err.lineno == len(text.splitlines())
+    (cand,) = load_problem_text(text.replace("beta = 1", "suspect"), "<test>").candidates
+    assert [name for name, _ in cand.constraints] == ["beta"] and cand.suspect
