@@ -7,64 +7,4 @@ periodic finite-difference integrator that audits the conserved
 quantities it should preserve.
 """
 
-from .exprs import Context, Expr, JetVar, VarId, eval_numeric, render
-from .jets import (
-    ConservedVector,
-    MultiplierPair,
-    PDESystem,
-    VectorField,
-    association_residual,
-    divergence_match,
-    euler_operator,
-    multiplier_condition,
-    prolong,
-    symmetry_invariance,
-    total_derivative,
-)
-from .normal import NormalizationError, PolyNF, normalize
-from .parse import ParseError, parse
-from .problem import Problem, ProblemFormatError, load_problem
-from .reduction import (
-    CanonicalTransform,
-    ReducedODE,
-    SolutionCandidate,
-    build_canonical_transform,
-    classify,
-    reduced_ode,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Context",
-    "Expr",
-    "JetVar",
-    "VarId",
-    "eval_numeric",
-    "render",
-    "ConservedVector",
-    "MultiplierPair",
-    "PDESystem",
-    "VectorField",
-    "association_residual",
-    "divergence_match",
-    "euler_operator",
-    "multiplier_condition",
-    "prolong",
-    "symmetry_invariance",
-    "NormalizationError",
-    "PolyNF",
-    "normalize",
-    "ParseError",
-    "parse",
-    "Problem",
-    "ProblemFormatError",
-    "load_problem",
-    "CanonicalTransform",
-    "ReducedODE",
-    "SolutionCandidate",
-    "build_canonical_transform",
-    "classify",
-    "reduced_ode",
-    "__version__",
-]

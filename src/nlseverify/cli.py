@@ -42,10 +42,16 @@ def _join(parts: dict[str, PolyNF]) -> str:
     return "; ".join(f"{k}: {render(v.to_expr())}" for k, v in bad.items())
 
 
-def _angular(problem: Problem) -> str:
-    """The angular combination in the file's names, e.g. ``u*g1 + v*g2``."""
-    angular = zip(problem.ctx.dependents, problem.system.equations)
-    return " + ".join(f"{dep.name}*{label}" for dep, (label, _) in angular)
+def _angular(problem: Problem, command: str) -> str:
+    """The angular combination in the file's names, e.g. ``u*g1 + v*g2``:
+    each dependent times its own equation, so the counts must agree."""
+    deps, equations = problem.ctx.dependents, problem.system.equations
+    if len(deps) != len(equations):
+        raise UsageError(
+            f"{command}: the angular combination needs one equation per dependent, "
+            f"got {len(equations)} equations for {len(deps)} dependents"
+        )
+    return " + ".join(f"{dep.name}*{label}" for dep, (label, _) in zip(deps, equations))
 
 
 def build_parser() -> _Parser:
@@ -143,6 +149,7 @@ def associate_report(problem: Problem) -> Report:
 def reduce_report(problem: Problem) -> Report:
     if len(problem.ctx.dependents) != 2:
         raise UsageError("reduce needs exactly two dependents, the real and imaginary part")
+    angular = _angular(problem, "reduce")
     system = problem.system
     try:
         tr = build_canonical_transform(system)
@@ -177,7 +184,7 @@ def reduce_report(problem: Problem) -> Report:
         verdict, residual = "info", render(ode.residual.to_expr())
     rep.add(
         "reduce.ode",
-        _angular(problem),
+        angular,
         verdict,
         residual,
         "constant-amplitude invariant profile, w^2 = eps",
@@ -223,13 +230,9 @@ def classify_report(problem: Problem, seed: int, case: str | None) -> Report:
         cands = tuple(c for c in cands if c.case == case)
         if not cands:
             raise UsageError(f"no candidates in case {case!r}")
-    n_eq, n_dep = len(problem.system.equations), len(problem.ctx.dependents)
-    if cands and n_eq != n_dep:
-        raise UsageError(
-            "classify: the angular combination needs one equation per dependent, "
-            f"got {n_eq} equations for {n_dep} dependents"
-        )
-    angular = _angular(problem)
+    if not cands:
+        return rep
+    angular = _angular(problem, "classify")
     for cr in classify(problem.system, cands, seed=seed):
         causes = [d.cause for d in cr.draws if d.cause]
         eq_max = max(d.eq_residual for d in cr.draws)
@@ -246,6 +249,12 @@ def classify_report(problem: Problem, seed: int, case: str | None) -> Report:
 
 def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
     rep = Report("simulate")
+    deps = [d.name for d in problem.ctx.dependents]
+    if len(deps) != 2:
+        raise UsageError(
+            "simulate needs exactly two dependents, the real and imaginary part "
+            f"that every --init builds, got {', '.join(deps)}"
+        )
     try:
         grid = numerics.Grid(args.N, args.L)
     except ValueError as ve:
@@ -273,31 +282,28 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
         raise UsageError("horizon shorter than one step")
     system = problem.system
     densities = problem.quantity_densities()
-    try:
-        for density in densities.values():
-            numerics.conserved_quantity(density, state, system, params)
-    except (ExprError, ValueError) as exc:
-        raise UsageError(f"cannot sample the conserved densities: {exc}") from None
-    deps = [d.name for d in problem.ctx.dependents]
-    if len(deps) != 2:
-        raise UsageError(
-            "simulate needs exactly two dependents, the real and imaginary part "
-            f"that every --init builds, got {', '.join(deps)}"
-        )
-    try:
-        final, series = numerics.run(
-            state, system, params, args.dt, steps, densities, sample_every=args.sample_every
-        )
-    except numerics.BlowupError as be:
-        rep.add("simulate.blowup", args.init, "fail", str(be), "bounded trajectory")
-        return rep
-    except EvalDomainError as exc:
-        rep.add(
-            "simulate.domain", args.init, "fail", str(exc), "rules defined along the trajectory"
-        )
-        return rep
-    except UnboundGeneratorError as exc:  # the densities were sampled above
-        raise UsageError(f"cannot evaluate the [evolution] rules: {exc}") from None
+    # An overflow or nan is judged by the blowup check and the drift records,
+    # so numpy's warnings would only repeat it on stderr.
+    with numerics.np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for density in densities.values():
+                numerics.conserved_quantity(density, state, system, params)
+        except (ExprError, ValueError) as exc:
+            raise UsageError(f"cannot sample the conserved densities: {exc}") from None
+        try:
+            final, series = numerics.run(
+                state, system, params, args.dt, steps, densities, sample_every=args.sample_every
+            )
+        except numerics.BlowupError as be:
+            rep.add("simulate.blowup", args.init, "fail", str(be), "bounded trajectory")
+            return rep
+        except EvalDomainError as exc:
+            rep.add(
+                "simulate.domain", args.init, "fail", str(exc), "rules defined along the trajectory"
+            )
+            return rep
+        except UnboundGeneratorError as exc:  # the densities were sampled above
+            raise UsageError(f"cannot evaluate the [evolution] rules: {exc}") from None
     for label in series.labels:
         d = series.drift(label)
         rep.add(
@@ -325,10 +331,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         problem = load_problem(args.problem, printed=args.printed_variants)
-    except (ProblemFormatError, OSError) as exc:
-        print(f"nlseverify: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "verify":
             rep = verify_report(problem)
         elif args.command == "associate":
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
             rep = simulate_report(problem, args)
         if args.json_out:
             _write(args.json_out, rep.to_json(), "--json-out")
-    except (UsageError, ExprError) as exc:
+    except (ProblemFormatError, OSError, UsageError, ExprError) as exc:
         print(f"nlseverify: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(rep.tsv())

@@ -46,7 +46,6 @@ from .exprs import (
     JetVar,
     VarId,
     collect_refs,
-    func,
     jet_order,
     ref_sort_key,
 )
@@ -60,6 +59,7 @@ from .normal import (
     mul_forms,
     normalize,
     pow_form,
+    trig_form,
 )
 
 _UNIT: Form = {frozenset(): 1}
@@ -155,7 +155,8 @@ def euler_operator(f: Form, dep: VarId, ctx: Context) -> Form:
 
 def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
     """Simultaneous substitution of forms for generators.  An atom whose
-    argument changes is rebuilt from its new argument by ``as_form``."""
+    argument changes is rebuilt from its new argument by ``trig_form``;
+    a sqrt atom's argument is a parameter, which no caller substitutes."""
     memo: dict = {}
 
     def power(g, k: int) -> Form:
@@ -163,7 +164,7 @@ def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
             memo[g] = images.get(g)
             if isinstance(g, Atom) and images.keys() & _generators(g.arg.form()):
                 arg = normalize(substitute_forms(g.arg.form(), images))
-                memo[g] = as_form(func(g.fn, arg.to_expr()))
+                memo[g] = trig_form(g.fn, arg)
         return {frozenset({(g, k)}): 1} if memo[g] is None else pow_form(memo[g], k)
 
     out: Form = {}
@@ -366,6 +367,7 @@ class ProlongedField:
     base: VectorField
     order: int
     zeta: Mapping[JetVar, Form]
+    dxi: Mapping[tuple[str, str], Form]  # D_i xi^k, keyed (i, k) by letter
 
     def coefficient(self, g: Gen) -> Form:
         if not isinstance(g, JetVar):
@@ -392,8 +394,8 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
         )
     given = fieldv.forms
     indep = ctx.independents
-    dxi = {(i, k): iterated_derivative(given.get(k.name, {}), i.name, ctx)
-           for i in indep for k in indep}  # D_i xi^k
+    dxi = {(i.name, k.name): iterated_derivative(given.get(k.name, {}), i.name, ctx)
+           for i in indep for k in indep}
     zeta: dict[JetVar, Form] = {}
     for dep in ctx.dependents:
         layer: dict[Gen, Form] = {dep: given.get(dep.name, {})}
@@ -407,11 +409,11 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
                     z = iterated_derivative(parent_form, w.name, ctx)
                     for k in indep:
                         jet = {frozenset({(ctx.bump(parent, k), 1)}): 1}
-                        accumulate(z, mul_forms(dxi[w, k], jet), -1)
+                        accumulate(z, mul_forms(dxi[w.name, k.name], jet), -1)
                     children[child] = z
             zeta.update(children)
             layer = children
-    return ProlongedField(fieldv, order, zeta)
+    return ProlongedField(fieldv, order, zeta, dxi)
 
 
 def apply_field(prol: ProlongedField, f: Form) -> Form:
@@ -465,12 +467,9 @@ def association_residual(
     ``prol`` is the symmetry prolonged to ``vec.order``, so a caller
     checking one field against many vectors prolongs it once per order.
     """
-    ctx = system.ctx
     t, x = system.time.name, system.space.name
     components = {t: vec.forms[0], x: vec.forms[1]}
-    # D_k xi^i, keyed (k, i)
-    dxi = {(k, i): iterated_derivative(prol.coefficient(ctx[i]), k, ctx)
-           for k in (t, x) for i in (t, x)}
+    dxi = prol.dxi
     trace = accumulate(dict(dxi[t, t]), dxi[x, x])
     out = {}
     for i, t_i in components.items():

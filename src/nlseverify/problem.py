@@ -17,8 +17,9 @@ A problem file is a line-oriented text format with bracketed sections:
 spellings of specific entries exactly as they circulate in print; loading
 with ``printed=True`` swaps them in so their defects can be demonstrated
 rather than silently corrected.  Candidate constraints are comma-separated
-``name = expression`` items; the bare word ``suspect`` marks a candidate
-that is carried through evaluation but excluded from adjudication.
+``parameter = expression`` items, the expression naming parameters only;
+the bare word ``suspect`` marks a candidate that is carried through
+evaluation but excluded from adjudication.
 
 A parameter value is what ``simulate`` integrates with; the symbolic
 commands keep every parameter symbolic and ``classify`` draws them.
@@ -306,7 +307,12 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
                     )
                 if any(name == cname for name, _ in constraints):
                     raise ProblemFormatError(f"duplicate constraint target {cname!r}", path, lineno)
-                constraints.append((cname, _parse_expr(cval, ctx, path, lineno)))
+                cexpr = _parse_expr(cval, ctx, path, lineno)
+                named = sorted(g.name for g in collect_refs(cexpr) if g not in ctx.parameters)
+                if named:  # classify binds only the parameters, in file order
+                    msg = f"constraint value of {cname} may name only parameters, found {named[0]}"
+                    raise ProblemFormatError(msg, path, lineno)
+                constraints.append((cname, cexpr))
         exprs = {}
         for piece in parts[2:]:
             if "=" not in piece:

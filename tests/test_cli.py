@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlseverify
 from nlseverify.cli import main
 from nlseverify.problem import bundled_problem_text
 
@@ -201,6 +206,8 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "--problem", "/no/such/file.prob", "verify")
     assert code == 1
     assert "error" in err
+    code, out, err = run_cli(capsys, "classify", "--case", "nope")
+    assert (code, out, err) == (1, "", "nlseverify: error: no candidates in case 'nope'\n")
 
 
 def test_unknown_command_exits_one(capsys):
@@ -289,11 +296,9 @@ def test_classify_domain_failures_are_fail_records(capsys, tmp_path, candidate, 
     "header, density, name",
     [
         (CUBIC_HEADER.replace("c1\n", "c1\nkappa\n"), "kappa*(u^2 + v^2)/2", "kappa"),
-        (CUBIC_HEADER.replace("v\n[equations]", "v\nw\n[equations]") + "w_t = 0\n",
-         "w_x*u", "w_x"),
         (CUBIC_HEADER, "u_t*v", "u_t"),
     ],
-    ids=["unknown-parameter", "unsimulated-dependent", "time-derivative"],
+    ids=["unknown-parameter", "time-derivative"],
 )
 def test_simulate_unsampleable_density_exits_one(capsys, tmp_path, header, density, name):
     target = tmp_path / "density.prob"
@@ -305,16 +310,23 @@ def test_simulate_unsampleable_density_exits_one(capsys, tmp_path, header, densi
 
 
 def test_simulate_requires_the_dependents_u_v(capsys, tmp_path):
+    """Checked before any state is built, so a density naming a third
+    dependent is not reported as unsampleable."""
     target = tmp_path / "transport.prob"
-    target.write_text(
-        "[params]\nbeta\n[independents]\nt\nx\n[dependents]\nu\n"
-        "[equations]\ng1 = u_t + beta*u_x\n[evolution]\nu_t = -beta*u_x\n"
-        "[conserved]\nt1_density = u\nt1_flux = beta*u\n"
-    )
-    code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
-    assert code == 1
-    assert out == ""
-    assert "exactly two dependents" in err
+    for deps, density in (("u", "u"), ("uvw", "w")):
+        target.write_text(
+            "[params]\nbeta\n[independents]\nt\nx\n[dependents]\n"
+            + "".join(f"{d}\n" for d in deps)
+            + "[equations]\n" + "".join(f"g{d} = {d}_t + beta*{d}_x\n" for d in deps)
+            + "[evolution]\n" + "".join(f"{d}_t = -beta*{d}_x\n" for d in deps)
+            + f"[conserved]\nt1_density = {density}\nt1_flux = beta*{density}\n"
+        )
+        code, out, err = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
+        assert (code, out) == (1, ""), deps
+        assert err == (
+            "nlseverify: error: simulate needs exactly two dependents, the real and imaginary "
+            f"part that every --init builds, got {', '.join(deps)}\n"
+        )
 
 
 def test_simulate_evolution_parameter_without_option_exits_one(capsys, tmp_path):
@@ -505,19 +517,48 @@ def test_negative_constant_sqrt_is_an_error_at_its_line(capsys, tmp_path, old, n
         )
 
 
-def test_classify_needs_one_equation_per_dependent(capsys, tmp_path):
-    """One equation for two dependents: no angular combination to score."""
-    text = (
+def test_angular_combination_needs_one_equation_per_dependent(capsys, tmp_path):
+    """One or three equations for two dependents: no angular combination,
+    so classify and reduce refuse the file alike (reduce used to leave a
+    ``reduce.ode`` fail record)."""
+    base = (
         BUNDLED[: BUNDLED.index("[multipliers]")]
         + BUNDLED[BUNDLED.index("[conserved]") : BUNDLED.index("[printed]")]
-    ).replace("g2 = -v_t - beta*v_x - gamma*u_xx + delta*u*(u^2 + v^2)\n", "")
-    target = tmp_path / "one-equation.prob"
-    target.write_text(text)
-    code, out, err = run_cli(capsys, "--problem", str(target), "classify")
-    assert (code, out) == (1, "")
-    assert "angular combination needs one equation per dependent" in err
-    for command in EVERY_COMMAND:
-        assert run_cli(capsys, "--problem", str(target), command)[0] in (0, 1, 2), command
+    )
+    g1 = re.search(r"(?m)^g1 = .*\n", base)[0]
+    g2 = re.search(r"(?m)^g2 = .*\n", base)[0]
+    target = tmp_path / "equations.prob"
+    for n_eq, text in ((1, base.replace(g2, "")), (3, base.replace(g2, g2 + "g3" + g1[2:]))):
+        target.write_text(text)
+        for command in ("classify", "reduce"):
+            code, out, err = run_cli(capsys, "--problem", str(target), command)
+            assert (code, out) == (1, ""), (n_eq, command)
+            assert err == (
+                f"nlseverify: error: {command}: the angular combination needs one equation "
+                f"per dependent, got {n_eq} equations for 2 dependents\n"
+            )
+        for command in EVERY_COMMAND:
+            assert run_cli(capsys, "--problem", str(target), command)[0] in (0, 1, 2), command
+
+
+def test_constraint_value_may_name_only_parameters(capsys, tmp_path):
+    """A value naming a variable used to load and leave a classify ``fail``
+    record, "no value bound for x"; a parameter is bound in file order."""
+    line = "case1-const-u : c = 0, gamma = 0 :"
+    target = tmp_path / "constraint.prob"
+    for value in ("x", "u_x"):
+        text = BUNDLED.replace(line, line.replace("gamma = 0", f"gamma = {value}"))
+        target.write_text(text)
+        where = f"{target}:{line_of(text, 'case1-const-u')}"
+        for command in EVERY_COMMAND:
+            assert run_cli(capsys, "--problem", str(target), command) == (
+                1,
+                "",
+                f"nlseverify: error: {where}: constraint value of gamma may name only "
+                f"parameters, found {value}\n",
+            ), (value, command)
+    target.write_text(BUNDLED.replace(line, line.replace("gamma = 0", "gamma = c")))
+    assert run_cli(capsys, "--problem", str(target), "classify") == run_cli(capsys, "classify")
 
 
 @pytest.mark.parametrize("value", ["x", "beta", "2^5000"], ids=["variable", "parameter", "overflow"])
@@ -619,10 +660,13 @@ def test_non_utf8_problem_file_is_an_error(capsys, tmp_path):
         (("--dt", "nan"), "dt, T must be positive and finite"),
         (("--T", "inf"), "dt, T must be positive and finite"),
         (("--T", "1e300", "--dt", "1e-300"), "T/dt overflows a float"),
+        (("--T", "1e-4", "--dt", "1e-3"), "horizon shorter than one step"),
+        (("--init", "random", "--L", "5"), "wavenumber 0.5 is not periodic on length 5.0"),
         (("--csv-out", "{missing}/series.csv"), "--csv-out: [Errno 2] No such file"),
         (("--json-out", "{missing}/report.json"), "--json-out: [Errno 2] No such file"),
     ],
-    ids=["dt-nan", "T-inf", "steps-overflow", "csv-out", "json-out"],
+    ids=["dt-nan", "T-inf", "steps-overflow", "short-horizon", "random-not-periodic", "csv-out",
+         "json-out"],
 )
 def test_bad_simulate_arguments_exit_one(capsys, tmp_path, argv, message):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -636,16 +680,20 @@ def test_bad_simulate_arguments_exit_one(capsys, tmp_path, argv, message):
     assert err.count("\n") == 1
 
 
-def test_a_nan_field_is_a_blowup_record(capsys, tmp_path):
-    """inf - inf fills v with nan while u stays finite: the step used to
-    accept it and the four drift records passed with drift 0."""
+def nan_field_text() -> str:
+    """inf - inf fills v with nan while u stays finite."""
     overflow = "(100*u)^400 - (100*u)^400"
     text = re.sub(r"(?m)^g1 = .*$", "g1 = u_t", BUNDLED)
     text = re.sub(r"(?m)^g2 = .*$", f"g2 = -v_t + {overflow}", text)
     text = re.sub(r"(?m)^u_t = .*$", "u_t = 0", text)
-    text = re.sub(r"(?m)^v_t = .*$", f"v_t = {overflow}", text)
+    return re.sub(r"(?m)^v_t = .*$", f"v_t = {overflow}", text)
+
+
+def test_a_nan_field_is_a_blowup_record(capsys, tmp_path):
+    """The step used to accept the nan field, and the four drift records
+    passed with drift 0."""
     target = tmp_path / "nan.prob"
-    target.write_text(text)
+    target.write_text(nan_field_text())
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, _ = run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")
     assert code == 2
@@ -666,3 +714,24 @@ def test_a_nan_sample_fails_its_drift_record(capsys, tmp_path):
     verdicts = {line.split("\t")[0]: line.split("\t")[2:4] for line in out.splitlines()}
     assert verdicts["simulate.drift.Q2"] == ["fail", "nan"]
     assert verdicts["simulate.drift.Q1"][0] == "pass"
+
+
+def test_simulate_leaves_numpy_warnings_off_stderr(tmp_path):
+    """A fresh ``python -m nlseverify`` on the nan field: numpy's overflow
+    warnings used to reach stderr, with the install path."""
+    target = tmp_path / "nan.prob"
+    target.write_text(nan_field_text())
+    src = str(Path(nlseverify.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlseverify", "--problem", str(target), "simulate", "--T", "0.01"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "simulate: 1 checks (1 fail)",
+        "  FAIL simulate.blowup: solution magnitude nan at t=0.001; reduce dt (see suggested_dt) "
+        "or the spatial resolution",
+    ]

@@ -181,6 +181,18 @@ def test_reduce_eliminates_time_jets(system):
     assert normalize(system.reduce(as_form(g1))).is_zero
 
 
+@pytest.mark.parametrize(
+    "text, reduced",
+    [("sin(u_t)", "-sin(beta*u_x)"),
+     ("cos(2*u_t) + u*sin(u_tx)", "cos(2*beta*u_x) - u*sin(beta*u_xx)")],
+)
+def test_reduce_rebuilds_the_trig_atoms_it_substitutes_into(text, reduced):
+    ctx = Context(("t", "x"), ("u",), ("beta",))
+    eqs = [("g1", ctx.parse("u_t + beta*u_x"))]
+    system = PDESystem.build(ctx, eqs, {"u": ctx.parse("-beta*u_x")})
+    assert normalize(system.reduce(as_form(ctx.parse(text)))) == normalize(ctx.parse(reduced))
+
+
 def test_system_build_rejects_inconsistent_evolution():
     ctx = Context(("t", "x"), ("u",), ("beta",))
     eqs = [("g1", ctx.parse("u_t + beta*u_x"))]

@@ -160,6 +160,7 @@ def test_inconsistent_evolution_is_wrapped():
         "time",
     )
     expect_error(MINIMAL.replace("u_t = -beta*u_x", "q_t = u"), "evolution key")
+    expect_error(TWO_DEP.replace("v_t = -beta*v_x\n", ""), "no evolution rule for v")
 
 
 def test_multiplier_key_and_contiguity_errors():
@@ -206,6 +207,8 @@ def test_candidate_line_errors():
         TWO_DEP + "\n[candidates]\nfoo : : u = 1 : u = 2\n",
         "every dependent",
     )
+    expect_error(TWO_DEP + "\n[candidates]\nfoo : beta : u = 1 : v = 2\n", "bad constraint 'beta'")
+    expect_error(TWO_DEP + "\n[candidates]\nfoo : : u = 1 : v\n", "bad candidate field 'v'")
     (one_dep,) = load_problem_text(
         MINIMAL + "\n[candidates]\nfoo : : u = 1\n", "<test>"
     ).candidates

@@ -161,6 +161,13 @@ def test_first_integral_fails_for_a_flipped_flux():
     assert residual == normalize(ode.transform.red_ctx.parse("2*eps*gamma*p_rr"))
 
 
+def test_reduced_ode_needs_one_equation_per_dependent(system, transform):
+    """The command line refuses such a file before; library callers meet this guard."""
+    three = dataclasses.replace(system, equations=system.equations + system.equations[:1])
+    with pytest.raises(ValueError, match="one equation per dependent"):
+        reduced_ode(transform, three)
+
+
 EXPECTED_VERDICTS = {
     "case1-const-u": ("reduced-only", True),
     "case1-const-vneg": ("reduced-only", True),
