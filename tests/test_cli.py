@@ -296,9 +296,13 @@ def test_classify_domain_failures_are_fail_records(capsys, tmp_path, candidate, 
     "header, density, name",
     [
         (CUBIC_HEADER.replace("c1\n", "c1\nkappa\n"), "kappa*(u^2 + v^2)/2", "kappa"),
+        # A third dependent is refused by the dependents check before any
+        # density is sampled, so the error names the dependents.
+        (CUBIC_HEADER.replace("v\n[equations]", "v\nw\n[equations]") + "w_t = 0\n",
+         "w_x*u", "got u, v, w"),
         (CUBIC_HEADER, "u_t*v", "u_t"),
     ],
-    ids=["unknown-parameter", "time-derivative"],
+    ids=["unknown-parameter", "unsimulated-dependent", "time-derivative"],
 )
 def test_simulate_unsampleable_density_exits_one(capsys, tmp_path, header, density, name):
     target = tmp_path / "density.prob"
