@@ -177,7 +177,7 @@ def reduce_report(problem: Problem) -> Report:
                 f"{part} in canonical variables (invariant profile)",
             )
     try:
-        ode = reduced_ode(tr, system)
+        ode = reduced_ode(tr)
     except ValueError as exc:  # the system does not reduce
         ode, verdict, residual = None, "fail", str(exc)
     else:
@@ -240,7 +240,7 @@ def classify_report(problem: Problem, seed: int, case: str | None) -> Report:
         rep.add(
             f"classify.{cr.candidate.label}",
             cr.candidate.label,
-            cr.verdict if cr.adjudicated or cr.verdict == "fail" else "suspect",
+            "suspect" if cr.candidate.suspect and cr.verdict != "fail" else cr.verdict,
             causes[0] if causes else f"eq={eq_max:.3e},angular={ang_max:.3e}",
             f"max|g_a| and max|{angular}| over seeded draws and sample points",
         )
@@ -261,30 +261,32 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
         raise UsageError(str(ve)) from None
     if not (0 < args.dt < math.inf and 0 < args.T < math.inf) or args.sample_every < 1:
         raise UsageError("dt, T must be positive and finite and sample-every at least 1")
+    if not args.drift_tol > 0:
+        raise UsageError(f"drift-tol must be positive, got {args.drift_tol}")
     params = dict(problem.param_values)
-    if args.init == "plane-wave":
-        state = numerics.plane_wave_start(grid, args.a, args.k)
-    elif args.init == "case1-exact":
-        params["gamma"] = 0.0  # the profile is exact only without dispersion
-        try:
-            state = numerics.case1_steady_state(grid, params, c1=params["c1"])
-        except KeyError as exc:
-            raise UsageError(f"--init case1-exact needs a [params] value for {exc}") from None
-    else:
-        try:
-            state = numerics.random_trig_state(grid, args.seed)
-        except ValueError as ve:
-            raise UsageError(str(ve)) from None
-    if args.T / args.dt == math.inf:
-        raise UsageError("T/dt overflows a float")
-    steps = round(args.T / args.dt)
-    if steps < 1:
-        raise UsageError("horizon shorter than one step")
-    system = problem.system
-    densities = problem.quantity_densities()
     # An overflow or nan is judged by the blowup check and the drift records,
     # so numpy's warnings would only repeat it on stderr.
-    with numerics.np.errstate(over="ignore", invalid="ignore"):
+    with numerics.np.errstate(all="ignore"):
+        if args.init == "plane-wave":
+            state = numerics.plane_wave_start(grid, args.a, args.k)
+        elif args.init == "case1-exact":
+            params["gamma"] = 0.0  # the profile is exact only without dispersion
+            try:
+                state = numerics.case1_steady_state(grid, params, c1=params["c1"])
+            except KeyError as exc:
+                raise UsageError(f"--init case1-exact needs a [params] value for {exc}") from None
+        else:
+            try:
+                state = numerics.random_trig_state(grid, args.seed)
+            except ValueError as ve:
+                raise UsageError(str(ve)) from None
+        if args.T / args.dt == math.inf:
+            raise UsageError("T/dt overflows a float")
+        steps = round(args.T / args.dt)
+        if steps < 1:
+            raise UsageError("horizon shorter than one step")
+        system = problem.system
+        densities = problem.quantity_densities()
         try:
             for density in densities.values():
                 numerics.conserved_quantity(density, state, system, params)
@@ -304,15 +306,15 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
             return rep
         except UnboundGeneratorError as exc:  # the densities were sampled above
             raise UsageError(f"cannot evaluate the [evolution] rules: {exc}") from None
-    for label in series.labels:
-        d = series.drift(label)
-        rep.add(
-            f"simulate.drift.{label}",
-            label,
-            "pass" if d < args.drift_tol else "fail",
-            f"{d:.6e}",
-            "max|Q(t)-Q(0)|/max(1,|Q(0)|) < drift tolerance",
-        )
+        for label in series.labels:
+            d = series.drift(label)
+            rep.add(
+                f"simulate.drift.{label}",
+                label,
+                "pass" if d < args.drift_tol else "fail",
+                f"{d:.6e}",
+                "max|Q(t)-Q(0)|/max(1,|Q(0)|) < drift tolerance",
+            )
     if args.csv_out:
         _write(args.csv_out, series.to_csv(), "--csv-out")
     return rep

@@ -97,7 +97,7 @@ Gen = Union[VarId, JetVar]
 def ref_sort_key(g: Gen) -> tuple:
     """Deterministic total order over plain and jet variables."""
     if isinstance(g, VarId):
-        return (0, _KIND_RANK.get(g.kind, 9), g.name, "")
+        return (0, _KIND_RANK[g.kind], g.name, "")
     return (1, g.dep.name, g.total_order, g.suffix)
 
 
@@ -105,36 +105,6 @@ class Expr:
     """Base node.  Subclasses are frozen dataclasses; trees are immutable."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self) -> str:
         return render(self)
@@ -246,10 +216,6 @@ def neg(e: Expr) -> Expr:
     return mul(const(-1), e)
 
 
-def sub(a, b) -> Expr:
-    return add(a, neg(as_expr(b)))
-
-
 def pow_(base, exponent: int) -> Expr:
     base = as_expr(base)
     if not isinstance(exponent, int):
@@ -267,18 +233,7 @@ def pow_(base, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def div(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(b, Const):
-        if b.value == 0:
-            raise ZeroDivisionError("division by zero constant")
-        return mul(const(Fraction(1) / b.value), a)
-    return mul(a, pow_(b, -1))
-
-
 def _sqrt_fold(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
     pn = math.isqrt(value.numerator)
     pd = math.isqrt(value.denominator)
     if pn * pn == value.numerator and pd * pd == value.denominator:
@@ -304,18 +259,6 @@ def func(fn: str, arg) -> Expr:
             if folded is not None:
                 return const(folded)
     return FuncApp(fn, arg)
-
-
-def sin_(arg) -> Expr:
-    return func("sin", arg)
-
-
-def cos_(arg) -> Expr:
-    return func("cos", arg)
-
-
-def sqrt_(arg) -> Expr:
-    return func("sqrt", arg)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +325,6 @@ def render(e: Expr) -> str:
             if c == -1:
                 prefix = "-"
                 factors = factors[1:]
-        if not factors:
-            return "-1"
         return prefix + "*".join(_wrap(f, _PREC_PROD) for f in factors)
     if isinstance(e, Pow):
         return f"{_wrap(e.base, _PREC_POW + 1)}^{e.exponent}"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .exprs import (
     INDEPENDENT,
@@ -338,17 +338,15 @@ def case1_steady_state(grid: Grid, params: Mapping[str, float], c1: float = 0.0)
     return FieldState(grid, 0.0, (amp * np.cos(phase), amp * np.sin(phase)))
 
 
-def random_trig_state(
-    grid: Grid,
-    seed: int,
-    wavenumbers: Sequence[float] = (0.5, 1.0, 1.5),
-    amplitudes: Sequence[float] = (0.2, 0.1, 0.05),
-) -> FieldState:
+RANDOM_MODES = ((0.5, 0.2), (1.0, 0.1), (1.5, 0.05))  # (wavenumber, amplitude)
+
+
+def random_trig_state(grid: Grid, seed: int) -> FieldState:
     """Small multi-mode data with seeded phases, periodic on the grid."""
     rng = np.random.default_rng(seed)
     u = np.zeros(grid.n)
     v = np.zeros(grid.n)
-    for k, a in zip(wavenumbers, amplitudes):
+    for k, a in RANDOM_MODES:
         if abs((k * grid.length / (2.0 * math.pi)) % 1.0) > 1e-12:
             raise ValueError(f"wavenumber {k} is not periodic on length {grid.length}")
         pu, pv = rng.uniform(0.0, 2.0 * math.pi, size=2)

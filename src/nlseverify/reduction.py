@@ -44,7 +44,7 @@ from .exprs import (
     JetVar,
     collect_refs,
     eval_numeric,
-    sqrt_,
+    func,
     var,
 )
 from .jets import (
@@ -103,7 +103,7 @@ class CanonicalTransform:
     @property
     def root_eps(self) -> Form:
         """The constant amplitude sqrt(eps)."""
-        return as_form(sqrt_(var(self.red_ctx["eps"])))
+        return as_form(func("sqrt", var(self.red_ctx["eps"])))
 
     @property
     def jac_det(self) -> Form:
@@ -171,7 +171,7 @@ class ReducedODE:
         return {k: normalize(accumulate(got.form(), want, -1)) for k, (got, want) in expected.items()}
 
 
-def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
+def reduced_ode(transform: CanonicalTransform) -> ReducedODE:
     """Substitute the constant-amplitude invariant profile and derive the
     two factors by rotating the substituted equations back by theta; the
     residual is the angular combination u*G1 + v*G2 of the substituted
@@ -179,6 +179,7 @@ def reduced_ode(transform: CanonicalTransform, system: PDESystem) -> ReducedODE:
 
     Raises ValueError when a factor still holds a sin, a cos or s: then
     the system does not reduce."""
+    system = transform.system
     deps = system.ctx.dependents
     if len(deps) != len(system.equations):
         raise ValueError("the angular combination needs one equation per dependent")
@@ -263,7 +264,6 @@ class CandidateReport:
     candidate: SolutionCandidate
     draws: tuple[DrawResult, ...]
     verdict: str
-    adjudicated: bool
 
 
 _PLASTIC = 1.32471795724474602596  # real root of z^3 = z + 1
@@ -342,7 +342,7 @@ TOL = 1e-10  # largest residual a draw may leave and still vanish
 
 
 def classify(
-    system: PDESystem, candidates: Sequence[SolutionCandidate], seed: int = 7
+    system: PDESystem, candidates: Sequence[SolutionCandidate], seed: int
 ) -> list[CandidateReport]:
     """Adjudicate every candidate on three seeded draws and 100 fixed
     sample points.  A draw that leaves the numeric domain or has a
@@ -376,7 +376,5 @@ def classify(
         overall = results[0].verdict if len(verdicts) == 1 else "mixed"
         if "fail" in verdicts:
             overall = "fail"
-        reports.append(
-            CandidateReport(cand, tuple(results), overall, adjudicated=not cand.suspect)
-        )
+        reports.append(CandidateReport(cand, tuple(results), overall))
     return reports

@@ -32,8 +32,8 @@ def transform(system):
 
 
 @pytest.fixture(scope="session")
-def ode(transform, system):
-    return reduced_ode(transform, system)
+def ode(transform):
+    return reduced_ode(transform)
 
 
 def random_expr(rng: random.Random, gens, depth: int):

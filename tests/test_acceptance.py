@@ -143,7 +143,7 @@ def test_acceptance_6_candidate_classification(capsys, problem, system):
         }
         for label in ("case1-linear-phase", "case3-travel-phase"):
             rep = reports[label]
-            assert rep.adjudicated and rep.verdict == "exact"
+            assert not rep.candidate.suspect and rep.verdict == "exact"
             assert all(d.eq_residual < 1e-10 for d in rep.draws)
         constants = (
             "case1-const-u", "case1-const-vneg", "case1-const-vpos",
@@ -151,13 +151,13 @@ def test_acceptance_6_candidate_classification(capsys, problem, system):
         )
         for label in constants:
             rep = reports[label]
-            assert rep.adjudicated and rep.verdict == "reduced-only"
+            assert not rep.candidate.suspect and rep.verdict == "reduced-only"
             for draw in rep.draws:
                 want = draw.params["delta"] * draw.params["eps"] ** 1.5
                 assert abs(draw.eq_residual - want) / want < 1e-8
                 assert draw.reduced_residual < 1e-10
         for label in ("case3-const-u", "case3-const-vneg", "case3-const-vpos"):
-            assert not reports[label].adjudicated
+            assert reports[label].candidate.suspect
 
 
 def test_acceptance_7_conservation_audit_and_order(capsys, problem):

@@ -591,6 +591,32 @@ def test_overflowing_candidate_constant_gives_a_short_record(capsys, tmp_path, p
     assert "overflows a float" in record[3] and len(record[3]) < 100
 
 
+def test_a_function_of_inf_is_a_fail_record(capsys, tmp_path):
+    """math.sin(inf) raises ValueError; the draw fails with the function,
+    its argument and the subtree, like any other domain error."""
+    line = "case1-const-u : c = 0, gamma = 0"
+    target = tmp_path / "sin-inf.prob"
+    target.write_text(BUNDLED.replace(line, line.replace("c = 0", "c = sin(beta^1000*beta^1000)")))
+    code, out, _ = run_cli(
+        capsys, "--problem", str(target), "--seed", "1", "classify", "--case", "case1"
+    )
+    (record,) = [r.split("\t") for r in out.splitlines() if r.startswith("classify.case1-const-u\t")]
+    assert code == 2
+    assert record[2:4] == ["fail", "sin of inf in sin(beta^1000*beta^1000)"]
+
+
+def test_a_trig_atom_of_a_jet_that_vanishes_on_shell_folds(capsys, tmp_path):
+    """On shell u_t = 0, so sin(u_t) and 1 - cos(u_t) fold to 0 and the
+    time translation x1 leaves g1 invariant."""
+    text = re.sub(r"(?m)^g1 = .*$", "g1 = u_t + sin(u_t) + 1 - cos(u_t)", BUNDLED)
+    target = tmp_path / "trig.prob"
+    target.write_text(re.sub(r"(?m)^u_t = .*$", "u_t = 0", text))
+    code, out, _ = run_cli(capsys, "--problem", str(target), "verify")
+    assert code == 2
+    records = {line.split("\t")[0]: line.split("\t")[2:4] for line in out.splitlines()}
+    assert records["verify.symmetry.x1"] == ["pass", "0"]
+
+
 def test_simulate_integrates_with_the_file_values(capsys, tmp_path):
     """A changed [params] value changes the simulated flow, nothing else."""
     target = tmp_path / "beta.prob"
@@ -665,12 +691,13 @@ def test_non_utf8_problem_file_is_an_error(capsys, tmp_path):
         (("--T", "inf"), "dt, T must be positive and finite"),
         (("--T", "1e300", "--dt", "1e-300"), "T/dt overflows a float"),
         (("--T", "1e-4", "--dt", "1e-3"), "horizon shorter than one step"),
+        (("--drift-tol", "nan"), "drift-tol must be positive, got nan"),
         (("--init", "random", "--L", "5"), "wavenumber 0.5 is not periodic on length 5.0"),
         (("--csv-out", "{missing}/series.csv"), "--csv-out: [Errno 2] No such file"),
         (("--json-out", "{missing}/report.json"), "--json-out: [Errno 2] No such file"),
     ],
-    ids=["dt-nan", "T-inf", "steps-overflow", "short-horizon", "random-not-periodic", "csv-out",
-         "json-out"],
+    ids=["dt-nan", "T-inf", "steps-overflow", "short-horizon", "drift-tol-nan",
+         "random-not-periodic", "csv-out", "json-out"],
 )
 def test_bad_simulate_arguments_exit_one(capsys, tmp_path, argv, message):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -682,6 +709,12 @@ def test_bad_simulate_arguments_exit_one(capsys, tmp_path, argv, message):
     assert (code, out) == (1, "")
     assert err.startswith(f"nlseverify: error: {message}"), err
     assert err.count("\n") == 1
+
+
+def test_infinite_drift_tolerance_passes_every_record(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--T", "0.01", "--drift-tol", "inf")
+    assert code == 0
+    assert [line.split("\t")[2] for line in out.splitlines()] == ["pass"] * 4
 
 
 def nan_field_text() -> str:
@@ -721,21 +754,35 @@ def test_a_nan_sample_fails_its_drift_record(capsys, tmp_path):
 
 
 def test_simulate_leaves_numpy_warnings_off_stderr(tmp_path):
-    """A fresh ``python -m nlseverify`` on the nan field: numpy's overflow
-    warnings used to reach stderr, with the install path."""
+    """A fresh ``python -m nlseverify``: numpy's overflow, invalid-value and
+    divide warnings used to reach stderr, with the install path.  They came
+    from the rules on the nan field, from a plane wave of infinite
+    wavenumber, from the drift of a nan sample, and from a stencil on a
+    grid whose dx^2 underflows."""
     target = tmp_path / "nan.prob"
     target.write_text(nan_field_text())
     src = str(Path(nlseverify.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "nlseverify", "--problem", str(target), "simulate", "--T", "0.01"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
+    blowup = [
         "simulate: 1 checks (1 fail)",
         "  FAIL simulate.blowup: solution magnitude nan at t=0.001; reduce dt (see suggested_dt) "
         "or the spatial resolution",
     ]
+    runs = [
+        (["--problem", str(target), "simulate", "--T", "0.01"], blowup),
+        (["simulate", "--T", "0.002", "--k", "inf"], blowup),
+        (
+            ["simulate", "--N", "16", "--L", "1e308"],
+            ["simulate: 4 checks (1 fail, 3 pass)", "  FAIL simulate.drift.Q4: nan"],
+        ),
+        (["simulate", "--L", "1e-300"], blowup),
+    ]
+    for argv, summary in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlseverify", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stderr.splitlines() == summary, argv

@@ -21,7 +21,7 @@ import random
 import pytest
 
 from conftest import random_expr
-from nlseverify.exprs import Context, add, cos_, mul, render, sin_
+from nlseverify.exprs import Context, add, func, mul, render
 from nlseverify.jets import VectorField, apply_field, euler_operator, iterated_derivative, prolong
 from nlseverify.normal import accumulate, as_form, normalize
 
@@ -46,7 +46,7 @@ def jet_polynomial(seed: int):
     # a dependent or jet, plus a multiple of any generator
     lead, other = gens[rng.randrange(2, len(gens))], gens[rng.randrange(len(gens))]
     arg = add(mul(rng.randint(1, 3), lead), mul(rng.randint(-2, 2), other))
-    atom = (sin_ if rng.random() < 0.5 else cos_)(arg)
+    atom = func("sin" if rng.random() < 0.5 else "cos", arg)
     return add(random_expr(rng, refs, 3), mul(random_expr(rng, refs, 1), atom))
 
 

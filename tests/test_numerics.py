@@ -266,9 +266,9 @@ def test_grid_bindings_reject_time_jets(problem):
 
 
 def test_random_state_requires_periodic_wavenumbers():
-    grid = Grid(64, 2.0 * math.pi)
+    grid = Grid(64, 5.0)
     with pytest.raises(ValueError):
-        random_trig_state(grid, seed=1, wavenumbers=(0.5,), amplitudes=(0.1,))
+        random_trig_state(grid, seed=1)
 
 
 def test_series_drift_and_csv():

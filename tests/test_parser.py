@@ -16,7 +16,6 @@ from nlseverify.exprs import (
     Var,
     add,
     const,
-    div,
     eval_numeric,
     func,
     mul,
@@ -72,7 +71,7 @@ def random_tree(rng: random.Random, gens, depth: int):
     if roll < 0.65:
         return neg(a)
     if roll < 0.75:
-        return a if rest[0] == const(0) else div(a, rest[0])
+        return a if rest[0] == const(0) else mul(a, pow_(rest[0], -1))
     if roll < 0.88:
         exponent = rng.choice([-3, -2, -1, 2, 3])
         return a if a == const(0) and exponent < 0 else pow_(a, exponent)
@@ -124,6 +123,7 @@ def test_functions_parse_to_func_nodes(ctx):
 BAD = {  # text -> (message, position)
     "u +": ("unexpected ''", 3),
     "(u": ("expected ')'", 2),
+    "u^(2": ("expected ')'", 4),
     "u)": ("unexpected trailing ')'", 1),
     "w": ("unknown identifier 'w'", 0),
     "x_t": ("cannot take derivatives of independent variable 'x'", 0),

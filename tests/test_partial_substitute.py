@@ -9,10 +9,10 @@ from nlseverify.exprs import (
     UnboundGeneratorError,
     collect_refs,
     eval_numeric,
+    func,
     jet_order,
     pow_,
     render,
-    sqrt_,
     substitute,
     var,
 )
@@ -35,7 +35,7 @@ def test_polynomial_partials(ctx):
     assert du == normalize(ctx.parse("3*u^2*v"))
     dux = partial(e, ctx.jet("u", "x"))
     assert dux == normalize(ctx.parse("2*beta*u_x"))
-    assert normalize(partial(e, ctx["v"]).to_expr() - ctx.parse("u^3")).is_zero
+    assert normalize(partial(e, ctx["v"]).to_expr()) == normalize(ctx.parse("u^3"))
 
 
 def test_trig_chain_rule(ctx):
@@ -55,7 +55,7 @@ def test_substitution_is_simultaneous(ctx):
 def test_eval_domain_guards(ctx):
     u = ctx["u"]
     with pytest.raises(EvalDomainError):
-        eval_numeric(sqrt_(var(u)), {u: -1.0})
+        eval_numeric(func("sqrt", var(u)), {u: -1.0})
     with pytest.raises(EvalDomainError):
         eval_numeric(pow_(var(u), -1), {u: 0.0})
     with pytest.raises(UnboundGeneratorError):
@@ -80,7 +80,7 @@ def test_eval_numeric_broadcasts_arrays(ctx):
 def test_eval_domain_guards_are_elementwise(ctx):
     u = ctx["u"]
     with pytest.raises(EvalDomainError, match="sqrt of negative value -2.0"):
-        eval_numeric(sqrt_(var(u)), {u: np.array([1.0, -2.0, 3.0])})
+        eval_numeric(func("sqrt", var(u)), {u: np.array([1.0, -2.0, 3.0])})
     with pytest.raises(EvalDomainError, match="zero base"):
         eval_numeric(pow_(var(u), -1), {u: np.array([1.0, 0.0])})
     with pytest.raises(EvalDomainError, match="overflow"):
@@ -97,11 +97,8 @@ def test_collect_refs_and_jet_order(ctx):
     assert jet_order(ctx.parse("u + v")) == 0
 
 
-def test_operator_sugar_matches_parser(ctx):
-    u, v = var(ctx["u"]), var(ctx["v"])
-    e = (u + 2) * v - u / 2
-    assert normalize(e) == normalize(ctx.parse("(u + 2)*v - u/2"))
-    assert render(pow_(u, -2)) == "u^-2"
+def test_negative_power_renders_with_its_sign(ctx):
+    assert render(pow_(var(ctx["u"]), -2)) == "u^-2"
 
 
 def test_context_declaration_errors():

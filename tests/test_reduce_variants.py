@@ -178,7 +178,7 @@ def test_factors_agree_with_sympy(name):
     from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
     system = load_problem_text(variant(name), f"{name}.prob").system
-    ode = reduced_ode(build_canonical_transform(system), system)
+    ode = reduced_ode(build_canonical_transform(system))
 
     r, s = sympy.symbols("r s")
     eps = sympy.Symbol("eps", positive=True)
