@@ -261,6 +261,8 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
         raise UsageError(str(ve)) from None
     if not (0 < args.dt < math.inf and 0 < args.T < math.inf) or args.sample_every < 1:
         raise UsageError("dt, T must be positive and finite and sample-every at least 1")
+    if not (math.isfinite(args.a) and math.isfinite(args.k)):
+        raise UsageError(f"a, k must be finite, got a={args.a}, k={args.k}")
     if not args.drift_tol > 0:
         raise UsageError(f"drift-tol must be positive, got {args.drift_tol}")
     params = dict(problem.param_values)
@@ -286,16 +288,12 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
         if steps < 1:
             raise UsageError("horizon shorter than one step")
         system = problem.system
-        densities = problem.quantity_densities()
         try:
-            for density in densities.values():
-                numerics.conserved_quantity(density, state, system, params)
+            audit = numerics.Audit(problem.quantity_densities(), system, params, state)
         except (ExprError, ValueError) as exc:
             raise UsageError(f"cannot sample the conserved densities: {exc}") from None
         try:
-            final, series = numerics.run(
-                state, system, params, args.dt, steps, densities, sample_every=args.sample_every
-            )
+            numerics.run(state, system, params, args.dt, steps, audit, args.sample_every)
         except numerics.BlowupError as be:
             rep.add("simulate.blowup", args.init, "fail", str(be), "bounded trajectory")
             return rep
@@ -306,6 +304,7 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
             return rep
         except UnboundGeneratorError as exc:  # the densities were sampled above
             raise UsageError(f"cannot evaluate the [evolution] rules: {exc}") from None
+        series = audit.series
         for label in series.labels:
             d = series.drift(label)
             rep.add(

@@ -11,11 +11,12 @@ independent ones).
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
@@ -406,6 +407,180 @@ def _digit_count(n: int) -> int:
     return d - (10 ** (d - 1) > n) + (10**d <= n)
 
 
+def _as_value(value):
+    """A bound value as evaluation sees it: scalars as floats, arrays as given."""
+    return float(value) if isinstance(value, float) or type(value) in _SCALARS else value
+
+
+def _power(base, node: Pow):
+    if node.exponent < 0 and _any(base == 0.0):
+        raise EvalDomainError(f"zero base with negative exponent in {render(node)}")
+    try:
+        return base**node.exponent
+    except OverflowError:
+        raise EvalDomainError(f"overflow in {render(node)}") from None
+
+
+def _apply(arg, node: FuncApp):
+    scalar = isinstance(arg, float)
+    if node.fn == "sqrt" and _any(arg < 0):
+        low = arg if scalar else sys.modules["numpy"].nanmin(arg)
+        raise EvalDomainError(f"sqrt of negative value {float(low)} in {render(node)}")
+    if not scalar:  # an array, so numpy is loaded
+        return getattr(sys.modules["numpy"], node.fn)(arg)
+    try:
+        return _FUNCTIONS[node.fn](arg)
+    except ValueError:  # math.sin(inf) and the like
+        raise EvalDomainError(f"{node.fn} of {arg} in {render(node)}") from None
+
+
+def _fail(error: ExprError, _) -> None:
+    raise type(error)(*error.args) from None
+
+
+class Program:
+    """Expressions compiled by :func:`compile_numeric`, evaluated by :meth:`run`.
+
+    The registers are the inputs, in the order of ``inputs``, followed by
+    ``registers``: the compile-time constants, and None for each instruction
+    result.  Each instruction ``(fn, dest, a, b, dead)`` stores
+    ``fn(reg[a], reg[b])`` in ``reg[dest]`` and then clears the registers in
+    ``dead``, whose last use it was.  (A plain class: every command imports
+    this module, and a dataclass costs about half a millisecond to build.)
+    """
+
+    __slots__ = ("inputs", "registers", "code", "outputs")
+
+    def __init__(
+        self,
+        inputs: tuple[Gen, ...],
+        registers: tuple,
+        code: tuple[tuple, ...],
+        outputs: tuple[int, ...],  # the register of each expression
+    ) -> None:
+        self.inputs, self.registers, self.code, self.outputs = inputs, registers, code, outputs
+
+    def run(self, values) -> list:
+        """The compiled expressions' values, one per expression, given one
+        value per input."""
+        reg = [*map(_as_value, values), *self.registers]
+        del values  # so that an input no caller holds is freed after its last use
+        for fn, dest, a, b, dead in self.code:
+            reg[dest] = fn(reg[a], reg[b])
+            for i in dead:
+                reg[i] = None
+        return [reg[i] for i in self.outputs]
+
+
+def compile_numeric(
+    exprs: Sequence[Expr], fixed: Mapping[Gen, object], free: Sequence[Gen] = ()
+) -> Program:
+    """Compile expressions for numeric evaluation, once for many runs.
+
+    ``free`` generators are the program's inputs, in that order; ``fixed``
+    ones take their value now; any other generator is unbound.  The program
+    evaluates the expressions in order, each node after its children and
+    the terms of a sum or the factors of a product left to right, with the
+    operations and the domain checks of :func:`eval_numeric`.  It computes
+    each distinct operation on the same operands once, folds what depends
+    on constants and fixed values alone at compile time, starts a sum at
+    its first term and a product at its first factor, and drops each
+    intermediate value after its last use.  An error that folding meets (an
+    unbound generator, a constant that overflows, a fixed value outside a
+    function's domain) is raised when a run reaches its node, so every run
+    fails as the walk of the tree would.
+    """
+    base = len(free)
+    slot = dict(zip(free, range(base)))
+    registers: list = []
+    known: dict[int, object] = {}  # register -> its value at compile time
+    code: list[tuple] = []
+    seen: dict = {}  # generator, constant or (operation, operands) -> its register
+
+    def constant(value) -> int:
+        r = base + len(registers)
+        registers.append(value)
+        known[r] = value
+        return r
+
+    def instruction(fn, a: int, b: int) -> int:
+        dest = base + len(registers)
+        registers.append(None)
+        code.append((fn, dest, a, b))
+        return dest
+
+    def fail(error: ExprError) -> int:
+        r = constant(error)
+        return instruction(_fail, r, r)
+
+    def once(key, fn, a: int, b: int) -> int:
+        """The register of ``fn(a, b)``, folded when both are known."""
+        r = seen.get(key)
+        if r is None:
+            if a in known and b in known:
+                try:
+                    r = constant(fn(known[a], known[b]))
+                except ExprError as error:
+                    r = fail(error)
+            else:
+                r = instruction(fn, a, b)
+            seen[key] = r
+        return r
+
+    def visit(e: Expr) -> int:
+        kind = type(e)
+        if kind is Sum or kind is Prod:
+            fn, parts = (operator.add, e.terms) if kind is Sum else (operator.mul, e.factors)
+            acc = visit(parts[0])
+            for p in parts[1:]:
+                b = visit(p)
+                acc = once((fn, acc, b), fn, acc, b)
+            return acc
+        if kind is Pow:
+            a = visit(e.base)
+            return once((_power, a, e.exponent), _power, a, constant(e))
+        if kind is FuncApp:
+            a = visit(e.arg)
+            return once((_apply, a, e.fn), _apply, a, constant(e))
+        if kind is Const:
+            key = (e.value.numerator, e.value.denominator)
+            if key not in seen:
+                try:
+                    seen[key] = constant(float(e.value))
+                except OverflowError:
+                    digits = _digit_count(abs(e.value.numerator) // e.value.denominator)
+                    error = EvalDomainError(f"a constant of {digits} digits overflows a float")
+                    seen[key] = fail(error)
+            return seen[key]
+        if kind is Var:
+            g = e.ref
+            if g not in seen:
+                if g in slot:
+                    seen[g] = slot[g]
+                else:
+                    try:
+                        seen[g] = constant(_as_value(fixed[g]))
+                    except KeyError:
+                        seen[g] = fail(UnboundGeneratorError(f"no value bound for {g}"))
+            return seen[g]
+        raise TypeError(f"not an expression node: {e!r}")
+
+    outputs = tuple(map(visit, exprs))
+    last_use = {}
+    for k, (_, _, a, b) in enumerate(code):
+        last_use[a] = last_use[b] = k
+    dead: list[list[int]] = [[] for _ in code]
+    for r, k in last_use.items():
+        if r not in known and r not in outputs:
+            dead[k].append(r)
+    return Program(
+        tuple(free),
+        tuple(registers),
+        tuple((*op, tuple(d)) for op, d in zip(code, dead)),
+        outputs,
+    )
+
+
 def eval_numeric(e: Expr, bindings: Mapping[Gen, object]) -> object:
     """Evaluate to a float, or to an array when a binding is a numpy array.
 
@@ -413,47 +588,9 @@ def eval_numeric(e: Expr, bindings: Mapping[Gen, object]) -> object:
     value under sqrt, any zero base under a negative exponent, and scalar
     overflow raise EvalDomainError; array overflow leaves inf or nan.  Only
     a value that is already an array reaches numpy: floats need no import.
+    One use of :func:`compile_numeric`, with every binding fixed.
     """
-    if isinstance(e, Const):
-        try:
-            return float(e.value)
-        except OverflowError:
-            digits = _digit_count(abs(e.value.numerator) // e.value.denominator)
-            raise EvalDomainError(f"a constant of {digits} digits overflows a float") from None
-    if isinstance(e, Var):
-        try:
-            value = bindings[e.ref]
-        except KeyError:
-            raise UnboundGeneratorError(f"no value bound for {e.ref}") from None
-        return float(value) if isinstance(value, float) or type(value) in _SCALARS else value
-    if isinstance(e, Sum):
-        return sum(eval_numeric(t, bindings) for t in e.terms)
-    if isinstance(e, Prod):
-        out = 1.0
-        for f in e.factors:
-            out = out * eval_numeric(f, bindings)
-        return out
-    if isinstance(e, Pow):
-        base = eval_numeric(e.base, bindings)
-        if e.exponent < 0 and _any(base == 0.0):
-            raise EvalDomainError(f"zero base with negative exponent in {render(e)}")
-        try:
-            return base**e.exponent
-        except OverflowError:
-            raise EvalDomainError(f"overflow in {render(e)}") from None
-    if isinstance(e, FuncApp):
-        a = eval_numeric(e.arg, bindings)
-        scalar = isinstance(a, float)
-        if e.fn == "sqrt" and _any(a < 0):
-            low = a if scalar else sys.modules["numpy"].nanmin(a)
-            raise EvalDomainError(f"sqrt of negative value {float(low)} in {render(e)}")
-        if not scalar:  # an array, so numpy is loaded
-            return getattr(sys.modules["numpy"], e.fn)(a)
-        try:
-            return _FUNCTIONS[e.fn](a)
-        except ValueError:  # math.sin(inf) and the like
-            raise EvalDomainError(f"{e.fn} of {a} in {render(e)}") from None
-    raise TypeError(f"not an expression node: {e!r}")
+    return compile_numeric((e,), bindings).run(())[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,18 @@
 
 A :class:`FieldState` holds one array per dependent, in the problem file's
 declaration order.  The right-hand side is the file's ``[evolution]``
-section: each rule ``<dep>_t = ...`` is evaluated on the grid by
-:func:`eval_numeric`, with the same binder as the conserved densities; the
-parameter values come from the caller (``simulate`` passes the file's
-``[params]`` values).  Space: fourth-order central
-stencils on a uniform periodic grid supply the spatial jets.  Time: classic
-fourth-order Runge-Kutta, each stage evaluated at its own stage time, so a
-rule may depend on ``t`` explicitly.
+section: ``run`` compiles the rules once (:func:`exprs.compile_numeric`),
+with the parameter values from the caller folded in (``simulate`` passes
+the file's ``[params]`` values) and every other generator resolved to a
+slot of the snapshot: a dependent or one of its spatial jets, ``x`` or
+``t``.  Each evaluation fills the slots and runs the program; the conserved
+densities are compiled and sampled the same way.  Space: fourth-order
+central stencils on a uniform periodic grid supply the spatial jets.
+Time: classic fourth-order Runge-Kutta, each stage evaluated at its own
+stage time, so a rule may depend on ``t`` explicitly.
 
-The reference states (plane wave, steady profile, rotation) are the bundled
-cubic system's closed forms for its real and imaginary part.  The stencil
-symbols ``nu`` and ``mu`` make the semi-discrete plane wave an exact
-solution of the spatially discretized cubic system, which isolates
-time-integration error in convergence measurements.
+The steady profile is the bundled cubic system's closed form for its real
+and imaginary part at gamma = 0.
 
 Stability is set by the rules' second-order spatial jets: a term
 ``gamma*u_xx`` has imaginary eigenvalues up to about ``gamma * 16 / (3 dx^2)``
@@ -27,13 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .exprs import (
+    DEPENDENT,
     INDEPENDENT,
     Expr,
     JetVar,
+    Program,
+    collect_refs,
+    compile_numeric,
     eval_numeric,
+    ref_sort_key,
 )
 from .jets import PDESystem, explicit_partial
 from .normal import as_form, normalize
@@ -68,8 +72,10 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size {self.n} must be a power of two, at least 16")
-        if not (self.length > 0):
-            raise ValueError("grid length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"grid length must be positive and finite, got {self.length}")
+        if not self.dx * self.dx > 0:
+            raise ValueError(f"grid spacing {self.dx:.3g} squares to zero in floating point")
 
     @property
     def dx(self) -> float:
@@ -118,43 +124,78 @@ def spatial_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
     return out
 
 
-def stencil_nu(k: float, dx: float) -> float:
-    """Symbol of the first-derivative stencil: D1 e^{ikx} = i*nu(k) e^{ikx}."""
-    return (8.0 * math.sin(k * dx) - math.sin(2.0 * k * dx)) / (6.0 * dx)
+class GridProgram:
+    """Expressions compiled for the snapshots of one system.  Each input of
+    ``program`` has a slot: ``(dependent index, spatial order)``, ``"x"``
+    or ``"t"``.  (A plain class, like ``Program``, to keep imports short.)"""
+
+    __slots__ = ("program", "slots")
+
+    def __init__(self, program: Program, slots: tuple[tuple[int, int] | str, ...]) -> None:
+        self.program, self.slots = program, slots
+
+    def __call__(self, state: FieldState) -> list:
+        """The expressions' values on ``state``, in order."""
+        dx = state.grid.dx
+        return self.program.run([
+            state.t if s == "t" else state.grid.x if s == "x"
+            else spatial_derivative(state.fields[s[0]], dx, s[1])
+            for s in self.slots
+        ])
 
 
-def stencil_mu(k: float, dx: float) -> float:
-    """Symbol of the second-derivative stencil: D2 e^{ikx} = -mu(k) e^{ikx}."""
-    return (30.0 - 32.0 * math.cos(k * dx) + 2.0 * math.cos(2.0 * k * dx)) / (
-        12.0 * dx * dx
-    )
+def compile_on_grid(
+    exprs: Sequence[Expr], system: PDESystem, params: Mapping[str, float]
+) -> GridProgram:
+    """``exprs`` compiled with the values in ``params`` fixed; a parameter
+    without one is unbound.  Jets must be purely spatial (ValueError): time
+    derivatives have no pointwise meaning on a single snapshot."""
+    index = {d: i for i, d in enumerate(system.ctx.dependents)}
+    fixed, free, slots = {}, [], []
+    for g in sorted(set().union(*map(collect_refs, exprs)), key=ref_sort_key):
+        if isinstance(g, JetVar):
+            if g.order_in(system.time.name) > 0:
+                raise ValueError(
+                    f"density contains the time derivative {g.name}; only "
+                    "spatial jets can be sampled on a snapshot"
+                )
+            slot = (index[g.dep], g.total_order)
+        elif g.kind == INDEPENDENT:
+            slot = "x" if g == system.space else "t"
+        elif g.kind == DEPENDENT:
+            slot = (index[g], 0)
+        else:
+            if g.name in params:
+                fixed[g] = params[g.name]
+            continue
+        free.append(g)
+        slots.append(slot)
+    return GridProgram(compile_numeric(exprs, fixed, free), tuple(slots))
 
 
-def rhs(
-    state: FieldState, system: PDESystem, params: Mapping[str, float]
-) -> tuple[np.ndarray | float, ...]:
-    """The system's evolution rules evaluated on ``state``, one time
+def evolution_program(system: PDESystem, params: Mapping[str, float]) -> GridProgram:
+    """The evolution rules compiled, one per dependent in declaration order."""
+    rules = tuple(system.evolution[dep] for dep in system.ctx.dependents)
+    return compile_on_grid(rules, system, params)
+
+
+def rhs(state: FieldState, rules: GridProgram) -> list:
+    """The compiled evolution rules evaluated on ``state``, one time
     derivative per dependent in declaration order."""
-    bind = GridBindings(state, system, params)
-    return tuple(eval_numeric(system.evolution[dep], bind) for dep in system.ctx.dependents)
+    return rules(state)
 
 
-def step_rk4(
-    state: FieldState,
-    system: PDESystem,
-    params: Mapping[str, float],
-    dt: float,
-) -> FieldState:
-    """One RK4 step of the state's fields, one per dependent of the system."""
+def step_rk4(state: FieldState, rules: GridProgram, dt: float) -> FieldState:
+    """One RK4 step of the state's fields, one per dependent of the rules' system."""
     fields, t, half = state.fields, state.t, 0.5 * dt
 
     def advance(h: float, slopes, time: float) -> FieldState:
         return FieldState(state.grid, time, tuple(f + h * k for f, k in zip(fields, slopes)))
 
-    k1 = rhs(state, system, params)
-    k2 = rhs(advance(half, k1, t + half), system, params)
-    k3 = rhs(advance(half, k2, t + half), system, params)
-    k4 = rhs(advance(dt, k3, t + dt), system, params)
+    k1 = rhs(state, rules)
+    k2 = rhs(advance(half, k1, t + half), rules)
+    k3 = rhs(advance(half, k2, t + half), rules)
+    k4 = rhs(advance(dt, k3, t + dt), rules)
     out = advance(
         dt / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)], t + dt
     )
@@ -184,54 +225,10 @@ def suggested_dt(grid: Grid, system: PDESystem, params: Mapping[str, float]) -> 
 # conserved quantities on the grid
 
 
-class GridBindings(dict):
-    """Numeric values of the generators on one snapshot, each computed on
-    its first lookup.
-
-    Jet variables must be purely spatial; time derivatives have no
-    pointwise meaning on a single snapshot.  A generator with no value
-    here raises ``KeyError``, for ``eval_numeric`` to report by name.
-    """
-
-    def __init__(
-        self, state: FieldState, system: PDESystem, params: Mapping[str, float]
-    ) -> None:
-        super().__init__()
-        self.state, self.system, self.params = state, system, params
-        self.arrays = dict(zip(system.ctx.dependents, state.fields))
-
-    def __missing__(self, g):
-        state, system, arrays = self.state, self.system, self.arrays
-        if isinstance(g, JetVar):
-            if g.order_in(system.time.name) > 0:
-                raise ValueError(
-                    f"density contains the time derivative {g.name}; only "
-                    "spatial jets can be sampled on a snapshot"
-                )
-            if g.dep not in arrays:
-                raise KeyError(g)
-            value = spatial_derivative(
-                arrays[g.dep], state.grid.dx, g.order_in(system.space.name)
-            )
-        elif g.kind == INDEPENDENT:
-            value = state.grid.x if g == system.space else state.t
-        elif g in arrays:
-            value = arrays[g]
-        elif g.name in self.params:
-            value = self.params[g.name]
-        else:
-            raise KeyError(g)
-        self[g] = value
-        return value
-
-
-def conserved_quantity(
-    density: Expr, state: FieldState, system: PDESystem, params: Mapping[str, float]
-) -> float:
-    """Rectangle-rule integral of a density over the periodic grid."""
-    bind = GridBindings(state, system, params)
-    values = np.broadcast_to(eval_numeric(density, bind), state.grid.n)
-    return float(state.grid.dx * np.sum(values))
+def conserved_quantity(density: GridProgram, state: FieldState) -> float:
+    """Rectangle-rule integral of a compiled density over the periodic grid."""
+    (values,) = density(state)
+    return float(state.grid.dx * np.sum(np.broadcast_to(values, state.grid.n)))
 
 
 @dataclass
@@ -266,62 +263,51 @@ class QuantitySeries:
         return "\n".join(lines) + "\n"
 
 
+class Audit:
+    """The conserved densities of one run, compiled, and the series of their
+    integrals, which starts with the sample of ``start``."""
+
+    def __init__(
+        self,
+        densities: Mapping[str, Expr],
+        system: PDESystem,
+        params: Mapping[str, float],
+        start: FieldState,
+    ) -> None:
+        self.densities = {lb: compile_on_grid((d,), system, params) for lb, d in densities.items()}
+        self.series = QuantitySeries(tuple(densities))
+        self.sample(start)
+
+    def sample(self, state: FieldState) -> None:
+        if self.densities:
+            self.series.record(
+                state.t, {lb: conserved_quantity(d, state) for lb, d in self.densities.items()}
+            )
+
+
 def run(
     state: FieldState,
     system: PDESystem,
     params: Mapping[str, float],
     dt: float,
     steps: int,
-    densities: Mapping[str, Expr] | None = None,
+    audit: Audit | None = None,
     sample_every: int = 1,
-) -> tuple[FieldState, QuantitySeries]:
-    densities = dict(densities or {})
-    series = QuantitySeries(tuple(densities))
-
-    def sample(st: FieldState) -> None:
-        if densities:
-            series.record(
-                st.t,
-                {lb: conserved_quantity(d, st, system, params) for lb, d in densities.items()},
-            )
-
-    sample(state)
+) -> FieldState:
+    """``steps`` RK4 steps from ``state`` under the evolution rules, compiled
+    once with ``params``.  ``audit``, made on ``state``, samples every
+    ``sample_every`` steps and after the last."""
+    rules = evolution_program(system, params)
     current = state
     for i in range(1, steps + 1):
-        current = step_rk4(current, system, params, dt)
-        if i % sample_every == 0 or i == steps:
-            sample(current)
-    return current, series
+        current = step_rk4(current, rules, dt)
+        if audit is not None and (i % sample_every == 0 or i == steps):
+            audit.sample(current)
+    return current
 
 
 # ---------------------------------------------------------------------------
 # reference states
-
-
-def plane_wave_exact(
-    grid: Grid,
-    a: float,
-    k: float,
-    t: float,
-    params: Mapping[str, float],
-    dispersion: str = "continuum",
-) -> FieldState:
-    """Plane wave u + i v = a exp(i(kx - omega t)).
-
-    ``dispersion="continuum"`` uses omega = beta*k - gamma*k^2 - delta*a^2;
-    ``"discrete"`` replaces k and k^2 by the stencil symbols nu(k), mu(k),
-    giving an exact solution of the semi-discretized system (useful as a
-    time-integration oracle with zero spatial error).
-    """
-    beta, gamma, delta = params["beta"], params["gamma"], params["delta"]
-    if dispersion == "continuum":
-        omega = beta * k - gamma * k * k - delta * a * a
-    elif dispersion == "discrete":
-        omega = beta * stencil_nu(k, grid.dx) - gamma * stencil_mu(k, grid.dx) - delta * a * a
-    else:
-        raise ValueError(f"unknown dispersion {dispersion!r}")
-    phase = k * grid.x - omega * t
-    return FieldState(grid, t, (a * np.cos(phase), a * np.sin(phase)))
 
 
 def plane_wave_start(grid: Grid, a: float, k: float) -> FieldState:
@@ -353,10 +339,3 @@ def random_trig_state(grid: Grid, seed: int) -> FieldState:
         u += a * np.cos(k * grid.x + pu)
         v += a * np.cos(k * grid.x + pv)
     return FieldState(grid, 0.0, (u, v))
-
-
-def rotate_state(state: FieldState, angle: float) -> FieldState:
-    """Internal rotation (u, v) -> (u cos - v sin, u sin + v cos)."""
-    ca, sa = math.cos(angle), math.sin(angle)
-    u, v = state.fields
-    return FieldState(state.grid, state.t, (ca * u - sa * v, sa * u + ca * v))

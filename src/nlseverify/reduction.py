@@ -42,9 +42,11 @@ from .exprs import (
     ExprError,
     Gen,
     JetVar,
+    Program,
     collect_refs,
-    eval_numeric,
+    compile_numeric,
     func,
+    ref_sort_key,
     var,
 )
 from .jets import (
@@ -289,13 +291,26 @@ def draw_parameters(ctx: Context, seed: int, count: int) -> list[dict[str, float
     return out
 
 
+def _generators(exprs: Sequence[Expr]) -> tuple[Gen, ...]:
+    return tuple(sorted(set().union(*map(collect_refs, exprs)), key=ref_sort_key))
+
+
+def compile_constraints(candidates: Sequence[SolutionCandidate]) -> dict[Expr, Program]:
+    """Each distinct constraint value of the candidates compiled over the
+    parameters it names."""
+    values = {c for cand in candidates for _, c in cand.constraints}
+    return {c: compile_numeric((c,), {}, _generators((c,))) for c in values}
+
+
 def _apply_constraints(
-    cand: SolutionCandidate, base: Mapping[str, float], ctx: Context
+    cand: SolutionCandidate, programs: Mapping[Expr, Program], base: Mapping[str, float]
 ) -> dict[str, float]:
+    """The draw with the candidate's constraints applied in order, each
+    seeing the values the previous ones set."""
     params = dict(base)
-    for name, cexpr in cand.constraints:
-        bind = {ctx[k]: val for k, val in params.items()}
-        params[name] = eval_numeric(cexpr, bind)
+    for name, c in cand.constraints:
+        program = programs[c]
+        (params[name],) = program.run([params[p.name] for p in program.inputs])
     return params
 
 
@@ -314,24 +329,39 @@ def candidate_jets(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr
     return {g: normalize(f).to_expr() for g, f in table.items()}
 
 
+def compile_jets(jets: Mapping[Gen, Expr]) -> tuple[tuple[Gen, ...], Program]:
+    """A candidate's jets (from :func:`candidate_jets`) compiled over the
+    base variables they name, with the generators they give values to."""
+    exprs = tuple(jets.values())
+    return tuple(jets), compile_numeric(exprs, {}, _generators(exprs))
+
+
+def compile_equations(system: PDESystem) -> Program:
+    """The system's equations compiled over every generator they name."""
+    exprs = tuple(eq for _, eq in system.equations)
+    return compile_numeric(exprs, {}, _generators(exprs))
+
+
 def candidate_equation_residuals(
-    jets: Mapping[Gen, Expr],
+    jets: tuple[tuple[Gen, ...], Program],
+    equations: Program,
     system: PDESystem,
     params: Mapping[str, float],
     points: Sequence[tuple[float, float]],
 ) -> tuple[float, float]:
     """(max |G_a|, max |u*G1 + v*G2|) over the point set: the candidate's
-    jets evaluated on arrays of all the points, then the equations with
-    them bound; a nan anywhere makes its maximum nan."""
+    compiled jets evaluated on arrays of all the points, then the compiled
+    equations with them bound; a nan anywhere makes its maximum nan."""
     import numpy as np  # here and in classify: the exact commands never load it
     ctx = system.ctx
     xs, ts = np.array(points, dtype=float).T
     values = {ctx[k]: val for k, val in params.items()}
     values[system.time] = ts
     values[system.space] = xs
+    gens, program = jets
     with np.errstate(all="ignore"):
-        values.update({g: eval_numeric(e, values) for g, e in jets.items()})
-        gs = [eval_numeric(eq, values) for _, eq in system.equations]
+        values.update(zip(gens, program.run([values[g] for g in program.inputs])))
+        gs = equations.run([values[g] for g in equations.inputs])
         eq_max = np.max([np.max(np.abs(g)) for g in gs])
         angular = sum(values[d] * g for d, g in zip(ctx.dependents, gs, strict=True))
         combo_max = np.max(np.abs(angular))
@@ -350,14 +380,18 @@ def classify(
     import numpy as np
     points = np.array(low_discrepancy_points(100))
     bases = draw_parameters(system.ctx, seed, 3)
+    equations = compile_equations(system)
+    constraints = compile_constraints(candidates)
     reports = []
     for cand in candidates:
-        jets = candidate_jets(cand, system)
+        jets = compile_jets(candidate_jets(cand, system))
         results = []
         for base in bases:
             try:
-                params = _apply_constraints(cand, base, system.ctx)
-                eq_max, combo_max = candidate_equation_residuals(jets, system, params, points)
+                params = _apply_constraints(cand, constraints, base)
+                eq_max, combo_max = candidate_equation_residuals(
+                    jets, equations, system, params, points
+                )
             except ExprError as exc:
                 results.append(DrawResult(dict(base), math.nan, math.nan, "fail", str(exc)))
                 continue

@@ -693,11 +693,15 @@ def test_non_utf8_problem_file_is_an_error(capsys, tmp_path):
         (("--T", "1e-4", "--dt", "1e-3"), "horizon shorter than one step"),
         (("--drift-tol", "nan"), "drift-tol must be positive, got nan"),
         (("--init", "random", "--L", "5"), "wavenumber 0.5 is not periodic on length 5.0"),
+        (("--a", "nan"), "a, k must be finite, got a=nan, k=1.0"),
+        (("--k", "inf"), "a, k must be finite, got a=0.5, k=inf"),
+        (("--L", "inf"), "grid length must be positive and finite, got inf"),
+        (("--L", "1e-300"), "grid spacing 3.91e-303 squares to zero in floating point"),
         (("--csv-out", "{missing}/series.csv"), "--csv-out: [Errno 2] No such file"),
         (("--json-out", "{missing}/report.json"), "--json-out: [Errno 2] No such file"),
     ],
     ids=["dt-nan", "T-inf", "steps-overflow", "short-horizon", "drift-tol-nan",
-         "random-not-periodic", "csv-out", "json-out"],
+         "random-not-periodic", "a-nan", "k-inf", "L-inf", "L-underflow", "csv-out", "json-out"],
 )
 def test_bad_simulate_arguments_exit_one(capsys, tmp_path, argv, message):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -756,9 +760,9 @@ def test_a_nan_sample_fails_its_drift_record(capsys, tmp_path):
 def test_simulate_leaves_numpy_warnings_off_stderr(tmp_path):
     """A fresh ``python -m nlseverify``: numpy's overflow, invalid-value and
     divide warnings used to reach stderr, with the install path.  They came
-    from the rules on the nan field, from a plane wave of infinite
-    wavenumber, from the drift of a nan sample, and from a stencil on a
-    grid whose dx^2 underflows."""
+    from the rules on the nan field, from a plane wave whose phase k*x
+    overflows, from the drift of a nan sample, and from the stencils and
+    rules on a grid so fine that the step overflows."""
     target = tmp_path / "nan.prob"
     target.write_text(nan_field_text())
     src = str(Path(nlseverify.__file__).resolve().parents[1])
@@ -769,12 +773,12 @@ def test_simulate_leaves_numpy_warnings_off_stderr(tmp_path):
     ]
     runs = [
         (["--problem", str(target), "simulate", "--T", "0.01"], blowup),
-        (["simulate", "--T", "0.002", "--k", "inf"], blowup),
+        (["simulate", "--T", "0.002", "--k", "1e308"], blowup),
         (
             ["simulate", "--N", "16", "--L", "1e308"],
             ["simulate: 4 checks (1 fail, 3 pass)", "  FAIL simulate.drift.Q4: nan"],
         ),
-        (["simulate", "--L", "1e-300"], blowup),
+        (["simulate", "--L", "1e-150"], blowup),
     ]
     for argv, summary in runs:
         proc = subprocess.run(

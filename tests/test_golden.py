@@ -1,5 +1,7 @@
-"""Stdout of the symbolic commands on the bundled file, pinned byte for byte
-by the golden files the benchmark judges against (read, never written)."""
+"""Stdout of the commands on the bundled file, pinned byte for byte: the
+symbolic commands by the golden files the benchmark judges against, and
+``classify`` and ``simulate`` (with its ``--csv-out`` series) by the files
+in ``tests/golden`` (all read, never written)."""
 
 from __future__ import annotations
 
@@ -38,3 +40,25 @@ def test_printed_reduce_stdout_is_pinned(capsys):
     expected = Path(__file__).resolve().parent / "golden" / "reduce_printed.tsv"
     assert out == expected.read_text(encoding="utf-8")
     assert code == 2
+
+
+@pytest.mark.parametrize("init", ["plane-wave", "case1-exact", "random"])
+def test_simulate_output_is_pinned(capsys, tmp_path, init):
+    """Stdout and the sampled series of a short run of each initial-data
+    family, byte for byte: the integrator's arithmetic must not move."""
+    csv_path = tmp_path / "series.csv"
+    code = main(["simulate", "--init", init, "--T", "0.1", "--csv-out", str(csv_path)])
+    out = capsys.readouterr().out
+    pinned = Path(__file__).resolve().parent / "golden"
+    assert out == (pinned / f"simulate_{init}.tsv").read_text(encoding="utf-8")
+    assert csv_path.read_bytes() == (pinned / f"simulate_{init}.csv").read_bytes()
+    assert code == (0 if init == "plane-wave" else 2)
+
+
+def test_classify_stdout_is_pinned(capsys):
+    """Verdicts and the residual column at the default seed, byte for byte."""
+    code = main(["classify"])
+    out = capsys.readouterr().out
+    expected = Path(__file__).resolve().parent / "golden" / "classify.tsv"
+    assert out == expected.read_text(encoding="utf-8")
+    assert code == 0

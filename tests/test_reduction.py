@@ -16,6 +16,8 @@ from nlseverify.reduction import (
     candidate_equation_residuals,
     candidate_jets,
     classify,
+    compile_equations,
+    compile_jets,
     draw_parameters,
     first_integral_residual,
     low_discrepancy_points,
@@ -212,7 +214,7 @@ def test_const_phase_candidate_residual_laws(problem, system):
     params = {"beta": 0.0, "gamma": 1.1, "delta": 1.3, "c": 0.0, "eps": 0.7, "c1": 0.9}
     points = low_discrepancy_points(50)
     eq_max, combo_max = candidate_equation_residuals(
-        candidate_jets(cand, system), system, params, points
+        compile_jets(candidate_jets(cand, system)), compile_equations(system), system, params, points
     )
     amp = 1.3 * 0.7**1.5
     assert abs(eq_max - amp * max(abs(math.sin(0.9)), abs(math.cos(0.9)))) < 1e-12
@@ -223,7 +225,11 @@ def test_exact_candidate_is_pointwise_zero(problem, system):
     cand = {c.label: c for c in problem.candidates}["case1-linear-phase"]
     params = {"beta": 1.4, "gamma": 0.0, "delta": 0.8, "c": 0.0, "eps": 1.2, "c1": 0.3}
     eq_max, combo_max = candidate_equation_residuals(
-        candidate_jets(cand, system), system, params, low_discrepancy_points(50)
+        compile_jets(candidate_jets(cand, system)),
+        compile_equations(system),
+        system,
+        params,
+        low_discrepancy_points(50),
     )
     assert eq_max < 1e-12
     assert combo_max < 1e-12
