@@ -247,6 +247,9 @@ def classify_report(problem: Problem, seed: int, case: str | None) -> Report:
     return rep
 
 
+CASE1_EXACT = "case1-linear-phase"  # the candidate that --init case1-exact starts from
+
+
 def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
     rep = Report("simulate")
     deps = [d.name for d in problem.ctx.dependents]
@@ -272,9 +275,11 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
         if args.init == "plane-wave":
             state = numerics.plane_wave_start(grid, args.a, args.k)
         elif args.init == "case1-exact":
-            params["gamma"] = 0.0  # the profile is exact only without dispersion
-            try:
-                state = numerics.case1_steady_state(grid, params, c1=params["c1"])
+            cand = next((c for c in problem.candidates if c.label == CASE1_EXACT), None)
+            if cand is None:
+                raise UsageError(f"--init case1-exact needs the [candidates] entry {CASE1_EXACT}")
+            try:  # its constraints hold the parameters the run integrates with
+                state, params = numerics.candidate_start(cand, problem.system, params, grid)
             except KeyError as exc:
                 raise UsageError(f"--init case1-exact needs a [params] value for {exc}") from None
         else:

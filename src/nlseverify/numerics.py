@@ -12,8 +12,12 @@ central stencils on a uniform periodic grid supply the spatial jets.
 Time: classic fourth-order Runge-Kutta, each stage evaluated at its own
 stage time, so a rule may depend on ``t`` explicitly.
 
-The steady profile is the bundled cubic system's closed form for its real
-and imaginary part at gamma = 0.
+A run's rules and densities share one :class:`Workspace`, which holds the
+arrays the stencils and the RK4 stages write into and ``grid.x``, made
+once per run; a step allocates only the programs' intermediate values and
+the fields it returns.  A program's value may be a workspace array (the
+rule ``u_t = v_xx`` returns the jet array of ``v_xx`` itself), so it is
+valid only until the next program run on the same workspace.
 
 Stability is set by the rules' second-order spatial jets: a term
 ``gamma*u_xx`` has imaginary eigenvalues up to about ``gamma * 16 / (3 dx^2)``
@@ -41,6 +45,7 @@ from .exprs import (
 )
 from .jets import PDESystem, explicit_partial
 from .normal import as_form, normalize
+from .reduction import SolutionCandidate, apply_constraints, compile_constraints, compile_jets
 
 
 class _Numpy:
@@ -92,64 +97,114 @@ class FieldState:
     t: float
     fields: tuple[np.ndarray, ...]  # one per dependent, in declaration order
 
-    def max_abs(self) -> float:
-        return float(np.max([np.max(np.abs(f)) for f in self.fields]))  # nan if any is nan
+    def max_abs(self, scratch: np.ndarray) -> float:
+        """The largest |value| of any field, nan if any is nan; ``scratch``
+        is an array of the grid's size that it may overwrite."""
+        return float(np.max([np.abs(f, out=scratch).max() for f in self.fields]))
 
 
-def _shifts(f: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Periodic neighbours (f[i-2], f[i-1], f[i+1], f[i+2]) as slices of
-    one padded copy."""
-    n = f.shape[0]
-    p = np.concatenate((f[-2:], f, f[:2]))
-    return p[:n], p[1 : n + 1], p[3 : n + 3], p[4:]
+class Workspace:
+    """The arrays that one run on ``grid`` reuses, shared by its compiled
+    rules and densities: per dependent a padded copy (``n + 4`` values)
+    with its four shift views, one output array per (dependent, spatial
+    order) jet slot, made when a program that needs it is compiled, one
+    scratch array, two sets of RK4 stage fields and one of RK4 sums, and
+    ``grid.x``."""
+
+    __slots__ = ("grid", "x", "scratch", "padded", "shifts", "jets", "stages", "sums")
+
+    def __init__(self, grid: Grid, count: int) -> None:
+        n = grid.n
+        self.grid, self.x, self.scratch = grid, grid.x, np.empty(n)
+        self.padded = [np.empty(n + 4) for _ in range(count)]
+        self.shifts = [(p[:n], p[1 : n + 1], p[3 : n + 3], p[4:]) for p in self.padded]
+        self.jets: dict[tuple[int, int], np.ndarray] = {}
+        self.stages = tuple([np.empty(n) for _ in range(count)] for _ in range(2))
+        self.sums = [np.empty(n) for _ in range(count)]
 
 
-def deriv1(f: np.ndarray, dx: float) -> np.ndarray:
-    fm2, fm1, fp1, fp2 = _shifts(f)
-    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * dx)
+def deriv1(shifts: tuple, dx: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(8*(f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12*dx) written into ``out``."""
+    fm2, fm1, fp1, fp2 = shifts
+    np.subtract(fp1, fm1, out=out)
+    np.multiply(out, 8.0, out=out)
+    np.subtract(out, np.subtract(fp2, fm2, out=scratch), out=out)
+    return np.divide(out, 12.0 * dx, out=out)
 
 
-def deriv2(f: np.ndarray, dx: float) -> np.ndarray:
-    fm2, fm1, fp1, fp2 = _shifts(f)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * dx * dx)
+def deriv2(
+    f: np.ndarray, shifts: tuple, dx: float, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """(-f[i+2] + 16*f[i+1] - 30*f[i] + 16*f[i-1] - f[i-2]) / (12*dx^2),
+    summed left to right, written into ``out``."""
+    fm2, fm1, fp1, fp2 = shifts
+    np.multiply(fp1, 16.0, out=out)
+    np.subtract(out, fp2, out=out)
+    np.subtract(out, np.multiply(f, 30.0, out=scratch), out=out)
+    np.add(out, np.multiply(fm1, 16.0, out=scratch), out=out)
+    np.subtract(out, fm2, out=out)
+    return np.divide(out, 12.0 * dx * dx, out=out)
 
 
-def spatial_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
-    out = f
-    while order >= 2:
-        out = deriv2(out, dx)
-        order -= 2
-    if order == 1:
-        out = deriv1(out, dx)
-    return out
+def spatial_jets(work: Workspace, dep: int, f: np.ndarray, orders: frozenset[int]) -> None:
+    """The jets of ``orders`` of dependent ``dep``, whose field is ``f``,
+    written into their slots of ``work``.  Each pass pads the current
+    function once, takes its first derivative if that order is wanted and
+    its second if any higher one is; the second is the next pass's
+    function, so order 3 is D1(D2 f) and order 4 is D2(D2 f)."""
+    padded, shifts, dx, scratch = work.padded[dep], work.shifts[dep], work.grid.dx, work.scratch
+    top, order = max(orders), 0
+    while order < top:
+        np.concatenate((f[-2:], f, f[:2]), out=padded)
+        if order + 1 in orders:
+            deriv1(shifts, dx, work.jets[dep, order + 1], scratch)
+        if order + 2 <= top:
+            f = deriv2(f, shifts, dx, work.jets[dep, order + 2], scratch)
+        order += 2
 
 
 class GridProgram:
-    """Expressions compiled for the snapshots of one system.  Each input of
-    ``program`` has a slot: ``(dependent index, spatial order)``, ``"x"``
-    or ``"t"``.  (A plain class, like ``Program``, to keep imports short.)"""
+    """Expressions compiled for the snapshots of one system, evaluated in
+    one workspace.  Each input of ``program`` has a slot: ``(dependent
+    index, spatial order)``, ``"x"`` or ``"t"``.  (A plain class, like
+    ``Program``, to keep imports short.)"""
 
-    __slots__ = ("program", "slots")
+    __slots__ = ("program", "slots", "work", "orders")
 
-    def __init__(self, program: Program, slots: tuple[tuple[int, int] | str, ...]) -> None:
-        self.program, self.slots = program, slots
+    def __init__(
+        self, program: Program, slots: tuple[tuple[int, int] | str, ...], work: Workspace
+    ) -> None:
+        self.program, self.slots, self.work = program, slots, work
+        orders: dict[int, set[int]] = {}
+        for s in slots:
+            if s not in ("x", "t") and s[1] > 0:
+                orders.setdefault(s[0], set()).add(s[1])
+        self.orders = tuple((dep, frozenset(o)) for dep, o in orders.items())
+        for dep, o in self.orders:
+            for order in range(1, max(o) + 1):
+                if (dep, order) not in work.jets:
+                    work.jets[dep, order] = np.empty(work.grid.n)
 
     def __call__(self, state: FieldState) -> list:
-        """The expressions' values on ``state``, in order."""
-        dx = state.grid.dx
+        """The expressions' values on ``state``, in order.  A value may be a
+        workspace array, valid until the next program run on the workspace."""
+        work, fields = self.work, state.fields
+        for dep, orders in self.orders:
+            spatial_jets(work, dep, fields[dep], orders)
+        jets = work.jets
         return self.program.run([
-            state.t if s == "t" else state.grid.x if s == "x"
-            else spatial_derivative(state.fields[s[0]], dx, s[1])
+            state.t if s == "t" else work.x if s == "x" else jets[s] if s[1] else fields[s[0]]
             for s in self.slots
         ])
 
 
 def compile_on_grid(
-    exprs: Sequence[Expr], system: PDESystem, params: Mapping[str, float]
+    exprs: Sequence[Expr], system: PDESystem, params: Mapping[str, float], work: Workspace
 ) -> GridProgram:
-    """``exprs`` compiled with the values in ``params`` fixed; a parameter
-    without one is unbound.  Jets must be purely spatial (ValueError): time
-    derivatives have no pointwise meaning on a single snapshot."""
+    """``exprs`` compiled with the values in ``params`` fixed, to run in
+    ``work``; a parameter without a value is unbound.  Jets must be purely
+    spatial (ValueError): time derivatives have no pointwise meaning on a
+    single snapshot."""
     index = {d: i for i, d in enumerate(system.ctx.dependents)}
     fixed, free, slots = {}, [], []
     for g in sorted(set().union(*map(collect_refs, exprs)), key=ref_sort_key):
@@ -170,13 +225,15 @@ def compile_on_grid(
             continue
         free.append(g)
         slots.append(slot)
-    return GridProgram(compile_numeric(exprs, fixed, free), tuple(slots))
+    return GridProgram(compile_numeric(exprs, fixed, free), tuple(slots), work)
 
 
-def evolution_program(system: PDESystem, params: Mapping[str, float]) -> GridProgram:
+def evolution_program(
+    system: PDESystem, params: Mapping[str, float], work: Workspace
+) -> GridProgram:
     """The evolution rules compiled, one per dependent in declaration order."""
     rules = tuple(system.evolution[dep] for dep in system.ctx.dependents)
-    return compile_on_grid(rules, system, params)
+    return compile_on_grid(rules, system, params, work)
 
 
 def rhs(state: FieldState, rules: GridProgram) -> list:
@@ -186,20 +243,42 @@ def rhs(state: FieldState, rules: GridProgram) -> list:
 
 
 def step_rk4(state: FieldState, rules: GridProgram, dt: float) -> FieldState:
-    """One RK4 step of the state's fields, one per dependent of the rules' system."""
-    fields, t, half = state.fields, state.t, 0.5 * dt
+    """One RK4 step of the state's fields, one per dependent of the rules'
+    system, in the rules' workspace.  The stages alternate between its two
+    stage sets, because a slope may be the previous stage's field, and each
+    slope is folded into its sum ``((k1 + 2 k2) + 2 k3) + k4`` before the
+    next program run may overwrite it.  The returned fields are fresh."""
+    work, fields, t, half = rules.work, state.fields, state.t, 0.5 * dt
+    scratch, sums = work.scratch, work.sums
 
-    def advance(h: float, slopes, time: float) -> FieldState:
-        return FieldState(state.grid, time, tuple(f + h * k for f, k in zip(fields, slopes)))
+    def stage(slopes, h: float, time: float, target: list) -> list:
+        """The slopes at ``fields + h * slopes``, written into ``target``, at
+        ``time``.  Holding ``slopes`` through the run lets the run's
+        intermediate values reuse the memory freed below them; freed first,
+        the top of the heap went back to the system and was faulted in
+        again at every stage (3.5 times the page faults at N = 65536)."""
+        for f, k, out in zip(fields, slopes, target):
+            np.add(f, np.multiply(k, h, out=scratch), out=out)
+        return rhs(FieldState(state.grid, time, tuple(target)), rules)
 
-    k1 = rhs(state, rules)
-    k2 = rhs(advance(half, k1, t + half), rules)
-    k3 = rhs(advance(half, k2, t + half), rules)
-    k4 = rhs(advance(dt, k3, t + dt), rules)
-    out = advance(
-        dt / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)], t + dt
-    )
-    m = out.max_abs()
+    def fold(slopes) -> None:
+        for acc, k in zip(sums, slopes):
+            np.add(acc, np.multiply(k, 2.0, out=scratch), out=acc)
+
+    first, second = work.stages
+    k = rhs(state, rules)
+    for acc, k1 in zip(sums, k):
+        np.copyto(acc, k1)
+    k = stage(k, half, t + half, first)
+    fold(k)
+    k = stage(k, half, t + half, second)
+    fold(k)
+    for acc, k4 in zip(sums, stage(k, dt, t + dt, first)):
+        np.add(acc, k4, out=acc)
+    out = FieldState(state.grid, t + dt, tuple(
+        np.add(f, np.multiply(acc, dt / 6.0, out=acc)) for f, acc in zip(fields, sums)
+    ))
+    m = out.max_abs(scratch)
     if not math.isfinite(m) or m > BLOWUP:
         raise BlowupError(
             f"solution magnitude {m:.3g} at t={out.t:.6g}; reduce dt "
@@ -264,8 +343,9 @@ class QuantitySeries:
 
 
 class Audit:
-    """The conserved densities of one run, compiled, and the series of their
-    integrals, which starts with the sample of ``start``."""
+    """The conserved densities of one run, compiled into the run's
+    workspace, and the series of their integrals, which starts with the
+    sample of ``start``."""
 
     def __init__(
         self,
@@ -274,7 +354,10 @@ class Audit:
         params: Mapping[str, float],
         start: FieldState,
     ) -> None:
-        self.densities = {lb: compile_on_grid((d,), system, params) for lb, d in densities.items()}
+        self.work = Workspace(start.grid, len(start.fields))
+        self.densities = {
+            lb: compile_on_grid((d,), system, params, self.work) for lb, d in densities.items()
+        }
         self.series = QuantitySeries(tuple(densities))
         self.sample(start)
 
@@ -296,8 +379,10 @@ def run(
 ) -> FieldState:
     """``steps`` RK4 steps from ``state`` under the evolution rules, compiled
     once with ``params``.  ``audit``, made on ``state``, samples every
-    ``sample_every`` steps and after the last."""
-    rules = evolution_program(system, params)
+    ``sample_every`` steps and after the last; the rules share its
+    workspace, so that a run holds one set of arrays."""
+    work = audit.work if audit is not None else Workspace(state.grid, len(state.fields))
+    rules = evolution_program(system, params, work)
     current = state
     for i in range(1, steps + 1):
         current = step_rk4(current, rules, dt)
@@ -315,13 +400,18 @@ def plane_wave_start(grid: Grid, a: float, k: float) -> FieldState:
     return FieldState(grid, 0.0, (a * np.cos(k * grid.x), a * np.sin(k * grid.x)))
 
 
-def case1_steady_state(grid: Grid, params: Mapping[str, float], c1: float = 0.0) -> FieldState:
-    """Exact linear-phase profile for gamma = 0: wavenumber delta*eps/beta."""
-    beta, delta, eps = params["beta"], params["delta"], params["eps"]
-    k = delta * eps / beta
-    amp = math.sqrt(eps)
-    phase = k * grid.x + c1
-    return FieldState(grid, 0.0, (amp * np.cos(phase), amp * np.sin(phase)))
+def candidate_start(
+    cand: SolutionCandidate, system: PDESystem, params: Mapping[str, float], grid: Grid
+) -> tuple[FieldState, dict[str, float]]:
+    """A solution candidate's closed form at t = 0 on ``grid``, and the
+    parameter values it solves the system for: ``params`` with its
+    constraints applied in order.  KeyError names a parameter without a
+    value."""
+    values = apply_constraints(cand, compile_constraints((cand,)), params)
+    _, program = compile_jets(cand.fields)
+    at = {**values, system.time.name: 0.0, system.space.name: grid.x}
+    fields = program.run([at[g.name] for g in program.inputs])
+    return FieldState(grid, 0.0, tuple(np.broadcast_to(f, grid.n) for f in fields)), values
 
 
 RANDOM_MODES = ((0.5, 0.2), (1.0, 0.1), (1.5, 0.05))  # (wavenumber, amplitude)

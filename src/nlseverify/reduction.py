@@ -302,7 +302,7 @@ def compile_constraints(candidates: Sequence[SolutionCandidate]) -> dict[Expr, P
     return {c: compile_numeric((c,), {}, _generators((c,))) for c in values}
 
 
-def _apply_constraints(
+def apply_constraints(
     cand: SolutionCandidate, programs: Mapping[Expr, Program], base: Mapping[str, float]
 ) -> dict[str, float]:
     """The draw with the candidate's constraints applied in order, each
@@ -388,7 +388,7 @@ def classify(
         results = []
         for base in bases:
             try:
-                params = _apply_constraints(cand, constraints, base)
+                params = apply_constraints(cand, constraints, base)
                 eq_max, combo_max = candidate_equation_residuals(
                     jets, equations, system, params, points
                 )

@@ -643,6 +643,30 @@ def test_case1_exact_needs_its_parameter_values(capsys, tmp_path, name):
         assert run_cli(capsys, "--problem", str(target), command)[0] in (0, 1, 2), command
 
 
+def test_case1_exact_starts_from_the_file_candidate(capsys, tmp_path):
+    """The start state is the file's case1-linear-phase candidate: a file
+    without it is an input error, and a file that changes it changes the
+    run."""
+    line = next(l for l in BUNDLED.splitlines() if l.startswith("case1-linear-phase "))
+    args = ("simulate", "--init", "case1-exact", "--T", "0.01")
+    target = tmp_path / "none.prob"
+    target.write_text(BUNDLED.replace(line + "\n", ""))
+    code, out, err = run_cli(capsys, "--problem", str(target), *args)
+    assert (code, out) == (1, "")
+    assert err == (
+        "nlseverify: error: --init case1-exact needs the [candidates] entry case1-linear-phase\n"
+    )
+    target = tmp_path / "doubled.prob"
+    target.write_text(BUNDLED.replace(line, line.replace("u = sqrt(eps)", "u = 2*sqrt(eps)")))
+    series = {}
+    for name, problem in (("bundled", ()), ("doubled", ("--problem", str(target)))):
+        csv = tmp_path / f"{name}.csv"
+        assert run_cli(capsys, *problem, *args, "--csv-out", str(csv))[0] in (0, 2)
+        series[name] = csv.read_text()
+    q2 = [float(text.splitlines()[1].split(",")[2]) for text in series.values()]
+    assert q2[1] == pytest.approx(2.5 * q2[0])
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

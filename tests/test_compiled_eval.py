@@ -30,7 +30,7 @@ from nlseverify.exprs import (
     ref_sort_key,
     var,
 )
-from nlseverify.numerics import evolution_program
+from nlseverify.numerics import Grid, Workspace, evolution_program
 from nlseverify.reduction import (
     candidate_jets,
     compile_constraints,
@@ -128,7 +128,8 @@ def test_bundled_rules_and_densities(problem, size):
 
 def test_rules_share_their_common_subtree(problem):
     """u^2 and v^2 are computed once for both rules, u^2 + v^2 too."""
-    program = evolution_program(problem.system, dict(problem.param_values)).program
+    work = Workspace(Grid(16, 1.0), 2)
+    program = evolution_program(problem.system, dict(problem.param_values), work).program
     names = [fn.__name__ for fn, *_ in program.code]
     assert names.count("_power") == 2
     assert len(program.code) == 15

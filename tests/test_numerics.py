@@ -11,11 +11,10 @@ from nlseverify.numerics import (
     FieldState,
     Grid,
     QuantitySeries,
-    case1_steady_state,
+    Workspace,
+    candidate_start,
     compile_on_grid,
     conserved_quantity,
-    deriv1,
-    deriv2,
     evolution_program,
     random_trig_state,
     run,
@@ -23,7 +22,13 @@ from nlseverify.numerics import (
     suggested_dt,
 )
 from nlseverify.problem import bundled_problem_text, load_problem_text
-from reference_states import plane_wave_exact, rotate_state, stencil_mu, stencil_nu
+from reference_states import (
+    case1_steady_state,
+    plane_wave_exact,
+    rotate_state,
+    stencil_mu,
+    stencil_nu,
+)
 
 PARAMS = {"beta": 1.0, "gamma": 0.5, "delta": 1.0}
 
@@ -32,12 +37,16 @@ def state_err(a: FieldState, b: FieldState) -> float:
     return float(max(np.max(np.abs(f - g)) for f, g in zip(a.fields, b.fields)))
 
 
+def workspace(state: FieldState) -> Workspace:
+    return Workspace(state.grid, len(state.fields))
+
+
 def step(state: FieldState, system, params, dt: float) -> FieldState:
-    return step_rk4(state, evolution_program(system, params), dt)
+    return step_rk4(state, evolution_program(system, params, workspace(state)), dt)
 
 
 def quantity(density, state: FieldState, system, params=PARAMS) -> float:
-    return conserved_quantity(compile_on_grid((density,), system, params), state)
+    return conserved_quantity(compile_on_grid((density,), system, params, workspace(state)), state)
 
 
 def audited_run(state: FieldState, problem, params, dt: float, steps: int) -> QuantitySeries:
@@ -62,12 +71,14 @@ def test_grid_validation():
     assert g.x.shape == (64,)
 
 
-def test_stencil_symbols_are_exact_on_grid_modes():
+def test_stencil_symbols_are_exact_on_grid_modes(system):
     g = Grid(64, 2.0 * math.pi)
     k = 3.0
-    f = np.sin(k * g.x)
-    assert np.max(np.abs(deriv1(f, g.dx) - stencil_nu(k, g.dx) * np.cos(k * g.x))) < 1e-12
-    assert np.max(np.abs(deriv2(f, g.dx) + stencil_mu(k, g.dx) * np.sin(k * g.x))) < 1e-10
+    state = FieldState(g, 0.0, (np.sin(k * g.x), np.zeros(g.n)))
+    jets = tuple(map(system.ctx.parse, ("u_x", "u_xx")))
+    d1, d2 = compile_on_grid(jets, system, PARAMS, workspace(state))(state)
+    assert np.max(np.abs(d1 - stencil_nu(k, g.dx) * np.cos(k * g.x))) < 1e-12
+    assert np.max(np.abs(d2 + stencil_mu(k, g.dx) * np.sin(k * g.x))) < 1e-10
 
 
 def test_stencil_symbols_are_fourth_order():
@@ -168,10 +179,26 @@ def test_plane_wave_quantities_match_stencil_values(problem):
     assert abs(q2 - 0.5 * a * a * grid.length) < 1e-12
 
 
+def case1_candidate(problem):
+    return {c.label: c for c in problem.candidates}["case1-linear-phase"]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_case1_start_is_the_closed_form(problem, n):
+    """The file's case1-linear-phase candidate at t = 0, with its
+    constraints applied, is the closed-form profile bit for bit."""
+    grid = Grid(n, 2.0 * math.pi)
+    cand = case1_candidate(problem)
+    start, params = candidate_start(cand, problem.system, problem.param_values, grid)
+    assert params == {**problem.param_values, "c": 0.0, "gamma": 0.0}
+    closed = case1_steady_state(grid, params, c1=params["c1"])
+    assert [f.tobytes() for f in start.fields] == [f.tobytes() for f in closed.fields]
+
+
 def test_case1_profile_is_steady(problem):
-    params = {"beta": 1.0, "gamma": 0.0, "delta": 1.0, "eps": 1.0}
+    params = {"beta": 1.0, "gamma": 0.0, "delta": 1.0, "eps": 1.0, "c1": 0.0}
     grid = Grid(64, 2.0 * math.pi)
-    start = case1_steady_state(grid, params)
+    start, params = candidate_start(case1_candidate(problem), problem.system, params, grid)
     audit = Audit(problem.quantity_densities(), problem.system, params, start)
     final = run(start, problem.system, params, 1e-3, 200, audit, sample_every=10)
     series = audit.series
@@ -195,7 +222,7 @@ def test_moment_drift_rate_matches_boundary_flux(problem):
     mid = step(state, system, PARAMS, dt)
     after = step(mid, system, PARAMS, dt)
     slope = (quantity(dens["Q4"], after, system) - quantity(dens["Q4"], state, system)) / (2.0 * dt)
-    (flux,) = compile_on_grid((t2.flux,), system, PARAMS)(mid)
+    (flux,) = compile_on_grid((t2.flux,), system, PARAMS, workspace(mid))(mid)
     predicted = -grid.length * float(np.asarray(flux)[0])
     assert abs(slope - predicted) / abs(predicted) < 1e-10
     # Continuum value of the same quantity: L*(2*gamma*k - beta)*a^2/2.
@@ -235,7 +262,7 @@ def test_half_amplitude_integral_values(problem):
 def test_unstable_step_raises_blowup(system):
     grid = Grid(256, 2.0 * math.pi)
     state = FieldState(grid, 0.0, (0.1 * np.cos(128.0 * grid.x), np.zeros(grid.n)))
-    rules = evolution_program(system, PARAMS)
+    rules = evolution_program(system, PARAMS, workspace(state))
     with pytest.raises(BlowupError):
         for _ in range(60):
             state = step_rk4(state, rules, 1e-3)
@@ -270,7 +297,7 @@ def test_suggested_dt_reads_the_dispersion_off_the_rules(system):
 def test_grid_programs_reject_time_jets(problem):
     density = problem.ctx.parse("u_t*v")
     with pytest.raises(ValueError, match="time derivative u_t"):
-        compile_on_grid((density,), problem.system, PARAMS)
+        compile_on_grid((density,), problem.system, PARAMS, Workspace(Grid(16, 1.0), 2))
 
 
 def test_random_state_requires_periodic_wavenumbers():
@@ -298,7 +325,7 @@ def test_a_nan_anywhere_is_the_largest_magnitude(nan_first):
     grid = Grid(16, 1.0)
     fields = (np.ones(grid.n), np.full(grid.n, np.nan))
     state = FieldState(grid, 0.0, fields[::-1] if nan_first else fields)
-    assert math.isnan(state.max_abs())
+    assert math.isnan(state.max_abs(np.empty(grid.n)))
 
 
 def test_a_nan_sample_makes_the_drift_nan():
