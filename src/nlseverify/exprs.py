@@ -14,7 +14,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -53,19 +52,46 @@ class DeclarationError(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class VarId:
+class Frozen:
+    """Immutable instances: ``__init__`` writes the fields past
+    ``__setattr__`` (into ``vars(self)``, or through ``object.__setattr__``
+    for a class with ``__slots__``), and assigning or deleting one later
+    raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__  # how a slotted __init__ writes past Frozen.__setattr__
+
+
+class VarId(Frozen):
     """A declared variable: independent, dependent, or parameter."""
 
-    kind: str
-    name: str
+    __slots__ = ("kind", "name")
+
+    def __init__(self, kind: str, name: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.name) == (other.kind, other.name)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.name))
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class JetVar:
+class JetVar(Frozen):
     """A derivative of a dependent variable.
 
     ``suffix`` is the derivative word: one independent-variable letter per
@@ -74,8 +100,19 @@ class JetVar:
     ``u_tx``).  :meth:`Context.jet` builds jets and sorts and checks the word.
     """
 
-    dep: VarId
-    suffix: str
+    __slots__ = ("dep", "suffix")
+
+    def __init__(self, dep: VarId, suffix: str) -> None:
+        _set(self, "dep", dep)
+        _set(self, "suffix", suffix)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dep, self.suffix) == (other.dep, other.suffix)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dep, self.suffix))
 
     @property
     def total_order(self) -> int:
@@ -102,8 +139,9 @@ def ref_sort_key(g: Gen) -> tuple:
     return (1, g.dep.name, g.total_order, g.suffix)
 
 
-class Expr:
-    """Base node.  Subclasses are frozen dataclasses; trees are immutable."""
+class Expr(Frozen):
+    """Base node.  Trees are immutable, and two nodes are equal when they
+    are of one class with equal fields."""
 
     __slots__ = ()
 
@@ -111,36 +149,96 @@ class Expr:
         return render(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction) -> None:
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True, repr=False)
 class Var(Expr):
-    ref: Gen
+    __slots__ = ("ref",)
+
+    def __init__(self, ref: Gen) -> None:
+        _set(self, "ref", ref)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ref,) == (other.ref,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ref,))
 
 
-@dataclass(frozen=True, repr=False)
 class Sum(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]) -> None:
+        _set(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terms,) == (other.terms,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
 
-@dataclass(frozen=True, repr=False)
 class Prod(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]) -> None:
+        _set(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factors,) == (other.factors,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int) -> None:
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.exponent))
 
 
-@dataclass(frozen=True, repr=False)
 class FuncApp(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fn, self.arg) == (other.fn, other.arg)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.arg))
 
 
 def const(value) -> Const:
@@ -445,8 +543,7 @@ class Program:
     ``registers``: the compile-time constants, and None for each instruction
     result.  Each instruction ``(fn, dest, a, b, dead)`` stores
     ``fn(reg[a], reg[b])`` in ``reg[dest]`` and then clears the registers in
-    ``dead``, whose last use it was.  (A plain class: every command imports
-    this module, and a dataclass costs about half a millisecond to build.)
+    ``dead``, whose last use it was.
     """
 
     __slots__ = ("inputs", "registers", "code", "outputs")

@@ -31,7 +31,6 @@ canonical pushforward and the classify candidates all go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -41,6 +40,7 @@ from .exprs import (
     Context,
     Expr,
     ExprError,
+    Frozen,
     Gen,
     JetOrderError,
     JetVar,
@@ -203,8 +203,7 @@ def jet_table(
 # the PDE system in evolution form
 
 
-@dataclass(frozen=True)
-class PDESystem:
+class PDESystem(Frozen):
     """Equations plus a consistent evolution form used for on-shell work.
 
     Exactly two independent variables: the first is time, the second space.
@@ -215,11 +214,15 @@ class PDESystem:
     apart in a problem file.
     """
 
-    ctx: Context
-    time: VarId
-    space: VarId
-    equations: tuple[tuple[str, Expr], ...]
-    evolution: Mapping[VarId, Expr]
+    def __init__(
+        self,
+        ctx: Context,
+        time: VarId,
+        space: VarId,
+        equations: tuple[tuple[str, Expr], ...],
+        evolution: Mapping[VarId, Expr],
+    ) -> None:
+        vars(self).update(ctx=ctx, time=time, space=space, equations=equations, evolution=evolution)
 
     @classmethod
     def build(
@@ -289,12 +292,11 @@ class PDESystem:
 # labeled ingredient records; each entry is normalized once, on first use
 
 
-@dataclass(frozen=True)
-class MultiplierPair:
+class MultiplierPair(Frozen):
     """One multiplier per equation; combination q1*G1 + q2*G2 + ..."""
 
-    label: str
-    q: tuple[Expr, ...]
+    def __init__(self, label: str, q: tuple[Expr, ...]) -> None:
+        vars(self).update(label=label, q=q)
 
     @cached_property
     def forms(self) -> tuple[Form, ...]:
@@ -307,13 +309,11 @@ class MultiplierPair:
         return out
 
 
-@dataclass(frozen=True)
-class ConservedVector:
+class ConservedVector(Frozen):
     """Density/flux pair for a two-variable system."""
 
-    label: str
-    density: Expr
-    flux: Expr
+    def __init__(self, label: str, density: Expr, flux: Expr) -> None:
+        vars(self).update(label=label, density=density, flux=flux)
 
     @cached_property
     def forms(self) -> tuple[Form, Form]:
@@ -325,8 +325,7 @@ class ConservedVector:
         return max(jet_order(self.density), jet_order(self.flux), 1)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Frozen):
     """Point vector field: coefficients on the base and first-order arrows.
 
     ``xi`` maps independent names to coefficients, ``eta`` dependent names;
@@ -334,9 +333,10 @@ class VectorField:
     (and, for the arrows, first-order jets), nothing deeper.
     """
 
-    label: str
-    xi: Mapping[str, Expr] = dc_field(default_factory=dict)
-    eta: Mapping[str, Expr] = dc_field(default_factory=dict)
+    def __init__(
+        self, label: str, xi: Mapping[str, Expr] | None = None, eta: Mapping[str, Expr] | None = None
+    ) -> None:
+        vars(self).update(label=label, xi={} if xi is None else xi, eta={} if eta is None else eta)
 
     def validate(self, ctx: Context) -> None:
         indep = {v.name for v in ctx.independents}
@@ -362,12 +362,15 @@ class VectorField:
         return {name: as_form(e) for name, e in {**self.xi, **self.eta}.items()}
 
 
-@dataclass(frozen=True)
-class ProlongedField:
-    base: VectorField
-    order: int
-    zeta: Mapping[JetVar, Form]
-    dxi: Mapping[tuple[str, str], Form]  # D_i xi^k, keyed (i, k) by letter
+class ProlongedField(Frozen):
+    def __init__(
+        self,
+        base: VectorField,
+        order: int,
+        zeta: Mapping[JetVar, Form],
+        dxi: Mapping[tuple[str, str], Form],  # D_i xi^k, keyed (i, k) by letter
+    ) -> None:
+        vars(self).update(base=base, order=order, zeta=zeta, dxi=dxi)
 
     def coefficient(self, g: Gen) -> Form:
         if not isinstance(g, JetVar):

@@ -40,7 +40,6 @@ depend on how the argument is factored (``sqrt(8*eps)`` against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -49,6 +48,7 @@ from .exprs import (
     Const,
     Expr,
     ExprError,
+    Frozen,
     FuncApp,
     JetVar,
     Pow,
@@ -72,21 +72,28 @@ class NormalizationError(ExprError):
 
 
 def _hash_once(self) -> int:
-    """The field hash, kept after the first call: every monomial operation
-    rehashes a trig atom, whose argument is a whole normal form."""
+    """The hash of the fields, kept after the first call: every monomial
+    operation rehashes a trig atom, whose argument is a whole normal form."""
     kept = vars(self)  # written past the frozen __setattr__, as cached_property does
     if "_hash" not in kept:
-        kept["_hash"] = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        kept["_hash"] = hash(self._key())
     return kept["_hash"]
 
 
-@dataclass(frozen=True, repr=False)
-class Atom:
+class Atom(Frozen):
     """sin or cos of a canonical (normalized) argument, or sqrt of a
     single parameter."""
 
-    fn: str  # "sin" | "cos" | "sqrt"
-    arg: "PolyNF"
+    def __init__(self, fn: str, arg: "PolyNF") -> None:  # fn: "sin", "cos" or "sqrt"
+        vars(self).update(fn=fn, arg=arg)
+
+    def _key(self) -> tuple:
+        return (self.fn, self.arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fn, self.arg) == (other.fn, other.arg)
+        return NotImplemented
 
     __hash__ = _hash_once
 
@@ -124,12 +131,20 @@ def nf_key(nf: "PolyNF") -> tuple:
     )
 
 
-@dataclass(frozen=True, repr=False)
-class PolyNF:
+class PolyNF(Frozen):
     """Sorted, fully collected normal form.  Built only by :func:`normalize`
     through :func:`_collect`."""
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...]) -> None:
+        vars(self)["terms"] = terms
+
+    def _key(self) -> tuple:
+        return (self.terms,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terms,) == (other.terms,)
+        return NotImplemented
 
     __hash__ = _hash_once
 

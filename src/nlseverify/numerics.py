@@ -29,13 +29,13 @@ which reads the largest such coefficient off the ``[evolution]`` rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .exprs import (
     DEPENDENT,
     INDEPENDENT,
     Expr,
+    Frozen,
     JetVar,
     Program,
     collect_refs,
@@ -67,14 +67,14 @@ class BlowupError(RuntimeError):
 BLOWUP = 1e6  # largest field magnitude a step may produce before BlowupError
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Frozen):
     """Uniform periodic grid on [0, L)."""
 
-    n: int
-    length: float
+    __slots__ = ("n", "length")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, length: float) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "length", length)
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size {self.n} must be a power of two, at least 16")
         if not 0 < self.length < math.inf:
@@ -91,11 +91,11 @@ class Grid:
         return np.arange(self.n) * self.dx
 
 
-@dataclass
 class FieldState:
-    grid: Grid
-    t: float
-    fields: tuple[np.ndarray, ...]  # one per dependent, in declaration order
+    def __init__(self, grid: Grid, t: float, fields: tuple[np.ndarray, ...]) -> None:
+        self.grid = grid
+        self.t = t
+        self.fields = fields  # one per dependent, in declaration order
 
     def max_abs(self, scratch: np.ndarray) -> float:
         """The largest |value| of any field, nan if any is nan; ``scratch``
@@ -166,8 +166,7 @@ def spatial_jets(work: Workspace, dep: int, f: np.ndarray, orders: frozenset[int
 class GridProgram:
     """Expressions compiled for the snapshots of one system, evaluated in
     one workspace.  Each input of ``program`` has a slot: ``(dependent
-    index, spatial order)``, ``"x"`` or ``"t"``.  (A plain class, like
-    ``Program``, to keep imports short.)"""
+    index, spatial order)``, ``"x"`` or ``"t"``."""
 
     __slots__ = ("program", "slots", "work", "orders")
 
@@ -310,17 +309,13 @@ def conserved_quantity(density: GridProgram, state: FieldState) -> float:
     return float(state.grid.dx * np.sum(np.broadcast_to(values, state.grid.n)))
 
 
-@dataclass
 class QuantitySeries:
     """Sampled conserved quantities along a run."""
 
-    labels: tuple[str, ...]
-    times: list[float] = field(default_factory=list)
-    values: dict[str, list[float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for lb in self.labels:
-            self.values.setdefault(lb, [])
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        self.labels = labels
+        self.times: list[float] = []
+        self.values: dict[str, list[float]] = {lb: [] for lb in labels}
 
     def record(self, t: float, sampled: Mapping[str, float]) -> None:
         self.times.append(t)

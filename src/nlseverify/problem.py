@@ -29,11 +29,19 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .exprs import NAME, Context, DeclarationError, Expr, ExprError, collect_refs, eval_numeric
+from .exprs import (
+    NAME,
+    Context,
+    DeclarationError,
+    Expr,
+    ExprError,
+    Frozen,
+    collect_refs,
+    eval_numeric,
+)
 from .jets import ConservedVector, MultiplierPair, PDESystem, VectorField
 from .parse import ParseError, parse
 from .reduction import SolutionCandidate
@@ -62,19 +70,32 @@ class ProblemFormatError(Exception):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Frozen):
     """Everything a verification run needs, loaded from one file."""
 
-    path: str
-    ctx: Context
-    system: PDESystem
-    multipliers: tuple[MultiplierPair, ...]
-    conserved: tuple[ConservedVector, ...]
-    symmetries: tuple[VectorField, ...]
-    candidates: tuple[SolutionCandidate, ...]
-    reduced_notes: Mapping[str, str]
-    param_values: Mapping[str, float]  # the [params] entries that carry one
+    def __init__(
+        self,
+        path: str,
+        ctx: Context,
+        system: PDESystem,
+        multipliers: tuple[MultiplierPair, ...],
+        conserved: tuple[ConservedVector, ...],
+        symmetries: tuple[VectorField, ...],
+        candidates: tuple[SolutionCandidate, ...],
+        reduced_notes: Mapping[str, str],
+        param_values: Mapping[str, float],  # the [params] entries that carry one
+    ) -> None:
+        vars(self).update(
+            path=path,
+            ctx=ctx,
+            system=system,
+            multipliers=multipliers,
+            conserved=conserved,
+            symmetries=symmetries,
+            candidates=candidates,
+            reduced_notes=reduced_notes,
+            param_values=param_values,
+        )
 
     def quantity_densities(self) -> dict[str, Expr]:
         return {f"Q{i}": vec.density for i, vec in enumerate(self.conserved, 1)}

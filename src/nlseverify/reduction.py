@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exprs import (
@@ -40,6 +39,7 @@ from .exprs import (
     Context,
     Expr,
     ExprError,
+    Frozen,
     Gen,
     JetVar,
     Program,
@@ -69,13 +69,16 @@ from .normal import (
 )
 
 
-@dataclass(frozen=True)
-class CanonicalTransform:
+class CanonicalTransform(Frozen):
     """Change of variables that straightens translation-plus-rotation."""
 
-    system: PDESystem  # in the original variables
-    red_ctx: Context
-    theta: PolyNF  # p + c*s, the restored phase
+    def __init__(
+        self,
+        system: PDESystem,  # in the original variables
+        red_ctx: Context,
+        theta: PolyNF,  # p + c*s, the restored phase
+    ) -> None:
+        vars(self).update(system=system, red_ctx=red_ctx, theta=theta)
 
     def pushforward(self, forms: Sequence[Form], amplitude: Form) -> tuple[Form, ...]:
         """Rewrite original-variable forms in reduced variables on the
@@ -130,8 +133,7 @@ def build_canonical_transform(system: PDESystem) -> CanonicalTransform:
     return CanonicalTransform(system, red, theta)
 
 
-@dataclass(frozen=True)
-class ReducedODE:
+class ReducedODE(Frozen):
     """The system restricted to constant-amplitude invariant profiles.
 
     ``residual`` is the angular combination u*G1 + v*G2 after the
@@ -140,11 +142,21 @@ class ReducedODE:
     to the full substituted system.
     """
 
-    transform: CanonicalTransform
-    residual: PolyNF  # eps * (phase_balance * sin(2 theta) - curvature * cos(2 theta))
-    phase_balance: PolyNF  # (G1 sin(theta) + G2 cos(theta)) / sqrt(eps)
-    curvature: PolyNF  # (G2 sin(theta) - G1 cos(theta)) / sqrt(eps)
-    equation_subs: tuple[tuple[str, PolyNF], ...]  # each over sqrt(eps)
+    def __init__(
+        self,
+        transform: CanonicalTransform,
+        residual: PolyNF,  # eps * (phase_balance * sin(2 theta) - curvature * cos(2 theta))
+        phase_balance: PolyNF,  # (G1 sin(theta) + G2 cos(theta)) / sqrt(eps)
+        curvature: PolyNF,  # (G2 sin(theta) - G1 cos(theta)) / sqrt(eps)
+        equation_subs: tuple[tuple[str, PolyNF], ...],  # each over sqrt(eps)
+    ) -> None:
+        vars(self).update(
+            transform=transform,
+            residual=residual,
+            phase_balance=phase_balance,
+            curvature=curvature,
+            equation_subs=equation_subs,
+        )
 
     def factorization_residuals(self) -> dict[str, PolyNF]:
         """Exact identities tying the substituted system to the factors.
@@ -226,15 +238,18 @@ def first_integral_residual(ode: ReducedODE, flux: Form) -> PolyNF:
 # solution candidates and numeric classification
 
 
-@dataclass(frozen=True)
-class SolutionCandidate:
+class SolutionCandidate(Frozen):
     """A closed form for each dependent, keyed by its name, with the
     parameter constraints of its case."""
 
-    label: str
-    constraints: tuple[tuple[str, Expr], ...]
-    fields: Mapping[str, Expr]
-    suspect: bool = False
+    def __init__(
+        self,
+        label: str,
+        constraints: tuple[tuple[str, Expr], ...],
+        fields: Mapping[str, Expr],
+        suspect: bool = False,
+    ) -> None:
+        vars(self).update(label=label, constraints=constraints, fields=fields, suspect=suspect)
 
     @property
     def case(self) -> str:
@@ -252,20 +267,29 @@ class SolutionCandidate:
                     )
 
 
-@dataclass(frozen=True)
-class DrawResult:
-    params: dict[str, float]
-    eq_residual: float
-    reduced_residual: float
-    verdict: str
-    cause: str = ""  # why a "fail" draw failed
+class DrawResult(Frozen):
+    def __init__(
+        self,
+        params: dict[str, float],
+        eq_residual: float,
+        reduced_residual: float,
+        verdict: str,
+        cause: str = "",  # why a "fail" draw failed
+    ) -> None:
+        vars(self).update(
+            params=params,
+            eq_residual=eq_residual,
+            reduced_residual=reduced_residual,
+            verdict=verdict,
+            cause=cause,
+        )
 
 
-@dataclass(frozen=True)
-class CandidateReport:
-    candidate: SolutionCandidate
-    draws: tuple[DrawResult, ...]
-    verdict: str
+class CandidateReport(Frozen):
+    def __init__(
+        self, candidate: SolutionCandidate, draws: tuple[DrawResult, ...], verdict: str
+    ) -> None:
+        vars(self).update(candidate=candidate, draws=draws, verdict=verdict)
 
 
 _PLASTIC = 1.32471795724474602596  # real root of z^3 = z + 1

@@ -12,33 +12,41 @@ as ``not-associated`` or a candidate classification.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from .exprs import Frozen
+
+_FIELDS = ("check_id", "subject", "verdict", "residual", "anchor")
 
 
-@dataclass(frozen=True)
-class Record:
-    check_id: str
-    subject: str
-    verdict: str
-    residual: str
-    anchor: str
+class Record(Frozen):
+    """One check; no field may hold a tab or a newline."""
 
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+    __slots__ = _FIELDS
+
+    def __init__(self, check_id: str, subject: str, verdict: str, residual: str, anchor: str) -> None:
+        for name, value in zip(_FIELDS, (check_id, subject, verdict, residual, anchor)):
             if "\t" in value or "\n" in value:
                 raise ValueError(f"record field {name} contains a separator")
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple[str, ...]:
+        return (self.check_id, self.subject, self.verdict, self.residual, self.anchor)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def tsv(self) -> str:
-        return "\t".join(
-            (self.check_id, self.subject, self.verdict, self.residual, self.anchor)
-        )
+        return "\t".join(self._key())
 
 
-@dataclass
 class Report:
-    command: str
-    records: list[Record] = field(default_factory=list)
+    def __init__(self, command: str) -> None:
+        self.command = command
+        self.records: list[Record] = []
 
     def add(self, check_id: str, subject: str, verdict: str, residual: str, anchor: str) -> None:
         self.records.append(Record(check_id, subject, verdict, residual, anchor))
@@ -50,9 +58,11 @@ class Report:
         return "".join(r.tsv() + "\n" for r in self.records)
 
     def to_json(self) -> str:
+        import json  # only --json-out writes JSON
+
         payload = {
             "command": self.command,
-            "records": [asdict(r) for r in self.records],
+            "records": [dict(zip(_FIELDS, r._key())) for r in self.records],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nlseverify.exprs import DEPENDENT, JetVar, add, collect_refs, const, eval_numeric, var
-from nlseverify.jets import explicit_partial
+from nlseverify.jets import PDESystem, explicit_partial
 from nlseverify.normal import as_form, normalize
 from nlseverify.problem import bundled_problem_text, load_problem_text
 from nlseverify.reduction import (
+    ReducedODE,
     SolutionCandidate,
     build_canonical_transform,
     candidate_equation_residuals,
@@ -139,7 +139,15 @@ def test_factor_identities(ode):
 @pytest.mark.parametrize("factor", ["phase_balance", "curvature"])
 def test_factorization_checks_the_reported_factors(ode, factor):
     """A wrong reported factor must show in every factorization identity."""
-    wrong = dataclasses.replace(ode, **{factor: normalize(add(getattr(ode, factor).to_expr(), const(1)))})
+    fields = {
+        "transform": ode.transform,
+        "residual": ode.residual,
+        "phase_balance": ode.phase_balance,
+        "curvature": ode.curvature,
+        "equation_subs": ode.equation_subs,
+    }
+    fields[factor] = normalize(add(getattr(ode, factor).to_expr(), const(1)))
+    wrong = ReducedODE(**fields)
     residuals = wrong.factorization_residuals()
     assert set(residuals) == {"combination", "g1", "g2"}
     assert not any(nf.is_zero for nf in residuals.values())
@@ -165,7 +173,9 @@ def test_first_integral_fails_for_a_flipped_flux():
 
 def test_reduced_ode_needs_one_equation_per_dependent(system):
     """The command line refuses such a file before; library callers meet this guard."""
-    three = dataclasses.replace(system, equations=system.equations + system.equations[:1])
+    three = PDESystem(
+        system.ctx, system.time, system.space, system.equations + system.equations[:1], system.evolution
+    )
     with pytest.raises(ValueError, match="one equation per dependent"):
         reduced_ode(build_canonical_transform(three))
 

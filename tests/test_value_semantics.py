@@ -1,0 +1,160 @@
+"""The records of the package are plain classes with the value semantics
+they have always had.
+
+Nodes, generators, normal forms and check records built apart from equal
+fields are equal, hash alike and find each other in a dict; a field that
+differs, or a different class with the same fields, makes them unequal.
+Every immutable record refuses to have a field assigned or deleted, and
+``Grid`` checks its arguments with the same messages.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from fractions import Fraction
+
+import pytest
+
+from nlseverify.exprs import (
+    DEPENDENT,
+    PARAMETER,
+    Const,
+    FuncApp,
+    JetVar,
+    Pow,
+    Prod,
+    Sum,
+    Var,
+    VarId,
+)
+from nlseverify.jets import prolong
+from nlseverify.normal import Atom, normalize
+from nlseverify.numerics import Grid
+from nlseverify.reduction import CandidateReport, DrawResult, build_canonical_transform, reduced_ode
+from nlseverify.report import Record
+
+
+def u() -> VarId:
+    return VarId(DEPENDENT, "u")
+
+
+EQUAL_BUILDS = {
+    "VarId": u,
+    "JetVar": lambda: JetVar(u(), "tx"),
+    "Const": lambda: Const(Fraction(-3, 4)),
+    "Var": lambda: Var(u()),
+    "Sum": lambda: Sum((Var(u()), Const(Fraction(1)))),
+    "Prod": lambda: Prod((Const(Fraction(2)), Var(JetVar(u(), "x")))),
+    "Pow": lambda: Pow(Var(u()), -2),
+    "FuncApp": lambda: FuncApp("sin", Var(u())),
+    "Atom": lambda: Atom("cos", normalize(Sum((Var(u()), Var(JetVar(u(), "x")))))),
+    "PolyNF": lambda: normalize(Prod((FuncApp("sin", Var(u())), Var(JetVar(u(), "x"))))),
+    "Record": lambda: Record("verify.x1", "x1", "pass", "0", "pr(X)[g] = 0"),
+}
+
+DIFFERENT_BUILDS = {
+    "VarId": lambda: VarId(PARAMETER, "u"),
+    "JetVar": lambda: JetVar(u(), "xx"),
+    "Const": lambda: Const(Fraction(3, 4)),
+    "Var": lambda: Var(JetVar(u(), "x")),
+    "Sum": lambda: Sum((Const(Fraction(1)), Var(u()))),
+    "Prod": lambda: Prod((Const(Fraction(3)), Var(JetVar(u(), "x")))),
+    "Pow": lambda: Pow(Var(u()), 2),
+    "FuncApp": lambda: FuncApp("cos", Var(u())),
+    "Atom": lambda: Atom("sin", normalize(Sum((Var(u()), Var(JetVar(u(), "x")))))),
+    "PolyNF": lambda: normalize(Prod((FuncApp("cos", Var(u())), Var(JetVar(u(), "x"))))),
+    "Record": lambda: Record("verify.x1", "x1", "fail", "0", "pr(X)[g] = 0"),
+}
+
+
+@pytest.mark.parametrize("name", EQUAL_BUILDS)
+def test_equal_fields_make_equal_values(name):
+    build = EQUAL_BUILDS[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: name}[b] == name
+    other = DIFFERENT_BUILDS[name]()
+    assert a != other and not a == other
+    assert a != (a,) and a.__eq__(object()) is NotImplemented
+
+
+def test_generator_hash_is_the_hash_of_its_fields():
+    """The generated body: a plain tuple hash, nothing cached or added."""
+    v, jet = u(), JetVar(u(), "x")
+    assert hash(v) == hash((DEPENDENT, "u"))
+    assert hash(jet) == hash((v, "x"))
+
+
+def test_a_sum_is_not_a_product_of_the_same_tuple():
+    t = (Var(u()), Const(Fraction(2)))
+    assert Sum(t) != Prod(t) and Prod(t) != Sum(t)
+    assert Sum(t) == Sum(t)
+
+
+def frozen_values(problem):
+    """One instance of every class whose fields are fixed at construction,
+    with the name of one of its fields."""
+    system, ctx = problem.system, problem.ctx
+    nf = normalize(ctx.parse("sin(u)*u_x"))
+    atom = next(g for m, _ in nf.terms for g, _ in m if isinstance(g, Atom))
+    transform = build_canonical_transform(system)
+    draw = DrawResult({"beta": 1.0}, 0.0, 0.0, "pass")
+    return [
+        (ctx["u"], "name"),
+        (ctx.jet("u", "x"), "suffix"),
+        (Const(Fraction(1)), "value"),
+        (Var(ctx["u"]), "ref"),
+        (Sum((Var(ctx["u"]), Var(ctx["v"]))), "terms"),
+        (Prod((Var(ctx["u"]), Var(ctx["v"]))), "factors"),
+        (Pow(Var(ctx["u"]), 2), "exponent"),
+        (FuncApp("sin", Var(ctx["u"])), "arg"),
+        (atom, "fn"),
+        (nf, "terms"),
+        (system, "equations"),
+        (problem.multipliers[0], "q"),
+        (problem.conserved[0], "density"),
+        (problem.symmetries[0], "xi"),
+        (prolong(problem.symmetries[0], 1, ctx), "order"),
+        (transform, "theta"),
+        (reduced_ode(transform), "curvature"),
+        (problem.candidates[0], "label"),
+        (draw, "verdict"),
+        (CandidateReport(problem.candidates[0], (draw,), "pass"), "verdict"),
+        (problem, "path"),
+        (Grid(16, 1.0), "n"),
+        (Record("a", "b", "c", "d", "e"), "verdict"),
+    ]
+
+
+def test_frozen_classes_refuse_assignment(problem):
+    values = frozen_values(problem)
+    assert len({type(value) for value, _ in values}) == 23
+    for value, field in values:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.added = None
+        assert getattr(value, field) is before, type(value).__name__
+
+
+@pytest.mark.parametrize(
+    "n, length, message",
+    [
+        (100, 1.0, "grid size 100 must be a power of two, at least 16"),
+        (8, 1.0, "grid size 8 must be a power of two, at least 16"),
+        (64, math.inf, "grid length must be positive and finite, got inf"),
+        (64, 0.0, "grid length must be positive and finite, got 0.0"),
+        (64, -1.0, "grid length must be positive and finite, got -1.0"),
+        (64, math.nan, "grid length must be positive and finite, got nan"),
+        (256, 1e-300, "grid spacing 3.91e-303 squares to zero in floating point"),
+    ],
+)
+def test_grid_validation_messages(n, length, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Grid(n, length)
