@@ -71,21 +71,28 @@ _set = object.__setattr__  # how a slotted __init__ writes past Frozen.__setattr
 
 
 class VarId(Frozen):
-    """A declared variable: independent, dependent, or parameter."""
+    """A declared variable: independent, dependent, or parameter.
 
-    __slots__ = ("kind", "name")
+    The hash of the field tuple is taken once, at construction: every
+    monomial operation hashes its generators.
+    """
+
+    __slots__ = ("kind", "name", "_hash")
 
     def __init__(self, kind: str, name: str) -> None:
         _set(self, "kind", kind)
         _set(self, "name", name)
+        _set(self, "_hash", hash((kind, name)))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return (self.kind, self.name) == (other.kind, other.name)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return self.name
@@ -98,21 +105,25 @@ class JetVar(Frozen):
     derivative, sorted, so mixed derivatives have a single canonical
     spelling (``u_tx`` and ``u_xt`` are the same jet variable, written
     ``u_tx``).  :meth:`Context.jet` builds jets and sorts and checks the word.
+    Like :class:`VarId`, a jet keeps the hash of its field tuple.
     """
 
-    __slots__ = ("dep", "suffix")
+    __slots__ = ("dep", "suffix", "_hash")
 
     def __init__(self, dep: VarId, suffix: str) -> None:
         _set(self, "dep", dep)
         _set(self, "suffix", suffix)
+        _set(self, "_hash", hash((dep, suffix)))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return (self.dep, self.suffix) == (other.dep, other.suffix)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.dep, self.suffix))
+        return self._hash
 
     @property
     def total_order(self) -> int:
@@ -242,7 +253,7 @@ class FuncApp(Expr):
 
 
 def const(value) -> Const:
-    return Const(Fraction(value))
+    return Const(value if type(value) is Fraction else Fraction(value))
 
 
 ZERO = const(0)
@@ -261,19 +272,25 @@ def var(ref: Gen) -> Var:
     return Var(ref)
 
 
+def int_if_integral(c: int | Fraction) -> int | Fraction:
+    """``c`` as an int when it is integral: int arithmetic is far cheaper
+    than Fraction's."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def add(*terms) -> Expr:
     flat: list[Expr] = []
-    rat = Fraction(0)
+    rat = 0
     for t in terms:
         t = as_expr(t)
         if isinstance(t, Sum):
             for s in t.terms:
                 if isinstance(s, Const):
-                    rat += s.value
+                    rat += int_if_integral(s.value)
                 else:
                     flat.append(s)
         elif isinstance(t, Const):
-            rat += t.value
+            rat += int_if_integral(t.value)
         else:
             flat.append(t)
     if rat != 0:
@@ -287,17 +304,17 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     flat: list[Expr] = []
-    rat = Fraction(1)
+    rat = 1
     for f in factors:
         f = as_expr(f)
         if isinstance(f, Prod):
             for g in f.factors:
                 if isinstance(g, Const):
-                    rat *= g.value
+                    rat *= int_if_integral(g.value)
                 else:
                     flat.append(g)
         elif isinstance(f, Const):
-            rat *= f.value
+            rat *= int_if_integral(f.value)
         else:
             flat.append(f)
     if rat == 0:
@@ -728,6 +745,7 @@ class Context:
                 msg = f"independent variable {v.name!r} must be a single letter"
                 raise DeclarationError(msg, v.name)
         self._by_name = names
+        self._jets: dict[tuple[VarId, str], JetVar] = {}  # (dep, word as asked) -> its jet
 
     def lookup(self, name: str) -> VarId | None:
         return self._by_name.get(name)
@@ -743,13 +761,19 @@ class Context:
         return v is not None and v.kind == INDEPENDENT
 
     def jet(self, dep, suffix: str) -> JetVar:
-        """Jet variable from a suffix word, e.g. ``jet(u, 'xt')`` == u_tx.
+        """Jet variable from a suffix word, e.g. ``jet(u, 'xt')`` is u_tx.
 
         Every jet is built here: this is the one place that validates the
-        letters and enforces the order cap.
+        letters and enforces the order cap.  The context makes one object
+        per jet and keeps it, so ``jet(u, 'xt') is jet(u, 'tx')``; a word is
+        checked the first time it is asked for, and one that fails is not
+        kept and raises on every request.
         """
         if isinstance(dep, str):
             dep = self[dep]
+        known = self._jets.get((dep, suffix))
+        if known is not None:
+            return known
         if dep.kind != DEPENDENT:
             raise ValueError(f"cannot take derivatives of non-dependent {dep.name!r}")
         for ch in suffix:
@@ -764,7 +788,10 @@ class Context:
             raise JetOrderError(
                 f"jet order {len(suffix)} exceeds maximum {self.max_order}"
             )
-        return JetVar(dep, "".join(sorted(suffix)))
+        made = JetVar(dep, "".join(sorted(suffix)))
+        made = self._jets.setdefault((dep, made.suffix), made)
+        self._jets[dep, suffix] = made
+        return made
 
     def bump(self, g: Gen, wrt: VarId) -> JetVar:
         """One more derivative of a dependent variable or jet."""

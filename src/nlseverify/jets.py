@@ -319,7 +319,7 @@ class ConservedVector(Frozen):
     def forms(self) -> tuple[Form, Form]:
         return as_form(self.density), as_form(self.flux)
 
-    @property
+    @cached_property
     def order(self) -> int:
         """The prolongation order its association check needs."""
         return max(jet_order(self.density), jet_order(self.flux), 1)

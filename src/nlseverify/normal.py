@@ -2,9 +2,10 @@
 
 A normal form maps monomials over a fixed, totally ordered set of
 generators (plain variables, jet variables, and sin/cos/sqrt atoms) to
-nonzero exact rational coefficients.  Two expressions that agree as
-polynomial/trig identities normalize to equal forms; the empty form is
-the decisive zero test used by every verification predicate.
+nonzero exact rational coefficients: an ``int`` when the coefficient is
+integral, a ``Fraction`` otherwise, and never a float.  Two expressions
+that agree as polynomial/trig identities normalize to equal forms; the
+empty form is the decisive zero test used by every verification predicate.
 
 :func:`normalize` is the only constructor.  It takes a tree, which
 :func:`as_form` walks into the working form, a dict from monomials
@@ -59,6 +60,7 @@ from .exprs import (
     add,
     const,
     func,
+    int_if_integral,
     mul,
     pow_,
     ref_sort_key,
@@ -133,9 +135,10 @@ def nf_key(nf: "PolyNF") -> tuple:
 
 class PolyNF(Frozen):
     """Sorted, fully collected normal form.  Built only by :func:`normalize`
-    through :func:`_collect`."""
+    through :func:`_collect`.  Each coefficient is exact: an ``int`` when
+    it is integral, a ``Fraction`` otherwise."""
 
-    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...]) -> None:
+    def __init__(self, terms: tuple[tuple[Monomial, int | Fraction], ...]) -> None:
         vars(self)["terms"] = terms
 
     def _key(self) -> tuple:
@@ -152,7 +155,7 @@ class PolyNF(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction | None:
+    def constant_value(self) -> int | Fraction | None:
         """The rational value if the form is constant, else None."""
         if not self.terms:
             return Fraction(0)
@@ -179,8 +182,9 @@ class PolyNF(Frozen):
 
 
 # The working form: unordered monomial -> exact coefficient, an int while it
-# is integral (int arithmetic is far cheaper than Fraction's); _collect
-# makes every coefficient a Fraction.
+# is integral (int arithmetic is far cheaper than Fraction's), a Fraction
+# otherwise; _collect keeps that split.  A division must stay exact, so it
+# starts from a Fraction: 1 / c is a float when c is an int.
 Form = dict[frozenset, int | Fraction]
 
 _ONE = frozenset()
@@ -196,7 +200,7 @@ def _collect(f: Form) -> PolyNF:
     for m, c in f.items():
         accumulate(acc, _rewritten(m), c)
     terms = [
-        (tuple(sorted(m, key=lambda ge: gen_key(ge[0]))), Fraction(c))
+        (tuple(sorted(m, key=lambda ge: gen_key(ge[0]))), int_if_integral(c))
         for m, c in acc.items()
         if c
     ]
@@ -237,6 +241,11 @@ def mono_mul(a: frozenset, b: frozenset) -> frozenset:
     if not b:
         return a
     d = dict(a)
+    for g, _ in b:
+        if g in d:
+            break
+    else:  # no generator in common: the product is the union of the pairs
+        return a | b
     for g, e in b:
         d[g] = d.get(g, 0) + e
     return frozenset((g, e) for g, e in d.items() if e)
@@ -264,7 +273,7 @@ def pow_form(f: Form, n: int) -> Form:
         if any(isinstance(g, Atom) and g.fn == "sin" for g, _ in m):
             shown = render(pow_(base.to_expr(), n))
             raise NormalizationError(f"cannot normalize a negative power of a sine: {shown}")
-        f, n = {frozenset((g, -k) for g, k in m): 1 / c}, -n
+        f, n = {frozenset((g, -k) for g, k in m): Fraction(1) / c}, -n
     out: Form = {_ONE: 1}
     while n:
         if n & 1:
@@ -295,8 +304,7 @@ def trig_form(fn: str, arg: PolyNF) -> Form:
 def as_form(e: Expr) -> Form:
     """The working form of a tree (not yet collected)."""
     if isinstance(e, Const):
-        c = e.value
-        return {_ONE: c.numerator if c.denominator == 1 else c}
+        return {_ONE: int_if_integral(e.value)}
     if isinstance(e, Var):
         return {frozenset({(e.ref, 1)}): 1}
     if isinstance(e, Sum):

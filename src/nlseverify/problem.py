@@ -28,8 +28,8 @@ commands keep every parameter symbolic and ``classify`` draws them.
 from __future__ import annotations
 
 import math
+import os
 import re
-from importlib import resources
 from typing import Mapping
 
 from .exprs import (
@@ -102,9 +102,12 @@ class Problem(Frozen):
 
 
 def bundled_problem_text() -> str:
-    return (
-        resources.files("nlseverify").joinpath("data/cubic_nlse.prob").read_text()
-    )
+    """The bundled problem file, read from ``data/`` next to this module:
+    ``importlib.resources`` would cost an interpreter that has not imported
+    it yet about 15 ms."""
+    path = os.path.join(os.path.dirname(__file__), "data", "cubic_nlse.prob")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _split_sections(text: str, path: str) -> dict[str, list[tuple[int, str]]]:

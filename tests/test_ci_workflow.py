@@ -1,0 +1,34 @@
+"""The CI workflow runs the ROADMAP's tier-1 command verbatim, and its
+Python 3.10 job runs the exact commands on the byte-compiled sources."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_workflow_runs_the_roadmap_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    jobs = workflow["jobs"]
+    assert set(jobs) == {"tests", "exact-commands"}
+
+    def runs(job: str) -> list[str]:
+        return [step["run"] for step in jobs[job]["steps"] if "run" in step]
+
+    def python(job: str) -> str:
+        (version,) = [s["with"]["python-version"] for s in jobs[job]["steps"] if "with" in s]
+        return version
+
+    assert python("tests") == "3.11" and command in runs("tests")
+    assert "numpy sympy hypothesis pytest" in runs("tests")[0]
+    assert python("exact-commands") == "3.10"
+    compile_step, commands = runs("exact-commands")
+    assert compile_step == "python -m compileall -q src"
+    assert "numpy" not in commands and "--printed-variants" in commands

@@ -3,11 +3,15 @@ imported, the bundled file loaded both ways and the five exact commands
 run, none of ``dataclasses``, ``inspect`` or ``json`` is loaded.  Only
 ``--json-out`` imports ``json``, and what it writes keeps its layout.  Each
 check runs in a fresh interpreter, since this test process has all three
-loaded already."""
+loaded already.  Without ``site`` (``-S``), which imports ``importlib.resources``
+for some installed packages, the same commands leave that unloaded too: the
+bundled file is read next to the package."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+from importlib import resources
 
 from test_numpy_free import run_fresh
 
@@ -46,3 +50,26 @@ def test_exact_commands_leave_dataclasses_inspect_and_json_unloaded(tmp_path):
     records = [dict(zip(FIELDS, line.split("\t"), strict=True)) for line in tsv]
     expected = json.dumps({"command": "verify", "records": records}, indent=2, sort_keys=True) + "\n"
     assert path.read_text() == expected
+
+
+NO_SITE = """
+import contextlib, hashlib, io
+import nlseverify.cli
+from nlseverify.problem import bundled_problem_text, load_problem
+
+load_problem()
+load_problem(printed=True)
+for argv in (["verify"], ["associate"], ["reduce"], ["--printed-variants", "verify"],
+             ["--printed-variants", "reduce"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        nlseverify.cli.main(argv)
+print("importlib.resources" in sys.modules)
+print(hashlib.sha256(bundled_problem_text().encode()).hexdigest())
+"""
+
+
+def test_exact_commands_without_site_leave_importlib_resources_unloaded():
+    loaded, digest = run_fresh(NO_SITE, ("-I", "-S"))
+    assert loaded == "False"
+    text = resources.files("nlseverify").joinpath("data/cubic_nlse.prob").read_text()
+    assert digest == hashlib.sha256(text.encode()).hexdigest()

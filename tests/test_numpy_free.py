@@ -15,12 +15,12 @@ SRC = str(Path(nlseverify.__file__).resolve().parents[1])
 LAYERTRACE = str(Path(SRC).parent / "perfbench" / "layertrace.py")
 
 
-def run_fresh(code: str) -> list[str]:
-    """Stdout lines of ``code`` run by a fresh interpreter that imports
-    nlseverify from this tree and starts without numpy."""
+def run_fresh(code: str, flags: tuple[str, ...] = ("-I",)) -> list[str]:
+    """Stdout lines of ``code`` run by a fresh interpreter, started with
+    ``flags``, that imports nlseverify from this tree and starts without numpy."""
     prelude = f"import sys\nsys.path.insert(0, {SRC!r})\nassert 'numpy' not in sys.modules\n"
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", prelude + code], capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", prelude + code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()

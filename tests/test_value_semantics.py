@@ -4,7 +4,8 @@ they have always had.
 Nodes, generators, normal forms and check records built apart from equal
 fields are equal, hash alike and find each other in a dict; a field that
 differs, or a different class with the same fields, makes them unequal.
-Every immutable record refuses to have a field assigned or deleted, and
+A context makes one object per jet, and the generators of two contexts
+are still equal values.  Every immutable record refuses to have a field assigned or deleted, and
 ``Grid`` checks its arguments with the same messages.
 """
 
@@ -18,9 +19,11 @@ import pytest
 
 from nlseverify.exprs import (
     DEPENDENT,
+    INDEPENDENT,
     PARAMETER,
     Const,
     FuncApp,
+    JetOrderError,
     JetVar,
     Pow,
     Prod,
@@ -31,6 +34,7 @@ from nlseverify.exprs import (
 from nlseverify.jets import prolong
 from nlseverify.normal import Atom, normalize
 from nlseverify.numerics import Grid
+from nlseverify.problem import load_problem
 from nlseverify.reduction import CandidateReport, DrawResult, build_canonical_transform, reduced_ode
 from nlseverify.report import Record
 
@@ -82,10 +86,65 @@ def test_equal_fields_make_equal_values(name):
 
 
 def test_generator_hash_is_the_hash_of_its_fields():
-    """The generated body: a plain tuple hash, nothing cached or added."""
+    """Taken once at construction, the hash is still the field tuple's."""
     v, jet = u(), JetVar(u(), "x")
     assert hash(v) == hash((DEPENDENT, "u"))
     assert hash(jet) == hash((v, "x"))
+    for kind, name in ((INDEPENDENT, "t"), (PARAMETER, "beta")):
+        assert hash(VarId(kind, name)) == hash((kind, name))
+    for suffix in ("t", "tx", "xxxx"):
+        assert hash(JetVar(v, suffix)) == hash((v, suffix))
+
+
+def test_a_context_makes_one_object_per_jet(problem):
+    ctx = problem.ctx
+    uu, t, x = ctx["u"], ctx["t"], ctx["x"]
+    u_tx = ctx.jet(uu, "xt")
+    assert u_tx is ctx.jet(uu, "tx") is ctx.jet("u", "xt")
+    assert ctx.bump(ctx.jet(uu, "t"), x) is u_tx is ctx.bump(ctx.jet(uu, "x"), t)
+    assert ctx.bump(uu, x) is ctx.jet(uu, "x")
+    assert u_tx == JetVar(u(), "tx") and hash(u_tx) == hash(JetVar(u(), "tx"))
+
+
+def test_generators_of_two_loads_are_equal_values():
+    first, second = load_problem().ctx, load_problem().ctx
+    for name in ("t", "x", "u", "v", "beta"):
+        assert first[name] is not second[name]
+        assert first[name] == second[name] and hash(first[name]) == hash(second[name])
+    a, b = first.jet("u", "xt"), second.jet("u", "tx")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "u_tx"}[b] == "u_tx"
+
+
+@pytest.mark.parametrize(
+    "dep, suffix, error, message",
+    [
+        ("u", "xy", ValueError, "bad derivative suffix 'xy': 'y' is not an independent variable"),
+        ("u", "", ValueError, "empty derivative suffix"),
+        ("u", "xxxxt", JetOrderError, "jet order 5 exceeds maximum 4"),
+        ("beta", "x", ValueError, "cannot take derivatives of non-dependent 'beta'"),
+    ],
+)
+def test_a_refused_jet_is_refused_on_every_request(problem, dep, suffix, error, message):
+    ctx = problem.ctx
+    for _ in range(3):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ctx.jet(dep, suffix)
+    deep = ctx.jet("u", "xxxx")
+    for _ in range(3):
+        with pytest.raises(JetOrderError):
+            ctx.bump(deep, ctx["t"])
+
+
+def test_generators_refuse_their_kept_hash_being_set(problem):
+    for g in (problem.ctx["u"], problem.ctx.jet("u", "x")):
+        before = hash(g)
+        for name in ("_hash", "kind", "dep"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
+        with pytest.raises(AttributeError):
+            del g._hash
+        assert hash(g) == before
 
 
 def test_a_sum_is_not_a_product_of_the_same_tuple():
