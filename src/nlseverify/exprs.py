@@ -527,22 +527,27 @@ def _as_value(value):
     return float(value) if isinstance(value, float) or type(value) in _SCALARS else value
 
 
-def _power(base, node: Pow):
+def _power(base, node: Pow, out=None):
+    """``base**exponent``; an array result goes into ``out`` when given, with
+    the bits of ``**`` (which squares with ``numpy.square``, as here)."""
     if node.exponent < 0 and _any(base == 0.0):
         raise EvalDomainError(f"zero base with negative exponent in {render(node)}")
+    if out is not None:
+        np = sys.modules["numpy"]
+        return np.square(base, out) if node.exponent == 2 else np.power(base, node.exponent, out)
     try:
         return base**node.exponent
     except OverflowError:
         raise EvalDomainError(f"overflow in {render(node)}") from None
 
 
-def _apply(arg, node: FuncApp):
+def _apply(arg, node: FuncApp, out=None):
     scalar = isinstance(arg, float)
     if node.fn == "sqrt" and _any(arg < 0):
         low = arg if scalar else sys.modules["numpy"].nanmin(arg)
         raise EvalDomainError(f"sqrt of negative value {float(low)} in {render(node)}")
     if not scalar:  # an array, so numpy is loaded
-        return getattr(sys.modules["numpy"], node.fn)(arg)
+        return getattr(sys.modules["numpy"], node.fn)(arg, out)
     try:
         return _FUNCTIONS[node.fn](arg)
     except ValueError:  # math.sin(inf) and the like
@@ -551,6 +556,10 @@ def _apply(arg, node: FuncApp):
 
 def _fail(error: ExprError, _) -> None:
     raise type(error)(*error.args) from None
+
+
+def _negate(a, _, out=None):
+    return -a if out is None else sys.modules["numpy"].negative(a, out)
 
 
 class Program:
@@ -603,6 +612,14 @@ def compile_numeric(
     unbound generator, a constant that overflows, a fixed value outside a
     function's domain) is raised when a run reaches its node, so every run
     fails as the walk of the tree would.
+
+    Factors of the float ``1.0`` or ``-1.0`` cost nothing, by four rewrites
+    that give the same bits for every float, signed zeros and infinities
+    included: ``x*1.0 -> x``, ``(-a)*b -> -(a*b)``, ``a + (-b) -> a - b``
+    and ``(-a) + b -> b - a``.  A negation is thus carried along and
+    emitted once, as a negation, only where it must become a value: an
+    output, a power's base or a function's argument (and the first of two
+    negated terms, since ``-(a + b)`` is not ``(-a) + (-b)`` at zeros).
     """
     base = len(free)
     slot = dict(zip(free, range(base)))
@@ -641,21 +658,44 @@ def compile_numeric(
             seen[key] = r
         return r
 
-    def visit(e: Expr) -> int:
+    def materialize(r: int, negated: bool) -> int:
+        """The register of the value itself, emitting a deferred negation."""
+        return once((_negate, r), _negate, r, r) if negated else r
+
+    def unit(r: int) -> bool:
+        return r in known and type(known[r]) is float and abs(known[r]) == 1.0
+
+    def visit(e: Expr) -> tuple[int, bool]:
+        """The register of ``e``'s value, or of its negation (then True)."""
         kind = type(e)
-        if kind is Sum or kind is Prod:
-            fn, parts = (operator.add, e.terms) if kind is Sum else (operator.mul, e.factors)
-            acc = visit(parts[0])
-            for p in parts[1:]:
-                b = visit(p)
-                acc = once((fn, acc, b), fn, acc, b)
-            return acc
+        if kind is Sum:
+            acc, neg = visit(e.terms[0])
+            for t in e.terms[1:]:
+                b, minus = visit(t)
+                if neg and minus:
+                    acc, neg = materialize(acc, True), False
+                fn = operator.sub if neg or minus else operator.add
+                x, y = (b, acc) if neg else (acc, b)
+                acc, neg = once((fn, x, y), fn, x, y), False
+            return acc, neg
+        if kind is Prod:
+            acc, neg = visit(e.factors[0])
+            for f in e.factors[1:]:
+                b, minus = visit(f)
+                neg ^= minus
+                if unit(b) and acc not in known:
+                    neg ^= known[b] < 0
+                elif unit(acc) and b not in known:
+                    acc, neg = b, neg ^ (known[acc] < 0)
+                else:
+                    acc = once((operator.mul, acc, b), operator.mul, acc, b)
+            return acc, neg
         if kind is Pow:
-            a = visit(e.base)
-            return once((_power, a, e.exponent), _power, a, constant(e))
+            a = materialize(*visit(e.base))
+            return once((_power, a, e.exponent), _power, a, constant(e)), False
         if kind is FuncApp:
-            a = visit(e.arg)
-            return once((_apply, a, e.fn), _apply, a, constant(e))
+            a = materialize(*visit(e.arg))
+            return once((_apply, a, e.fn), _apply, a, constant(e)), False
         if kind is Const:
             key = (e.value.numerator, e.value.denominator)
             if key not in seen:
@@ -665,7 +705,7 @@ def compile_numeric(
                     digits = _digit_count(abs(e.value.numerator) // e.value.denominator)
                     error = EvalDomainError(f"a constant of {digits} digits overflows a float")
                     seen[key] = fail(error)
-            return seen[key]
+            return seen[key], False
         if kind is Var:
             g = e.ref
             if g not in seen:
@@ -676,10 +716,10 @@ def compile_numeric(
                         seen[g] = constant(_as_value(fixed[g]))
                     except KeyError:
                         seen[g] = fail(UnboundGeneratorError(f"no value bound for {g}"))
-            return seen[g]
+            return seen[g], False
         raise TypeError(f"not an expression node: {e!r}")
 
-    outputs = tuple(map(visit, exprs))
+    outputs = tuple(materialize(*visit(e)) for e in exprs)
     last_use = {}
     for k, (_, _, a, b) in enumerate(code):
         last_use[a] = last_use[b] = k

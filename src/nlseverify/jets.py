@@ -178,17 +178,21 @@ def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
 
 
 def jet_table(
-    images: Mapping[Gen, Form], forms: Sequence[Form], derive: Callable[[Form, str], Form]
+    ctx: Context,
+    images: Mapping[Gen, Form],
+    forms: Sequence[Form],
+    derive: Callable[[Form, str], Form],
 ) -> dict[Gen, Form]:
     """``images`` extended by every jet of a substituted dependent that
     occurs in ``forms``: the image of ``u_J`` is ``derive(image, letter)``
     applied to the image of ``u`` for each letter of ``J``, first letter
-    first.  Each jet and each of its prefixes is derived once."""
+    first.  Each jet and each of its prefixes, ``ctx``'s own jets, is
+    derived once."""
     table = dict(images)
 
     def image(g: Gen) -> Form:
         if g not in table:
-            parent = JetVar(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
+            parent = ctx.jet(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
             table[g] = derive(image(parent), g.suffix[-1])
         return table[g]
 

@@ -155,14 +155,6 @@ class PolyNF(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> int | Fraction | None:
-        """The rational value if the form is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and not self.terms[0][0]:
-            return self.terms[0][1]
-        return None
-
     def form(self, k=1) -> "Form":
         """``k`` times this normal form as a working form."""
         return {frozenset(m): k * c for m, c in self.terms}

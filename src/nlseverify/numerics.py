@@ -13,11 +13,11 @@ Time: classic fourth-order Runge-Kutta, each stage evaluated at its own
 stage time, so a rule may depend on ``t`` explicitly.
 
 A run's rules and densities share one :class:`Workspace`, which holds the
-arrays the stencils and the RK4 stages write into and ``grid.x``, made
-once per run; a step allocates only the programs' intermediate values and
-the fields it returns.  A program's value may be a workspace array (the
-rule ``u_t = v_xx`` returns the jet array of ``v_xx`` itself), so it is
-valid only until the next program run on the same workspace.
+arrays the stencils, the RK4 stages and the programs' array operations
+write into and ``grid.x``, made once per run; a step allocates only the
+fields it returns.  A program's value may be a workspace array (the rule
+``u_t = v_xx`` returns the jet array of ``v_xx`` itself), so it is valid
+only until the next program run on the same workspace.
 
 Stability is set by the rules' second-order spatial jets: a term
 ``gamma*u_xx`` has imaginary eigenvalues up to about ``gamma * 16 / (3 dx^2)``
@@ -29,6 +29,7 @@ which reads the largest such coefficient off the ``[evolution]`` rules.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Mapping, Sequence
 
 from .exprs import (
@@ -108,10 +109,13 @@ class Workspace:
     rules and densities: per dependent a padded copy (``n + 4`` values)
     with its four shift views, one output array per (dependent, spatial
     order) jet slot, made when a program that needs it is compiled, one
-    scratch array, two sets of RK4 stage fields and one of RK4 sums, and
-    ``grid.x``."""
+    scratch array, two sets of RK4 stage fields and one of RK4 sums,
+    ``grid.x``, and the pool that the programs' array operations write
+    into.  The pool holds as many arrays as the one program on the
+    workspace that needs the most; a program's values are pool arrays, so
+    they too are valid only until the next program run on the workspace."""
 
-    __slots__ = ("grid", "x", "scratch", "padded", "shifts", "jets", "stages", "sums")
+    __slots__ = ("grid", "x", "scratch", "padded", "shifts", "jets", "stages", "sums", "pool")
 
     def __init__(self, grid: Grid, count: int) -> None:
         n = grid.n
@@ -121,6 +125,7 @@ class Workspace:
         self.jets: dict[tuple[int, int], np.ndarray] = {}
         self.stages = tuple([np.empty(n) for _ in range(count)] for _ in range(2))
         self.sums = [np.empty(n) for _ in range(count)]
+        self.pool: list[np.ndarray] = []
 
 
 def deriv1(shifts: tuple, dx: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -163,17 +168,55 @@ def spatial_jets(work: Workspace, dep: int, f: np.ndarray, orders: frozenset[int
         order += 2
 
 
+_UFUNCS = {operator.add: "add", operator.sub: "subtract", operator.mul: "multiply"}
+
+
+def _into(fn, out: np.ndarray):
+    """The instruction ``fn``, under its name, writing its array value into ``out``."""
+    target = getattr(np, _UFUNCS[fn]) if fn in _UFUNCS else fn  # the others take ``out``
+
+    def lowered(a, b):
+        return target(a, b, out)
+
+    lowered.__name__ = fn.__name__
+    return lowered
+
+
+def lower(program: Program, slots: tuple, work: Workspace) -> Program:
+    """``program`` with each instruction on an array writing into an array
+    of ``work.pool``, for inputs in ``slots``: every slot but ``"t"`` is an
+    array of the grid's size, and the constants are scalars.  One linear
+    scan assigns the arrays: a value's array is free again at the
+    instruction that reads it last (an elementwise ufunc may write over its
+    operand), and an output keeps its array.  The pool grows to the most
+    arrays one program holds at once."""
+    arrays = {i for i, s in enumerate(slots) if s != "t"}
+    pool, held, free, code = work.pool, {}, [], []  # held: register -> its pool index
+    for fn, dest, a, b, dead in program.code:
+        if a in arrays or b in arrays:
+            free.extend(held.pop(r) for r in dead if r in held)
+            i = held[dest] = free.pop() if free else len(held)  # all held when none is free
+            if i == len(pool):
+                pool.append(np.empty(work.grid.n))
+            fn = _into(fn, pool[i])
+            arrays.add(dest)
+        code.append((fn, dest, a, b, dead))
+    return Program(program.inputs, program.registers, tuple(code), program.outputs)
+
+
 class GridProgram:
     """Expressions compiled for the snapshots of one system, evaluated in
     one workspace.  Each input of ``program`` has a slot: ``(dependent
-    index, spatial order)``, ``"x"`` or ``"t"``."""
+    index, spatial order)``, ``"x"`` or ``"t"``.  The program is lowered
+    once (:func:`lower`), so a run allocates no array of its own; its
+    values are valid until the next program run on the workspace."""
 
     __slots__ = ("program", "slots", "work", "orders")
 
     def __init__(
         self, program: Program, slots: tuple[tuple[int, int] | str, ...], work: Workspace
     ) -> None:
-        self.program, self.slots, self.work = program, slots, work
+        self.program, self.slots, self.work = lower(program, slots, work), slots, work
         orders: dict[int, set[int]] = {}
         for s in slots:
             if s not in ("x", "t") and s[1] > 0:
@@ -202,11 +245,11 @@ def compile_on_grid(
 ) -> GridProgram:
     """``exprs`` compiled with the values in ``params`` fixed, to run in
     ``work``; a parameter without a value is unbound.  Jets must be purely
-    spatial (ValueError): time derivatives have no pointwise meaning on a
-    single snapshot."""
+    spatial (ValueError, naming the first in the first expression that has
+    one): time derivatives have no pointwise meaning on a single snapshot."""
     index = {d: i for i, d in enumerate(system.ctx.dependents)}
     fixed, free, slots = {}, [], []
-    for g in sorted(set().union(*map(collect_refs, exprs)), key=ref_sort_key):
+    for g in dict.fromkeys(g for e in exprs for g in sorted(collect_refs(e), key=ref_sort_key)):
         if isinstance(g, JetVar):
             if g.order_in(system.time.name) > 0:
                 raise ValueError(
@@ -252,10 +295,7 @@ def step_rk4(state: FieldState, rules: GridProgram, dt: float) -> FieldState:
 
     def stage(slopes, h: float, time: float, target: list) -> list:
         """The slopes at ``fields + h * slopes``, written into ``target``, at
-        ``time``.  Holding ``slopes`` through the run lets the run's
-        intermediate values reuse the memory freed below them; freed first,
-        the top of the heap went back to the system and was faulted in
-        again at every stage (3.5 times the page faults at N = 65536)."""
+        ``time``."""
         for f, k, out in zip(fields, slopes, target):
             np.add(f, np.multiply(k, h, out=scratch), out=out)
         return rhs(FieldState(state.grid, time, tuple(target)), rules)
@@ -303,10 +343,10 @@ def suggested_dt(grid: Grid, system: PDESystem, params: Mapping[str, float]) -> 
 # conserved quantities on the grid
 
 
-def conserved_quantity(density: GridProgram, state: FieldState) -> float:
-    """Rectangle-rule integral of a compiled density over the periodic grid."""
-    (values,) = density(state)
-    return float(state.grid.dx * np.sum(np.broadcast_to(values, state.grid.n)))
+def conserved_quantity(values, grid: Grid) -> float:
+    """Rectangle-rule integral over the periodic grid of a density's values
+    (an array of the grid's size, or a scalar)."""
+    return float(grid.dx * np.sum(np.broadcast_to(values, grid.n)))
 
 
 class QuantitySeries:
@@ -338,9 +378,10 @@ class QuantitySeries:
 
 
 class Audit:
-    """The conserved densities of one run, compiled into the run's
-    workspace, and the series of their integrals, which starts with the
-    sample of ``start``."""
+    """The conserved densities of one run, compiled as one program into the
+    run's workspace (a sample runs the stencils once and computes a term
+    that densities share once), and the series of their integrals, which
+    starts with the sample of ``start``."""
 
     def __init__(
         self,
@@ -350,17 +391,17 @@ class Audit:
         start: FieldState,
     ) -> None:
         self.work = Workspace(start.grid, len(start.fields))
-        self.densities = {
-            lb: compile_on_grid((d,), system, params, self.work) for lb, d in densities.items()
-        }
+        self.densities = compile_on_grid(tuple(densities.values()), system, params, self.work)
         self.series = QuantitySeries(tuple(densities))
         self.sample(start)
 
     def sample(self, state: FieldState) -> None:
-        if self.densities:
-            self.series.record(
-                state.t, {lb: conserved_quantity(d, state) for lb, d in self.densities.items()}
-            )
+        labels = self.series.labels
+        if labels:
+            values = self.densities(state)
+            self.series.record(state.t, {
+                lb: conserved_quantity(v, state.grid) for lb, v in zip(labels, values)
+            })
 
 
 def run(

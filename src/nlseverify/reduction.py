@@ -102,7 +102,7 @@ class CanonicalTransform(Frozen):
                 return explicit_partial(f, s)
             return total_derivative(f, r, red)
 
-        table = jet_table(images, forms, derive)
+        table = jet_table(system.ctx, images, forms, derive)
         return tuple(substitute_forms(f, table) for f in forms)
 
     @property
@@ -349,7 +349,7 @@ def candidate_jets(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr
     def derive(f: Form, letter: str) -> Form:
         return total_derivative(f, ctx[letter], ctx)
 
-    table = jet_table(images, system.equation_forms, derive)
+    table = jet_table(ctx, images, system.equation_forms, derive)
     return {g: normalize(f).to_expr() for g, f in table.items()}
 
 

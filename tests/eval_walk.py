@@ -1,10 +1,12 @@
 """Reference numeric evaluator: a recursive walk of the expression tree.
 
 The package evaluates through ``exprs.compile_numeric``, which flattens a
-tree into a program, shares repeated subtrees, folds constants and skips
-the neutral start of sums and products.  This walk does none of that: it
-evaluates every node where it stands, in tree order, and is the oracle the
-compiled program is held to (same values, same errors at the same node).
+tree into a program, shares repeated subtrees, folds constants, skips the
+neutral start of products and drops factors of 1.0 and -1.0.  This walk
+does none of that: it evaluates every node where it stands, in tree order,
+and is the oracle the compiled program is held to (same bytes, same errors
+at the same node).  A sum starts at its first term here too, because
+``0 + x`` turns ``-0.0`` into ``0.0``.
 """
 
 from __future__ import annotations
@@ -57,8 +59,12 @@ def eval_walk(e: Expr, bindings: Mapping[Gen, object]) -> object:
         except KeyError:
             raise UnboundGeneratorError(f"no value bound for {e.ref}") from None
         return float(value) if isinstance(value, float) or type(value) in _SCALARS else value
-    if isinstance(e, Sum):
-        return sum(eval_walk(t, bindings) for t in e.terms)
+    if isinstance(e, Sum):  # from the first term: 0 + -0.0 is +0.0
+        terms = iter(e.terms)
+        out = eval_walk(next(terms), bindings)
+        for t in terms:
+            out = out + eval_walk(t, bindings)
+        return out
     if isinstance(e, Prod):
         out = 1.0
         for f in e.factors:

@@ -6,9 +6,10 @@ exact solution of the spatially discretized cubic system, which isolates
 time-integration error in convergence measurements.
 
 ``step_rk4`` here makes fresh arrays in every stencil and every RK4
-combination.  It runs the compiled rules with the operations of
-``numerics.step_rk4``, in the same order, so the step that writes into a
-reusable workspace must match it bit for bit.
+combination, and evaluates the rules with the tree walk of
+``tests/eval_walk.py``, not with the compiled program under test.  It does
+the operations of ``numerics.step_rk4`` in the same order, so the step that
+writes into a reusable workspace must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from typing import Mapping
 
 import numpy as np
 
-from nlseverify.numerics import BLOWUP, BlowupError, FieldState, Grid, GridProgram
+from eval_walk import eval_walk
+from nlseverify.exprs import JetVar, collect_refs
+from nlseverify.jets import PDESystem
+from nlseverify.numerics import BLOWUP, BlowupError, FieldState, Grid
 
 
 def stencil_nu(k: float, dx: float) -> float:
@@ -103,26 +107,33 @@ def spatial_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
     return out
 
 
-def rhs(state: FieldState, rules: GridProgram) -> list:
-    """The compiled rules on ``state``, each jet slot filled by a fresh stencil."""
-    dx = state.grid.dx
-    return rules.program.run([
-        state.t if s == "t" else state.grid.x if s == "x"
-        else spatial_derivative(state.fields[s[0]], dx, s[1])
-        for s in rules.slots
-    ])
+def rhs(state: FieldState, system: PDESystem, params: Mapping[str, float]) -> list:
+    """The walk of each evolution rule on ``state`` with ``params``, each
+    jet a fresh stencil of its dependent's field."""
+    ctx = system.ctx
+    field = dict(zip(ctx.dependents, state.fields))
+    bind = {p: params[p.name] for p in ctx.parameters if p.name in params}
+    bind.update(field)
+    bind[system.time], bind[system.space] = state.t, state.grid.x
+    rules = [system.evolution[dep] for dep in ctx.dependents]
+    for g in set().union(*map(collect_refs, rules)):
+        if isinstance(g, JetVar):
+            bind[g] = spatial_derivative(field[g.dep], state.grid.dx, g.total_order)
+    return [eval_walk(rule, bind) for rule in rules]
 
 
-def step_rk4(state: FieldState, rules: GridProgram, dt: float) -> FieldState:
+def step_rk4(
+    state: FieldState, system: PDESystem, params: Mapping[str, float], dt: float
+) -> FieldState:
     fields, t, half = state.fields, state.t, 0.5 * dt
 
     def advance(h: float, slopes, time: float) -> FieldState:
         return FieldState(state.grid, time, tuple(f + h * k for f, k in zip(fields, slopes)))
 
-    k1 = rhs(state, rules)
-    k2 = rhs(advance(half, k1, t + half), rules)
-    k3 = rhs(advance(half, k2, t + half), rules)
-    k4 = rhs(advance(dt, k3, t + dt), rules)
+    k1 = rhs(state, system, params)
+    k2 = rhs(advance(half, k1, t + half), system, params)
+    k3 = rhs(advance(half, k2, t + half), system, params)
+    k4 = rhs(advance(dt, k3, t + dt), system, params)
     out = advance(
         dt / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)], t + dt
     )

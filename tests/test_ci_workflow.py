@@ -1,5 +1,6 @@
-"""The CI workflow runs the ROADMAP's tier-1 command verbatim, and its
-Python 3.10 job runs the exact commands on the byte-compiled sources."""
+"""The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
+pinned to one minor version, and its Python 3.10 job runs the exact
+commands on the byte-compiled sources."""
 
 from __future__ import annotations
 
@@ -27,7 +28,11 @@ def test_workflow_runs_the_roadmap_tier1_command():
         return version
 
     assert python("tests") == "3.11" and command in runs("tests")
-    assert "numpy sympy hypothesis pytest" in runs("tests")[0]
+    install = runs("tests")[0].split()
+    assert install[:4] == ["python", "-m", "pip", "install"]
+    # the minor version the golden CSVs and byte-identity claims were made with
+    assert '"numpy==2.4.*"' in install and "numpy" not in install
+    assert {"sympy", "hypothesis", "pytest", "pyyaml"} <= set(install)
     assert python("exact-commands") == "3.10"
     compile_step, commands = runs("exact-commands")
     assert compile_step == "python -m compileall -q src"

@@ -1,15 +1,18 @@
 """The compiled evaluator against the recursive walk of ``eval_walk``.
 
 ``compile_numeric`` shares repeated operations, folds constants and fixed
-values, skips the neutral start of sums and products and drops values
-after their last use; none of that may change a value or an error.  Each
-case is evaluated three ways (every generator an input, every generator
-fixed, parameters fixed and the rest inputs) and must give the walk's
-values (nan-aware, scalars as floats) or raise the walk's error, same type
-and message.
+values, skips the neutral start of sums and products, drops factors of 1.0
+and -1.0 and values after their last use; none of that may change a value
+or an error.  Each case is evaluated three ways (every generator an input,
+every generator fixed, parameters fixed and the rest inputs) and must give
+the walk's bytes outside NaN positions (so -0.0 is not 0.0; scalars as
+floats) or raise the walk's error, same type and message.
 """
 
 from __future__ import annotations
+
+import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -59,8 +62,21 @@ def same(got, want) -> bool:
     if kind == "error":
         return a == b
     if isinstance(b, float):
-        return type(a) is float and (a == b or (a != a and b != b))
-    return np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+        return type(a) is float and (
+            (a != a and b != b) or struct.pack("d", a) == struct.pack("d", b)
+        )
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    nan = np.isnan(b)
+    return np.array_equal(np.isnan(a), nan) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def test_same_tells_signed_zeros_apart():
+    assert not same(("value", 0.0), ("value", -0.0))
+    assert not same(("value", np.array([1.0, 0.0])), ("value", np.array([1.0, -0.0])))
+    assert same(("value", np.array([np.nan, -0.0])), ("value", np.array([-np.nan, -0.0])))
+    assert same(("value", float("nan")), ("value", -float("nan")))
 
 
 def compiled_ways(exprs, bindings):
@@ -126,13 +142,47 @@ def test_bundled_rules_and_densities(problem, size):
         check(exprs, snapshot_bindings(problem, refs, size))
 
 
+FOLDING = [
+    "1*u", "-u*v + w", "-(u - v)", "u - -v", "-u^3", "-sin(u)", "-u - v", "(-u)^2",
+    "sin(-u)", "beta*u", "u*beta - w", "-beta*u*v", "w - beta*u", "-(beta*u) - -(v*beta)",
+]
+SPECIAL = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 1.5, -2.5]
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, 2.0])
+@pytest.mark.parametrize("text", FOLDING)
+def test_unit_factors_fold_to_the_same_bytes(text, beta):
+    """Each of u, v, w over signed zeros, infinities, nan and two finite
+    values, every combination, as scalars and as float arrays; beta fixed
+    to +-1.0 is a factor that folds away."""
+    context = Context(("t", "x"), ("u", "v", "w"), ("beta",))
+    u, v, w, b = (context[n] for n in ("u", "v", "w", "beta"))
+    e = context.parse(text)
+    combos = list(itertools.product(SPECIAL, repeat=3))
+    with np.errstate(all="ignore"):
+        check([e], {u: np.array([c[0] for c in combos]), v: np.array([c[1] for c in combos]),
+                    w: np.array([c[2] for c in combos]), b: beta})
+        for cu, cv, cw in combos:
+            check([e], {u: cu, v: cv, w: cw, b: beta})
+
+
+def test_unit_factors_leave_no_operation(problem):
+    """The bundled rules at beta = delta = 1 multiply by neither 1.0 nor
+    -1.0, and a negation is emitted only where a value needs it."""
+    context = problem.ctx
+    u, beta = context["u"], context["beta"]
+    for text, count in (("beta*u", 0), ("-beta*u", 1), ("-u*u_x + beta", 2), ("sin(-u)", 2)):
+        program = compile_numeric((context.parse(text),), {beta: 1.0}, (u, context.jet(u, "x")))
+        assert len(program.code) == count, text
+
+
 def test_rules_share_their_common_subtree(problem):
     """u^2 and v^2 are computed once for both rules, u^2 + v^2 too."""
     work = Workspace(Grid(16, 1.0), 2)
     program = evolution_program(problem.system, dict(problem.param_values), work).program
     names = [fn.__name__ for fn, *_ in program.code]
     assert names.count("_power") == 2
-    assert len(program.code) == 15
+    assert len(program.code) == 11
 
 
 def test_candidate_jets_constraints_and_equations(problem):

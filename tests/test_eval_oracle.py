@@ -122,7 +122,7 @@ def test_candidates_and_second_jets_match_sympy(problem):
     labelled = []
     for cand in problem.candidates:
         images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
-        table = jet_table(images, [as_form(var(g)) for g in gens], derive)
+        table = jet_table(ctx, images, [as_form(var(g)) for g in gens], derive)
         for g in gens:
             dep, word = (g.dep, g.suffix) if isinstance(g, JetVar) else (g, "")
             reference = oracle.total_derivative(cand.fields[dep.name], word)

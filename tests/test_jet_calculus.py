@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_expr
-from nlseverify.exprs import Context, JetOrderError, add, render, var
+from nlseverify.exprs import Context, JetOrderError, JetVar, add, render, var
 from nlseverify.jets import (
     PDESystem,
     ProlongationError,
@@ -97,12 +97,15 @@ def test_substitute_jets_derives_each_occurring_jet_once(ctx6):
         return total_derivative(f, ctx6[letter], ctx6)
 
     forms = [as_form(ctx6.parse("u_xx*v + u")), as_form(ctx6.parse("u_xxx - u_x + u_tx"))]
-    table = jet_table({ctx6["u"]: as_form(ctx6.parse("t*x^3 + beta*x"))}, forms, derive)
+    table = jet_table(ctx6, {ctx6["u"]: as_form(ctx6.parse("t*x^3 + beta*x"))}, forms, derive)
     got = [normalize(substitute_forms(f, table)) for f in forms]
     assert got[0] == normalize(ctx6.parse("6*t*x*v + t*x^3 + beta*x"))
     assert got[1] == normalize(ctx6.parse("6*t - 3*t*x^2 - beta + 3*x^2"))
     # u_t, u_tx, u_x, u_xx, u_xxx: one derivative each
     assert sorted(calls) == ["t", "x", "x", "x", "x"]
+    # every jet, u_t (made as the parent of u_tx) included, is the context's own
+    jets = [g for g in table if isinstance(g, JetVar)]
+    assert len(jets) == 5 and all(g is ctx6.jet(g.dep, g.suffix) for g in jets)
 
 
 def test_substitute_jets_is_simultaneous(ctx6):
@@ -112,7 +115,7 @@ def test_substitute_jets_is_simultaneous(ctx6):
         return total_derivative(f, ctx6[letter], ctx6)
 
     form = as_form(ctx6.parse("u_x*v_tt + u"))
-    got = substitute_forms(form, jet_table(swap, [form], derive))
+    got = substitute_forms(form, jet_table(ctx6, swap, [form], derive))
     assert normalize(got) == normalize(ctx6.parse("v_x*u_tt + v"))
 
 

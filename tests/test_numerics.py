@@ -46,7 +46,8 @@ def step(state: FieldState, system, params, dt: float) -> FieldState:
 
 
 def quantity(density, state: FieldState, system, params=PARAMS) -> float:
-    return conserved_quantity(compile_on_grid((density,), system, params, workspace(state)), state)
+    (values,) = compile_on_grid((density,), system, params, workspace(state))(state)
+    return conserved_quantity(values, state.grid)
 
 
 def audited_run(state: FieldState, problem, params, dt: float, steps: int) -> QuantitySeries:
@@ -298,6 +299,17 @@ def test_grid_programs_reject_time_jets(problem):
     density = problem.ctx.parse("u_t*v")
     with pytest.raises(ValueError, match="time derivative u_t"):
         compile_on_grid((density,), problem.system, PARAMS, Workspace(Grid(16, 1.0), 2))
+
+
+def test_fused_densities_refuse_the_first_density_time_jet(problem):
+    """The densities compile into one program, yet the time derivative
+    refused is the first of the first density that has one, as when each
+    density was compiled alone."""
+    parse = problem.ctx.parse
+    densities = {"Q1": parse("u^2"), "Q2": parse("u*v_t"), "Q3": parse("u_t*v")}
+    start = plane_wave_exact(Grid(16, 1.0), 0.5, 1.0, 0.0, PARAMS)
+    with pytest.raises(ValueError, match="time derivative v_t;"):
+        Audit(densities, problem.system, PARAMS, start)
 
 
 def test_random_state_requires_periodic_wavenumbers():
