@@ -258,6 +258,7 @@ def const(value) -> Const:
 
 ZERO = const(0)
 ONE = const(1)
+MINUS_ONE = const(-1)
 
 
 def as_expr(x) -> Expr:
@@ -329,7 +330,12 @@ def mul(*factors) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return mul(const(-1), e)
+    """``mul(const(-1), e)``, built directly unless ``e`` is a product."""
+    if isinstance(e, Prod):
+        return mul(MINUS_ONE, e)
+    if isinstance(e, Const):
+        return const(-e.value)
+    return Prod((MINUS_ONE, e))
 
 
 def pow_(base, exponent: int) -> Expr:

@@ -107,21 +107,27 @@ class FieldState:
 class Workspace:
     """The arrays that one run on ``grid`` reuses, shared by its compiled
     rules and densities: per dependent a padded copy (``n + 4`` values)
-    with its four shift views, one output array per (dependent, spatial
+    with its shift views, one output array per (dependent, spatial
     order) jet slot, made when a program that needs it is compiled, one
-    scratch array, two sets of RK4 stage fields and one of RK4 sums,
+    scratch array, one array of sixteen times a padded copy's inner
+    ``n + 2`` values, two sets of RK4 stage fields and one of RK4 sums,
     ``grid.x``, and the pool that the programs' array operations write
     into.  The pool holds as many arrays as the one program on the
     workspace that needs the most; a program's values are pool arrays, so
     they too are valid only until the next program run on the workspace."""
 
-    __slots__ = ("grid", "x", "scratch", "padded", "shifts", "jets", "stages", "sums", "pool")
+    __slots__ = (
+        "grid", "x", "scratch", "sixteen", "padded", "shifts", "jets", "stages", "sums", "pool"
+    )
 
     def __init__(self, grid: Grid, count: int) -> None:
         n = grid.n
         self.grid, self.x, self.scratch = grid, grid.x, np.empty(n)
+        wide = np.empty(n + 2)
+        self.sixteen = (wide, wide[:n], wide[2:])  # the product, 16*f[i-1], 16*f[i+1]
         self.padded = [np.empty(n + 4) for _ in range(count)]
-        self.shifts = [(p[:n], p[1 : n + 1], p[3 : n + 3], p[4:]) for p in self.padded]
+        # f[i-2], f[i-1], f[i+1], f[i+2], and f[i-1] .. f[i+1] in one view
+        self.shifts = [(p[:n], p[1 : n + 1], p[3 : n + 3], p[4:], p[1:-1]) for p in self.padded]
         self.jets: dict[tuple[int, int], np.ndarray] = {}
         self.stages = tuple([np.empty(n) for _ in range(count)] for _ in range(2))
         self.sums = [np.empty(n) for _ in range(count)]
@@ -130,7 +136,7 @@ class Workspace:
 
 def deriv1(shifts: tuple, dx: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """(8*(f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12*dx) written into ``out``."""
-    fm2, fm1, fp1, fp2 = shifts
+    fm2, fm1, fp1, fp2, _ = shifts
     np.subtract(fp1, fm1, out=out)
     np.multiply(out, 8.0, out=out)
     np.subtract(out, np.subtract(fp2, fm2, out=scratch), out=out)
@@ -138,15 +144,17 @@ def deriv1(shifts: tuple, dx: float, out: np.ndarray, scratch: np.ndarray) -> np
 
 
 def deriv2(
-    f: np.ndarray, shifts: tuple, dx: float, out: np.ndarray, scratch: np.ndarray
+    f: np.ndarray, shifts: tuple, dx: float, out: np.ndarray, scratch: np.ndarray, sixteen: tuple
 ) -> np.ndarray:
     """(-f[i+2] + 16*f[i+1] - 30*f[i] + 16*f[i-1] - f[i-2]) / (12*dx^2),
-    summed left to right, written into ``out``."""
-    fm2, fm1, fp1, fp2 = shifts
-    np.multiply(fp1, 16.0, out=out)
-    np.subtract(out, fp2, out=out)
+    summed left to right, written into ``out``.  One product of the inner
+    padded values gives both ``16*f[i+1]`` and ``16*f[i-1]``."""
+    fm2, _, _, fp2, inner = shifts
+    wide, m1, p1 = sixteen
+    np.multiply(inner, 16.0, out=wide)
+    np.subtract(p1, fp2, out=out)
     np.subtract(out, np.multiply(f, 30.0, out=scratch), out=out)
-    np.add(out, np.multiply(fm1, 16.0, out=scratch), out=out)
+    np.add(out, m1, out=out)
     np.subtract(out, fm2, out=out)
     return np.divide(out, 12.0 * dx * dx, out=out)
 
@@ -164,7 +172,7 @@ def spatial_jets(work: Workspace, dep: int, f: np.ndarray, orders: frozenset[int
         if order + 1 in orders:
             deriv1(shifts, dx, work.jets[dep, order + 1], scratch)
         if order + 2 <= top:
-            f = deriv2(f, shifts, dx, work.jets[dep, order + 2], scratch)
+            f = deriv2(f, shifts, dx, work.jets[dep, order + 2], scratch, work.sixteen)
         order += 2
 
 

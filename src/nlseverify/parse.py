@@ -16,6 +16,12 @@ variable and its suffix is canonicalized alphabetically (``u_xt`` parses
 to the same node as ``u_tx``).  Integer literals joined by ``/`` fold to
 exact rationals, so ``3/2`` is the rational three halves.
 
+The text is split by one ``findall`` of the token pattern; each token is
+the tuple of its alternatives' groups (``INT``, ``IDENT``, operator,
+stray character), so its kind is the group that matched.  Columns are
+found again only to report an error.  ``expr`` and ``term`` parse their
+rules; ``unary`` parses ``unary``, ``power``, ``exponent`` and ``atom``.
+
 A chain of terms is built by one ``add`` call and a chain of factors by
 one ``mul`` call, a divisor entering as its ``-1`` power; the smart
 constructors flatten and fold constants, so this gives the same tree as
@@ -52,34 +58,32 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    rf"(?P<INT>\d+)|(?P<IDENT>{NAME.pattern}(?:_[a-z0-9]+)?)|(?P<OP>[-+*/^()])|(?P<BAD>\S)"
-)
-
-
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, value, pos)`` triples, kind ``INT``, ``IDENT``, ``OP`` or a
-    final ``END``.  An operator is told by its value alone: no other
-    token's value is an operator character."""
-    out = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    for kind, value, pos in out:
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {value!r}", pos)
-    out.append(("END", "", len(text)))
-    return out
+_TOKEN_RE = re.compile(rf"(\d+)|({NAME.pattern}(?:_[a-z0-9]+)?)|([-+*/^()])|(\S)")
+_END = ("", "", "", "")  # the token after the last; its value is ''
+_INTS = {str(k): const(k) for k in range(100)}  # one node per small literal
 
 
 class _Parser:
-    """One method per grammar rule; ``i`` indexes the next token."""
+    """``toks[i]`` is the next token, a tuple ``(int, ident, op, bad)`` with
+    one non-empty entry, or ``_END``."""
 
     def __init__(self, text: str, ctx: Context) -> None:
-        self.ctx = ctx
-        self.toks = tokenize(text)
+        self.text, self.ctx = text, ctx
+        self.toks = toks = _TOKEN_RE.findall(text)
+        for k, (*_, bad) in enumerate(toks):
+            if bad:
+                raise self.error(f"unexpected character {bad!r}", k)
+        toks.append(_END)
         self.i = 0
+
+    def error(self, message: str, k: int) -> ParseError:
+        """The error at token ``k``, with that token's column."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return ParseError(message, starts[k] if k < len(starts) else len(self.text))
 
     def expr(self) -> Expr:
         terms = [self.term()]
-        while (op := self.toks[self.i][1]) in ("+", "-"):
+        while (op := self.toks[self.i][2]) == "+" or op == "-":
             self.i += 1
             rhs = self.term()
             terms.append(rhs if op == "+" else neg(rhs))
@@ -87,91 +91,82 @@ class _Parser:
 
     def term(self) -> Expr:
         factors = [self.unary()]
-        while (tok := self.toks[self.i])[1] in ("*", "/"):
+        while (op := self.toks[self.i][2]) == "*" or op == "/":
+            k = self.i
             self.i += 1
             rhs = self.unary()
-            if tok[1] == "/":
+            if op == "/":
                 try:
                     rhs = pow_(rhs, -1)
                 except ZeroDivisionError:
-                    raise ParseError("division by zero", tok[2]) from None
+                    raise self.error("division by zero", k) from None
             factors.append(rhs)
         return factors[0] if len(factors) == 1 else mul(*factors)
 
     def unary(self) -> Expr:
-        if self.toks[self.i][1] == "-":
-            self.i += 1
+        toks, k = self.toks, self.i
+        number, name, op, _ = toks[k]
+        self.i = k + 1
+        if op == "-":
             return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        _, value, pos = self.toks[self.i]
-        if value != "^":
+        if number:
+            base = _INTS.get(number) or const(int(number))
+        elif name and name not in FUNCTION_NAMES:
+            base = self.ident(name, k)
+        elif name or op == "(":  # FUNC '(' expr ')' | '(' expr ')'
+            if name:
+                if toks[k + 1][2] != "(":
+                    raise self.error(f"expected '(' after function name {name!r}", k)
+                self.i += 1
+            base = self.expr()
+            if toks[self.i][2] != ")":
+                raise self.error("expected ')'", self.i)
+            self.i += 1
+            if name:
+                base = func(name, base)
+        else:
+            raise self.error(f"unexpected {op!r}", k)
+        caret = self.i
+        if toks[caret][2] != "^":
             return base
-        self.i += 1
-        exponent = self.exponent()
-        try:
-            return pow_(base, exponent)
-        except ZeroDivisionError:
-            raise ParseError("zero raised to a negative power", pos) from None
-
-    def exponent(self) -> int:
-        toks, i = self.toks, self.i
-        parens = toks[i][1] == "("
-        negative = toks[i + parens][1] == "-"
+        # exponent := ['-'] INT | '(' ['-'] INT ')'
+        i = caret + 1
+        parens = toks[i][2] == "("
+        negative = toks[i + parens][2] == "-"
         i += parens + negative
-        kind, value, pos = toks[i]
-        if kind != "INT":
-            raise ParseError("exponent must be an integer literal", pos)
+        digits = toks[i][0]
+        if not digits:
+            raise self.error("exponent must be an integer literal", i)
         i += 1
         if parens:
-            if toks[i][1] != ")":
-                raise ParseError("expected ')'", toks[i][2])
+            if toks[i][2] != ")":
+                raise self.error("expected ')'", i)
             i += 1
         self.i = i
-        return -int(value) if negative else int(value)
+        try:
+            return pow_(base, -int(digits) if negative else int(digits))
+        except ZeroDivisionError:
+            raise self.error("zero raised to a negative power", caret) from None
 
-    def atom(self) -> Expr:
-        kind, value, pos = self.toks[self.i]
-        self.i += 1
-        if kind == "INT":
-            return const(int(value))
-        if kind == "IDENT" and value not in FUNCTION_NAMES:
-            return self.ident(value, pos)
-        if kind == "IDENT":
-            if self.toks[self.i][1] != "(":
-                raise ParseError(f"expected '(' after function name {value!r}", pos)
-            self.i += 1
-        elif value != "(":
-            raise ParseError(f"unexpected {value!r}", pos)
-        e = self.expr()
-        _, close, at = self.toks[self.i]
-        if close != ")":
-            raise ParseError("expected ')'", at)
-        self.i += 1
-        return func(value, e) if kind == "IDENT" else e
-
-    def ident(self, name: str, pos: int) -> Expr:
+    def ident(self, name: str, k: int) -> Expr:
         base, _, suffix = name.partition("_")
         ref = self.ctx.lookup(base)
         if ref is None:
-            raise ParseError(f"unknown identifier {base!r}", pos)
+            raise self.error(f"unknown identifier {base!r}", k)
         if not suffix:
             return var(ref)
         if ref.kind != DEPENDENT:
-            raise ParseError(f"cannot take derivatives of {ref.kind} variable {base!r}", pos)
+            raise self.error(f"cannot take derivatives of {ref.kind} variable {base!r}", k)
         try:
             return var(self.ctx.jet(ref, suffix))
         except (ValueError, ExprError) as exc:
-            raise ParseError(str(exc), pos) from None
+            raise self.error(str(exc), k) from None
 
 
 def parse(text: str, ctx: Context) -> Expr:
     """Parse ``text`` against the declarations in ``ctx``."""
     parser = _Parser(text, ctx)
     e = parser.expr()
-    kind, value, pos = parser.toks[parser.i]
-    if kind != "END":
-        raise ParseError(f"unexpected trailing {value!r}", pos)
+    if (tok := parser.toks[parser.i]) is not _END:
+        raise parser.error(f"unexpected trailing {''.join(tok)!r}", parser.i)
     return e

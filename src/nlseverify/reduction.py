@@ -30,6 +30,7 @@ pointwise, ``reduced-only`` when only the angular combination u*G1 + v*G2
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Mapping, Sequence
@@ -370,26 +371,21 @@ def candidate_equation_residuals(
     jets: tuple[tuple[Gen, ...], Program],
     equations: Program,
     system: PDESystem,
-    params: Mapping[str, float],
-    points: Sequence[tuple[float, float]],
+    values: Mapping[Gen, object],
 ) -> tuple[float, float]:
     """(max |G_a|, max |u*G1 + v*G2|) over the point set: the candidate's
-    compiled jets evaluated on arrays of all the points, then the compiled
-    equations with them bound; a nan anywhere makes its maximum nan."""
+    compiled jets evaluated with ``values`` (the parameters, and the base
+    variables as arrays of all the points), then the compiled equations
+    with them bound; a nan anywhere makes its maximum nan.  The caller
+    silences numpy's floating-point warnings."""
     import numpy as np  # here and in classify: the exact commands never load it
-    ctx = system.ctx
-    xs, ts = np.array(points, dtype=float).T
-    values = {ctx[k]: val for k, val in params.items()}
-    values[system.time] = ts
-    values[system.space] = xs
+    values = dict(values)
     gens, program = jets
-    with np.errstate(all="ignore"):
-        values.update(zip(gens, program.run([values[g] for g in program.inputs])))
-        gs = equations.run([values[g] for g in equations.inputs])
-        eq_max = np.max([np.max(np.abs(g)) for g in gs])
-        angular = sum(values[d] * g for d, g in zip(ctx.dependents, gs, strict=True))
-        combo_max = np.max(np.abs(angular))
-    return float(eq_max), float(combo_max)
+    values.update(zip(gens, program.run([values[g] for g in program.inputs])))
+    gs = equations.run([values[g] for g in equations.inputs])
+    eq_max = functools.reduce(np.maximum, [np.abs(g).max() for g in gs])
+    angular = sum(values[d] * g for d, g in zip(system.ctx.dependents, gs, strict=True))
+    return float(eq_max), float(np.abs(angular).max())
 
 
 TOL = 1e-10  # largest residual a draw may leave and still vanish
@@ -400,39 +396,49 @@ def classify(
 ) -> list[CandidateReport]:
     """Adjudicate every candidate on three seeded draws and 100 fixed
     sample points.  A draw that leaves the numeric domain or has a
-    non-finite residual fails, with its cause, and fails the candidate."""
+    non-finite residual fails, with its cause, and fails the candidate.
+    Candidates with equal closed forms share one compiled jet program."""
     import numpy as np
-    points = np.array(low_discrepancy_points(100))
-    bases = draw_parameters(system.ctx, seed, 3)
+    ctx = system.ctx
+    xs, ts = np.array(low_discrepancy_points(100), dtype=float).T
+    bases = draw_parameters(ctx, seed, 3)
+    by_name = {p.name: p for p in ctx.parameters}
     equations = compile_equations(system)
     constraints = compile_constraints(candidates)
+    programs: dict[tuple, tuple[tuple[Gen, ...], Program]] = {}
     reports = []
-    for cand in candidates:
-        jets = compile_jets(candidate_jets(cand, system))
-        results = []
-        for base in bases:
-            try:
-                params = apply_constraints(cand, constraints, base)
-                eq_max, combo_max = candidate_equation_residuals(
-                    jets, equations, system, params, points
-                )
-            except ExprError as exc:
-                results.append(DrawResult(dict(base), math.nan, math.nan, "fail", str(exc)))
-                continue
-            cause = ""
-            if not (math.isfinite(eq_max) and math.isfinite(combo_max)):
-                verdict = "fail"
-                cause = f"non-finite residual eq={eq_max:.3e},angular={combo_max:.3e}"
-            elif eq_max < TOL:
-                verdict = "exact"
-            elif combo_max < TOL:
-                verdict = "reduced-only"
-            else:
-                verdict = "neither"
-            results.append(DrawResult(params, eq_max, combo_max, verdict, cause))
-        verdicts = {r.verdict for r in results}
-        overall = results[0].verdict if len(verdicts) == 1 else "mixed"
-        if "fail" in verdicts:
-            overall = "fail"
-        reports.append(CandidateReport(cand, tuple(results), overall))
+    with np.errstate(all="ignore"):
+        for cand in candidates:
+            key = tuple(cand.fields.items())
+            jets = programs.get(key)
+            if jets is None:
+                jets = programs[key] = compile_jets(candidate_jets(cand, system))
+            results = []
+            for base in bases:
+                try:
+                    params = apply_constraints(cand, constraints, base)
+                    values = {by_name[k]: val for k, val in params.items()}
+                    values[system.time], values[system.space] = ts, xs
+                    eq_max, combo_max = candidate_equation_residuals(
+                        jets, equations, system, values
+                    )
+                except ExprError as exc:
+                    results.append(DrawResult(dict(base), math.nan, math.nan, "fail", str(exc)))
+                    continue
+                cause = ""
+                if not (math.isfinite(eq_max) and math.isfinite(combo_max)):
+                    verdict = "fail"
+                    cause = f"non-finite residual eq={eq_max:.3e},angular={combo_max:.3e}"
+                elif eq_max < TOL:
+                    verdict = "exact"
+                elif combo_max < TOL:
+                    verdict = "reduced-only"
+                else:
+                    verdict = "neither"
+                results.append(DrawResult(params, eq_max, combo_max, verdict, cause))
+            verdicts = {r.verdict for r in results}
+            overall = results[0].verdict if len(verdicts) == 1 else "mixed"
+            if "fail" in verdicts:
+                overall = "fail"
+            reports.append(CandidateReport(cand, tuple(results), overall))
     return reports

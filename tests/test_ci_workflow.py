@@ -1,6 +1,7 @@
 """The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
 pinned to one minor version, and its Python 3.10 job runs the exact
-commands on the byte-compiled sources."""
+commands on the byte-compiled sources and diffs their stdout against the
+golden files."""
 
 from __future__ import annotations
 
@@ -37,3 +38,13 @@ def test_workflow_runs_the_roadmap_tier1_command():
     compile_step, commands = runs("exact-commands")
     assert compile_step == "python -m compileall -q src"
     assert "numpy" not in commands and "--printed-variants" in commands
+    assert "/dev/null" not in commands
+    diffs = re.findall(r"^\s*diff -u (\S+) (\S+)$", commands, re.M)
+    assert diffs == [
+        ('"perfbench/golden/$cmd.tsv"', '"$cmd.out"'),
+        ("perfbench/golden/verify_printed.tsv", "verify_printed.out"),
+        ("tests/golden/reduce_printed.tsv", "reduce_printed.out"),
+    ]
+    assert "for cmd in verify associate reduce; do" in commands
+    for golden in ("verify", "associate", "reduce", "verify_printed"):
+        assert (ROOT / "perfbench" / "golden" / f"{golden}.tsv").is_file()

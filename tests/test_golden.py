@@ -62,3 +62,22 @@ def test_classify_stdout_is_pinned(capsys):
     expected = Path(__file__).resolve().parent / "golden" / "classify.tsv"
     assert out == expected.read_text(encoding="utf-8")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("--seed", "1", "classify"), "classify_seed1.tsv"),
+        (("--seed", "2", "classify"), "classify_seed2.tsv"),
+        (("--seed", "11", "classify"), "classify_seed11.tsv"),
+        (("--seed", "7", "classify", "--case", "case3"), "classify_seed7_case3.tsv"),
+    ],
+    ids=["seed1", "seed2", "seed11", "seed7-case3"],
+)
+def test_classify_stdout_is_pinned_at_other_seeds(capsys, argv, golden):
+    """The same at three other seeds, and for one case alone."""
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    expected = Path(__file__).resolve().parent / "golden" / golden
+    assert out == expected.read_text(encoding="utf-8")
+    assert code == 0

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from nlseverify.exprs import DEPENDENT, JetVar, add, collect_refs, const, eval_numeric, var
+from nlseverify.exprs import (
+    DEPENDENT,
+    JetVar,
+    add,
+    collect_refs,
+    compile_numeric,
+    const,
+    eval_numeric,
+    var,
+)
 from nlseverify.jets import PDESystem, explicit_partial
 from nlseverify.normal import as_form, normalize
 from nlseverify.problem import bundled_problem_text, load_problem_text
@@ -206,6 +215,21 @@ def test_classification_verdicts(problem, system):
         assert len(rep.draws) == 3
 
 
+def test_equal_closed_forms_share_their_jets(problem, system, monkeypatch):
+    """The bundled twelve candidates are six closed forms: the three
+    constant profiles recur in all three cases."""
+    calls = []
+
+    def counting(cand, system):
+        calls.append(cand.label)
+        return candidate_jets(cand, system)
+
+    monkeypatch.setattr("nlseverify.reduction.candidate_jets", counting)
+    reports = classify(system, problem.candidates, seed=7)
+    assert len(reports) == 12
+    assert len(calls) == len({tuple(c.fields.items()) for c in problem.candidates}) == 6
+
+
 def test_constant_candidates_satisfy_amplitude_law(problem, system):
     """For the constant profiles the equation residual is exactly
     delta*eps^(3/2) while the angular combination vanishes."""
@@ -219,12 +243,22 @@ def test_constant_candidates_satisfy_amplitude_law(problem, system):
             assert draw.reduced_residual < 1e-12
 
 
+def bound(system, params, points):
+    """The parameters by generator, and the points as arrays of x and t."""
+    xs, ts = np.array(points, dtype=float).T
+    values = {system.ctx[k]: val for k, val in params.items()}
+    return values | {system.time: ts, system.space: xs}
+
+
 def test_const_phase_candidate_residual_laws(problem, system):
     cand = {c.label: c for c in problem.candidates}["case2-const-phase"]
     params = {"beta": 0.0, "gamma": 1.1, "delta": 1.3, "c": 0.0, "eps": 0.7, "c1": 0.9}
     points = low_discrepancy_points(50)
     eq_max, combo_max = candidate_equation_residuals(
-        compile_jets(candidate_jets(cand, system)), compile_equations(system), system, params, points
+        compile_jets(candidate_jets(cand, system)),
+        compile_equations(system),
+        system,
+        bound(system, params, points),
     )
     amp = 1.3 * 0.7**1.5
     assert abs(eq_max - amp * max(abs(math.sin(0.9)), abs(math.cos(0.9)))) < 1e-12
@@ -238,11 +272,37 @@ def test_exact_candidate_is_pointwise_zero(problem, system):
         compile_jets(candidate_jets(cand, system)),
         compile_equations(system),
         system,
-        params,
-        low_discrepancy_points(50),
+        bound(system, params, low_discrepancy_points(50)),
     )
     assert eq_max < 1e-12
     assert combo_max < 1e-12
+
+
+@pytest.mark.parametrize(
+    "first, second, want",
+    [
+        ("x^400 - x^400", "x^400", ("nan", "nan")),
+        ("x^400", "x^400 - x^400", ("nan", "nan")),
+        ("x", "x^400", ("inf", "nan")),  # v = 0 times an infinite g2
+        ("x^400", "x", ("inf", "inf")),
+    ],
+)
+def test_non_finite_residuals_keep_their_kind(problem, system, first, second, want):
+    """A nan in either equation makes the maximum nan, and an infinity
+    among finite values makes it infinite, whichever equation holds it;
+    the residuals print as in a draw's cause."""
+    ctx = problem.ctx
+    cand = {c.label: c for c in problem.candidates}["case1-const-u"]
+    equations = compile_numeric((ctx.parse(first), ctx.parse(second)), {}, (ctx["x"],))
+    params = {"beta": 1.4, "gamma": 0.0, "delta": 0.8, "c": 0.0, "eps": 1.2, "c1": 0.3}
+    with np.errstate(all="ignore"):
+        eq_max, combo_max = candidate_equation_residuals(
+            compile_jets(candidate_jets(cand, system)),
+            equations,
+            system,
+            bound(system, params, low_discrepancy_points(50)),
+        )
+    assert (f"{eq_max:.3e}", f"{combo_max:.3e}") == want
 
 
 def test_low_discrepancy_points_are_deterministic():
