@@ -53,18 +53,85 @@ class DeclarationError(ValueError):
 
 
 class Frozen:
-    """Immutable instances: ``__init__`` writes the fields past
-    ``__setattr__`` (into ``vars(self)``, or through ``object.__setattr__``
-    for a class with ``__slots__``), and assigning or deleting one later
-    raises."""
+    """Immutable instances whose class declares its fields once.
+
+    ``_fields`` names the fields in order and ``_defaults`` gives the
+    value of each field that may be left out; every instance shares that
+    value, so it must be immutable.  ``__init__`` takes the
+    fields positionally or by keyword and writes them into ``vars(self)``,
+    past ``__setattr__``, so a ``cached_property`` still keeps its value;
+    a field that is missing, unknown or given twice is a ``TypeError``
+    naming it.  A class with ``__slots__`` has no ``vars``: its own
+    ``__init__`` writes through ``object.__setattr__``.  Assigning or
+    deleting an attribute later raises.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        # Normal forms and atoms are built in the hot loops, every field positional.
+        if kwargs or len(args) != len(fields):
+            args = self._complete(args, kwargs)
+        vars(self).update(zip(fields, args))
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value in declared order, from positional and
+        keyword arguments and the defaults."""
+        fields, defaults, name = cls._fields, cls._defaults, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields {fields}, got {len(args)}")
+        given = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unknown field {field!r}")
+            if field in given:
+                raise TypeError(f"{name}() got field {field!r} twice")
+            given[field] = value
+        values = {**defaults, **given}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing field {field!r}")
+        return tuple(values[field] for field in fields)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Value(Frozen):
+    """A record that is the tuple of its declared fields.
+
+    Two values are equal when they are of one class with equal fields; a
+    value of any other class gets ``NotImplemented``.  The hash is the
+    hash of the field tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        """Give a class that declares fields its ``_key``, the field tuple,
+        read with one ``attrgetter``: every dict lookup of a node hashes
+        its subtree."""
+        if cls._fields:
+            get = operator.attrgetter(*cls._fields)
+            if len(cls._fields) == 1:  # then attrgetter returns the bare value
+                cls._key = lambda self: (get(self),)
+            else:
+                cls._key = lambda self: get(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 _set = object.__setattr__  # how a slotted __init__ writes past Frozen.__setattr__
@@ -150,7 +217,7 @@ def ref_sort_key(g: Gen) -> tuple:
     return (1, g.dep.name, g.total_order, g.suffix)
 
 
-class Expr(Frozen):
+class Expr(Value):
     """Base node.  Trees are immutable, and two nodes are equal when they
     are of one class with equal fields."""
 
@@ -161,95 +228,47 @@ class Expr(Frozen):
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
 
     def __init__(self, value: Fraction) -> None:
         _set(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
 
 class Var(Expr):
-    __slots__ = ("ref",)
+    __slots__ = _fields = ("ref",)
 
     def __init__(self, ref: Gen) -> None:
         _set(self, "ref", ref)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ref,) == (other.ref,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ref,))
-
 
 class Sum(Expr):
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms: tuple[Expr, ...]) -> None:
         _set(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.terms,) == (other.terms,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
 
 class Prod(Expr):
-    __slots__ = ("factors",)
+    __slots__ = _fields = ("factors",)
 
     def __init__(self, factors: tuple[Expr, ...]) -> None:
         _set(self, "factors", factors)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.factors,) == (other.factors,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
 
 class Pow(Expr):
-    __slots__ = ("base", "exponent")
+    __slots__ = _fields = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int) -> None:
         _set(self, "base", base)
         _set(self, "exponent", exponent)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.exponent) == (other.base, other.exponent)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.exponent))
-
 
 class FuncApp(Expr):
-    __slots__ = ("fn", "arg")
+    __slots__ = _fields = ("fn", "arg")
 
     def __init__(self, fn: str, arg: Expr) -> None:
         _set(self, "fn", fn)
         _set(self, "arg", arg)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.fn, self.arg) == (other.fn, other.arg)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.arg))
 
 
 def const(value) -> Const:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .exprs import (
@@ -63,6 +64,7 @@ from .normal import (
 )
 
 _UNIT: Form = {frozenset(): 1}
+_NO_COEFFICIENTS: Mapping[str, Expr] = MappingProxyType({})  # omitted xi or eta: all zero
 
 
 class ProlongationError(ExprError):
@@ -218,15 +220,7 @@ class PDESystem(Frozen):
     apart in a problem file.
     """
 
-    def __init__(
-        self,
-        ctx: Context,
-        time: VarId,
-        space: VarId,
-        equations: tuple[tuple[str, Expr], ...],
-        evolution: Mapping[VarId, Expr],
-    ) -> None:
-        vars(self).update(ctx=ctx, time=time, space=space, equations=equations, evolution=evolution)
+    _fields = ("ctx", "time", "space", "equations", "evolution")
 
     @classmethod
     def build(
@@ -299,8 +293,7 @@ class PDESystem(Frozen):
 class MultiplierPair(Frozen):
     """One multiplier per equation; combination q1*G1 + q2*G2 + ..."""
 
-    def __init__(self, label: str, q: tuple[Expr, ...]) -> None:
-        vars(self).update(label=label, q=q)
+    _fields = ("label", "q")
 
     @cached_property
     def forms(self) -> tuple[Form, ...]:
@@ -316,8 +309,7 @@ class MultiplierPair(Frozen):
 class ConservedVector(Frozen):
     """Density/flux pair for a two-variable system."""
 
-    def __init__(self, label: str, density: Expr, flux: Expr) -> None:
-        vars(self).update(label=label, density=density, flux=flux)
+    _fields = ("label", "density", "flux")
 
     @cached_property
     def forms(self) -> tuple[Form, Form]:
@@ -337,10 +329,8 @@ class VectorField(Frozen):
     (and, for the arrows, first-order jets), nothing deeper.
     """
 
-    def __init__(
-        self, label: str, xi: Mapping[str, Expr] | None = None, eta: Mapping[str, Expr] | None = None
-    ) -> None:
-        vars(self).update(label=label, xi={} if xi is None else xi, eta={} if eta is None else eta)
+    _fields = ("label", "xi", "eta")
+    _defaults = {"xi": _NO_COEFFICIENTS, "eta": _NO_COEFFICIENTS}
 
     def validate(self, ctx: Context) -> None:
         indep = {v.name for v in ctx.independents}
@@ -367,14 +357,7 @@ class VectorField(Frozen):
 
 
 class ProlongedField(Frozen):
-    def __init__(
-        self,
-        base: VectorField,
-        order: int,
-        zeta: Mapping[JetVar, Form],
-        dxi: Mapping[tuple[str, str], Form],  # D_i xi^k, keyed (i, k) by letter
-    ) -> None:
-        vars(self).update(base=base, order=order, zeta=zeta, dxi=dxi)
+    _fields = ("base", "order", "zeta", "dxi")  # dxi: D_i xi^k, keyed (i, k) by letter
 
     def coefficient(self, g: Gen) -> Form:
         if not isinstance(g, JetVar):

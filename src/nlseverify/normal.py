@@ -49,13 +49,13 @@ from .exprs import (
     Const,
     Expr,
     ExprError,
-    Frozen,
     FuncApp,
     JetVar,
     Pow,
     Prod,
     Sum,
     Var,
+    Value,
     VarId,
     add,
     const,
@@ -82,20 +82,11 @@ def _hash_once(self) -> int:
     return kept["_hash"]
 
 
-class Atom(Frozen):
+class Atom(Value):
     """sin or cos of a canonical (normalized) argument, or sqrt of a
     single parameter."""
 
-    def __init__(self, fn: str, arg: "PolyNF") -> None:  # fn: "sin", "cos" or "sqrt"
-        vars(self).update(fn=fn, arg=arg)
-
-    def _key(self) -> tuple:
-        return (self.fn, self.arg)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.fn, self.arg) == (other.fn, other.arg)
-        return NotImplemented
+    _fields = ("fn", "arg")  # fn: "sin", "cos" or "sqrt"; arg: a PolyNF
 
     __hash__ = _hash_once
 
@@ -133,21 +124,12 @@ def nf_key(nf: "PolyNF") -> tuple:
     )
 
 
-class PolyNF(Frozen):
+class PolyNF(Value):
     """Sorted, fully collected normal form.  Built only by :func:`normalize`
     through :func:`_collect`.  Each coefficient is exact: an ``int`` when
     it is integral, a ``Fraction`` otherwise."""
 
-    def __init__(self, terms: tuple[tuple[Monomial, int | Fraction], ...]) -> None:
-        vars(self)["terms"] = terms
-
-    def _key(self) -> tuple:
-        return (self.terms,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.terms,) == (other.terms,)
-        return NotImplemented
+    _fields = ("terms",)  # (monomial, coefficient) pairs
 
     __hash__ = _hash_once
 

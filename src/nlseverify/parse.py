@@ -21,6 +21,8 @@ the tuple of its alternatives' groups (``INT``, ``IDENT``, operator,
 stray character), so its kind is the group that matched.  Columns are
 found again only to report an error.  ``expr`` and ``term`` parse their
 rules; ``unary`` parses ``unary``, ``power``, ``exponent`` and ``atom``.
+Parentheses, function calls and unary minus nest at most ``MAX_DEPTH``
+levels deep; the token that opens a deeper level is a ``ParseError``.
 
 A chain of terms is built by one ``add`` call and a chain of factors by
 one ``mul`` call, a divisor entering as its ``-1`` power; the smart
@@ -61,6 +63,11 @@ class ParseError(Exception):
 _TOKEN_RE = re.compile(rf"(\d+)|({NAME.pattern}(?:_[a-z0-9]+)?)|([-+*/^()])|(\S)")
 _END = ("", "", "", "")  # the token after the last; its value is ''
 _INTS = {str(k): const(k) for k in range(100)}  # one node per small literal
+# Deepest nesting of parentheses, function calls and unary minus.  Deeper
+# input would exhaust Python's default stack of 1000 frames: in the descent,
+# or, from about 98 nested sines on, when two equal atoms are compared.
+# 64 leaves room for the frames of the caller.
+MAX_DEPTH = 64
 
 
 class _Parser:
@@ -74,12 +81,18 @@ class _Parser:
             if bad:
                 raise self.error(f"unexpected character {bad!r}", k)
         toks.append(_END)
-        self.i = 0
+        self.i = self.depth = 0
 
     def error(self, message: str, k: int) -> ParseError:
         """The error at token ``k``, with that token's column."""
         starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
         return ParseError(message, starts[k] if k < len(starts) else len(self.text))
+
+    def enter(self, k: int) -> None:
+        """Open one nesting level at token ``k``; :meth:`unary` closes it."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"expression nests deeper than {MAX_DEPTH} levels", k)
 
     def expr(self) -> Expr:
         terms = [self.term()]
@@ -108,12 +121,16 @@ class _Parser:
         number, name, op, _ = toks[k]
         self.i = k + 1
         if op == "-":
-            return neg(self.unary())
+            self.enter(k)
+            e = neg(self.unary())
+            self.depth -= 1
+            return e
         if number:
             base = _INTS.get(number) or const(int(number))
         elif name and name not in FUNCTION_NAMES:
             base = self.ident(name, k)
         elif name or op == "(":  # FUNC '(' expr ')' | '(' expr ')'
+            self.enter(k)
             if name:
                 if toks[k + 1][2] != "(":
                     raise self.error(f"expected '(' after function name {name!r}", k)
@@ -122,6 +139,7 @@ class _Parser:
             if toks[self.i][2] != ")":
                 raise self.error("expected ')'", self.i)
             self.i += 1
+            self.depth -= 1
             if name:
                 base = func(name, base)
         else:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Mapping
 
 from .exprs import (
     NAME,
@@ -73,29 +72,17 @@ class ProblemFormatError(Exception):
 class Problem(Frozen):
     """Everything a verification run needs, loaded from one file."""
 
-    def __init__(
-        self,
-        path: str,
-        ctx: Context,
-        system: PDESystem,
-        multipliers: tuple[MultiplierPair, ...],
-        conserved: tuple[ConservedVector, ...],
-        symmetries: tuple[VectorField, ...],
-        candidates: tuple[SolutionCandidate, ...],
-        reduced_notes: Mapping[str, str],
-        param_values: Mapping[str, float],  # the [params] entries that carry one
-    ) -> None:
-        vars(self).update(
-            path=path,
-            ctx=ctx,
-            system=system,
-            multipliers=multipliers,
-            conserved=conserved,
-            symmetries=symmetries,
-            candidates=candidates,
-            reduced_notes=reduced_notes,
-            param_values=param_values,
-        )
+    _fields = (
+        "path",
+        "ctx",
+        "system",
+        "multipliers",
+        "conserved",
+        "symmetries",
+        "candidates",
+        "reduced_notes",
+        "param_values",  # the [params] entries that carry one
+    )
 
     def quantity_densities(self) -> dict[str, Expr]:
         return {f"Q{i}": vec.density for i, vec in enumerate(self.conserved, 1)}

@@ -73,13 +73,11 @@ from .normal import (
 class CanonicalTransform(Frozen):
     """Change of variables that straightens translation-plus-rotation."""
 
-    def __init__(
-        self,
-        system: PDESystem,  # in the original variables
-        red_ctx: Context,
-        theta: PolyNF,  # p + c*s, the restored phase
-    ) -> None:
-        vars(self).update(system=system, red_ctx=red_ctx, theta=theta)
+    _fields = (
+        "system",  # in the original variables
+        "red_ctx",
+        "theta",  # p + c*s, the restored phase
+    )
 
     def pushforward(self, forms: Sequence[Form], amplitude: Form) -> tuple[Form, ...]:
         """Rewrite original-variable forms in reduced variables on the
@@ -143,21 +141,13 @@ class ReducedODE(Frozen):
     to the full substituted system.
     """
 
-    def __init__(
-        self,
-        transform: CanonicalTransform,
-        residual: PolyNF,  # eps * (phase_balance * sin(2 theta) - curvature * cos(2 theta))
-        phase_balance: PolyNF,  # (G1 sin(theta) + G2 cos(theta)) / sqrt(eps)
-        curvature: PolyNF,  # (G2 sin(theta) - G1 cos(theta)) / sqrt(eps)
-        equation_subs: tuple[tuple[str, PolyNF], ...],  # each over sqrt(eps)
-    ) -> None:
-        vars(self).update(
-            transform=transform,
-            residual=residual,
-            phase_balance=phase_balance,
-            curvature=curvature,
-            equation_subs=equation_subs,
-        )
+    _fields = (
+        "transform",
+        "residual",  # eps * (phase_balance * sin(2 theta) - curvature * cos(2 theta))
+        "phase_balance",  # (G1 sin(theta) + G2 cos(theta)) / sqrt(eps)
+        "curvature",  # (G2 sin(theta) - G1 cos(theta)) / sqrt(eps)
+        "equation_subs",  # (label, substituted equation) pairs, each over sqrt(eps)
+    )
 
     def factorization_residuals(self) -> dict[str, PolyNF]:
         """Exact identities tying the substituted system to the factors.
@@ -243,14 +233,8 @@ class SolutionCandidate(Frozen):
     """A closed form for each dependent, keyed by its name, with the
     parameter constraints of its case."""
 
-    def __init__(
-        self,
-        label: str,
-        constraints: tuple[tuple[str, Expr], ...],
-        fields: Mapping[str, Expr],
-        suspect: bool = False,
-    ) -> None:
-        vars(self).update(label=label, constraints=constraints, fields=fields, suspect=suspect)
+    _fields = ("label", "constraints", "fields", "suspect")
+    _defaults = {"suspect": False}
 
     @property
     def case(self) -> str:
@@ -269,28 +253,12 @@ class SolutionCandidate(Frozen):
 
 
 class DrawResult(Frozen):
-    def __init__(
-        self,
-        params: dict[str, float],
-        eq_residual: float,
-        reduced_residual: float,
-        verdict: str,
-        cause: str = "",  # why a "fail" draw failed
-    ) -> None:
-        vars(self).update(
-            params=params,
-            eq_residual=eq_residual,
-            reduced_residual=reduced_residual,
-            verdict=verdict,
-            cause=cause,
-        )
+    _fields = ("params", "eq_residual", "reduced_residual", "verdict", "cause")
+    _defaults = {"cause": ""}  # cause: why a "fail" draw failed
 
 
 class CandidateReport(Frozen):
-    def __init__(
-        self, candidate: SolutionCandidate, draws: tuple[DrawResult, ...], verdict: str
-    ) -> None:
-        vars(self).update(candidate=candidate, draws=draws, verdict=verdict)
+    _fields = ("candidate", "draws", "verdict")
 
 
 _PLASTIC = 1.32471795724474602596  # real root of z^3 = z + 1

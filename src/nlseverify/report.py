@@ -12,32 +12,19 @@ as ``not-associated`` or a candidate classification.
 
 from __future__ import annotations
 
-from .exprs import Frozen
-
-_FIELDS = ("check_id", "subject", "verdict", "residual", "anchor")
+from .exprs import Value
 
 
-class Record(Frozen):
+class Record(Value):
     """One check; no field may hold a tab or a newline."""
 
-    __slots__ = _FIELDS
+    __slots__ = _fields = ("check_id", "subject", "verdict", "residual", "anchor")
 
     def __init__(self, check_id: str, subject: str, verdict: str, residual: str, anchor: str) -> None:
-        for name, value in zip(_FIELDS, (check_id, subject, verdict, residual, anchor)):
+        for name, value in zip(self._fields, (check_id, subject, verdict, residual, anchor)):
             if "\t" in value or "\n" in value:
                 raise ValueError(f"record field {name} contains a separator")
             object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple[str, ...]:
-        return (self.check_id, self.subject, self.verdict, self.residual, self.anchor)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def tsv(self) -> str:
         return "\t".join(self._key())
@@ -62,7 +49,7 @@ class Report:
 
         payload = {
             "command": self.command,
-            "records": [dict(zip(_FIELDS, r._key())) for r in self.records],
+            "records": [dict(zip(Record._fields, r._key())) for r in self.records],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

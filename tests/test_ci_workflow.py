@@ -1,6 +1,7 @@
 """The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
-pinned to one minor version, and its Python 3.10 job runs the exact
-commands on the byte-compiled sources and diffs their stdout against the
+pinned to one minor version.  Its Python 3.10 job installs pytest alone,
+runs the record, parser and problem-file tests on the byte-compiled
+sources, then runs the exact commands and diffs their stdout against the
 golden files."""
 
 from __future__ import annotations
@@ -35,8 +36,13 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert '"numpy==2.4.*"' in install and "numpy" not in install
     assert {"sympy", "hypothesis", "pytest", "pyyaml"} <= set(install)
     assert python("exact-commands") == "3.10"
-    compile_step, commands = runs("exact-commands")
+    compile_step, install_pytest, unit_tests, commands = runs("exact-commands")
     assert compile_step == "python -m compileall -q src"
+    assert install_pytest == "python -m pip install pytest"
+    assert unit_tests == (
+        "PYTHONPATH=src python -m pytest -q "
+        "tests/test_value_semantics.py tests/test_parser.py tests/test_problem_file.py"
+    )
     assert "numpy" not in commands and "--printed-variants" in commands
     assert "/dev/null" not in commands
     diffs = re.findall(r"^\s*diff -u (\S+) (\S+)$", commands, re.M)

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nlseverify
 from nlseverify.cli import main
 from nlseverify.exprs import Context, render
-from nlseverify.problem import ProblemFormatError, load_problem, load_problem_text
+from nlseverify.parse import MAX_DEPTH
+from nlseverify.problem import ProblemFormatError, bundled_problem_text, load_problem, load_problem_text
 
 MINIMAL = """\
 [params]
@@ -355,3 +362,53 @@ def test_repeated_constraint_target_is_an_error_at_its_line():
     assert err.lineno == len(text.splitlines())
     (cand,) = load_problem_text(text.replace("beta = 1", "suspect"), "<test>").candidates
     assert [name for name, _ in cand.constraints] == ["beta"] and cand.suspect
+
+
+G1 = "g1 = u_t + "  # the start of the bundled file's first equation, on line 24
+TOO_DEEP = {  # nesting -> (expression, offset of the token that opens level MAX_DEPTH + 1)
+    "400 parentheses": ("(" * 400 + "u" + ")" * 400, MAX_DEPTH),
+    "2000 minus signs": ("-" * 2000 + "u", MAX_DEPTH),
+    "150 nested sin": ("sin(" * 150 + "u" + ")" * 150, 4 * MAX_DEPTH),
+}
+
+
+@pytest.mark.parametrize("nesting", TOO_DEEP)
+def test_nesting_past_the_cap_is_an_error_at_its_line(tmp_path, capsys, nesting):
+    """Such a file used to end in a RecursionError traceback."""
+    e, column = TOO_DEEP[nesting]
+    target = tmp_path / "deep.prob"
+    target.write_text(bundled_problem_text().replace(G1, f"g1 = {e} - u + u_t + "))
+    assert main(["--problem", str(target), "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"expression nests deeper than {MAX_DEPTH} levels (column {column + 1})"
+    assert captured.err == f"nlseverify: error: {target}:24: {message}\n"
+
+
+def nested(kind: str, depth: int) -> str:
+    """``u`` inside ``depth`` levels of ``kind``, equal to ``u`` when the
+    minus signs are even."""
+    if kind == "-":
+        return "-" * depth + "u"
+    if kind == "(":
+        return "(" * depth + "u" + ")" * depth
+    e = f"{kind}(" * depth + "u" + ")" * depth
+    return f"{e} - {e} + u"
+
+
+@pytest.mark.parametrize("kind", ["(", "-", "sin", "cos"])
+def test_the_deepest_admitted_nesting_runs_verify(tmp_path, kind):
+    """One level more is refused.  At the cap, verify runs to the end in a
+    fresh interpreter, whose stack holds only the command line's frames,
+    and prints the bundled file's results."""
+    text = bundled_problem_text()
+    expect_error(text.replace(G1, f"g1 = {nested(kind, MAX_DEPTH + 1)} - u + u_t + "), "nests deeper")
+    target = tmp_path / "deepest.prob"
+    target.write_text(text.replace(G1, f"g1 = {nested(kind, MAX_DEPTH)} - u + u_t + "))
+    src = str(Path(nlseverify.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlseverify", "--problem", str(target), "verify"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "verify: 13 checks (13 pass)\n")
+    assert proc.stdout == (Path(src).parent / "perfbench" / "golden" / "verify.tsv").read_text()

@@ -7,6 +7,11 @@ differs, or a different class with the same fields, makes them unequal.
 A context makes one object per jet, and the generators of two contexts
 are still equal values.  Every immutable record refuses to have a field assigned or deleted, and
 ``Grid`` checks its arguments with the same messages.
+
+A record that declares its fields is built by ``Frozen.__init__`` from
+them, positionally or by keyword, with its declared defaults; a missing,
+unknown or repeated field is a ``TypeError`` that names it.  A ``Value``
+hashes as the tuple of its fields.
 """
 
 from __future__ import annotations
@@ -22,20 +27,28 @@ from nlseverify.exprs import (
     INDEPENDENT,
     PARAMETER,
     Const,
+    Frozen,
     FuncApp,
     JetOrderError,
     JetVar,
     Pow,
     Prod,
     Sum,
+    Value,
     Var,
     VarId,
 )
-from nlseverify.jets import prolong
+from nlseverify.jets import VectorField, prolong
 from nlseverify.normal import Atom, normalize
 from nlseverify.numerics import Grid
 from nlseverify.problem import load_problem
-from nlseverify.reduction import CandidateReport, DrawResult, build_canonical_transform, reduced_ode
+from nlseverify.reduction import (
+    CandidateReport,
+    DrawResult,
+    SolutionCandidate,
+    build_canonical_transform,
+    reduced_ode,
+)
 from nlseverify.report import Record
 
 
@@ -217,3 +230,70 @@ def test_frozen_classes_refuse_assignment(problem):
 def test_grid_validation_messages(n, length, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Grid(n, length)
+
+
+def fields_of(value) -> list:
+    return [getattr(value, field) for field in value._fields]
+
+
+def test_thirteen_records_are_built_from_their_declared_fields(problem):
+    values = [value for value, _ in frozen_values(problem) if type(value).__init__ is Frozen.__init__]
+    assert sorted(type(v).__name__ for v in values) == sorted(
+        "Atom PolyNF PDESystem MultiplierPair ConservedVector VectorField ProlongedField CanonicalTransform "
+        "ReducedODE SolutionCandidate DrawResult CandidateReport Problem".split()
+    )
+    for value in values:
+        cls, fields = type(value), fields_of(value)
+        by_position = cls(*fields)
+        by_keyword = cls(**dict(zip(cls._fields, fields)))
+        mixed = cls(fields[0], **dict(zip(cls._fields[1:], fields[1:])))
+        for built in (by_position, by_keyword, mixed):
+            assert list(vars(built)) == list(cls._fields)
+            assert all(a is b for a, b in zip(fields_of(built), fields, strict=True)), cls.__name__
+
+
+def test_declared_defaults_apply(problem):
+    cand = problem.candidates[0]
+    assert SolutionCandidate(cand.label, cand.constraints, cand.fields).suspect is False
+    assert DrawResult({}, 0.0, 0.0, "pass").cause == ""
+    field = VectorField("none")
+    assert field.xi == {} and field.eta == {} and field.forms == {}
+    with pytest.raises(TypeError):
+        field.xi["t"] = Const(Fraction(1))
+    assert VectorField("none").xi == {}
+
+
+def test_cached_properties_keep_their_value_on_declared_records(problem):
+    pair = problem.multipliers[0]
+    rebuilt = type(pair)(*fields_of(pair))
+    assert "forms" not in vars(rebuilt)
+    assert rebuilt.forms is rebuilt.forms and rebuilt.forms == pair.forms
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("pass",), {}, "DrawResult() missing field 'eq_residual'"),
+        (({}, 0.0, 0.0), {}, "DrawResult() missing field 'verdict'"),
+        (({}, 0.0, 0.0, "pass"), {"note": ""}, "DrawResult() got an unknown field 'note'"),
+        (({}, 0.0), {"eq_residual": 1.0}, "DrawResult() got field 'eq_residual' twice"),
+        (
+            ({}, 0.0, 0.0, "pass", "", "extra"),
+            {},
+            "DrawResult() takes 5 fields ('params', 'eq_residual', 'reduced_residual', 'verdict', 'cause'), got 6",
+        ),
+    ],
+)
+def test_a_missing_unknown_or_repeated_field_is_a_type_error(args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        DrawResult(*args, **kwargs)
+
+
+def test_every_value_hashes_as_its_field_tuple(problem):
+    values = [value for value, _ in frozen_values(problem) if isinstance(value, Value)]
+    assert {type(v).__name__ for v in values} == {
+        "Const", "Var", "Sum", "Prod", "Pow", "FuncApp", "Atom", "PolyNF", "Record"
+    }
+    values += [v for v in (build() for build in EQUAL_BUILDS.values()) if isinstance(v, Value)]
+    for value in values:
+        assert hash(value) == hash(tuple(fields_of(value))), type(value).__name__
