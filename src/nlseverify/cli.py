@@ -8,6 +8,7 @@ fails, 2 when at least one fails, 1 for usage or input-format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -54,6 +55,7 @@ def _angular(problem: Problem, command: str) -> str:
     return " + ".join(f"{dep.name}*{label}" for dep, (label, _) in zip(deps, equations))
 
 
+@functools.cache  # built on the first main call, not at import; parse_args keeps no state
 def build_parser() -> _Parser:
     p = _Parser(prog="nlseverify", description=__doc__)
     p.add_argument("--problem", metavar="PATH", help="problem file (default: bundled)")
@@ -129,12 +131,11 @@ def verify_report(problem: Problem) -> Report:
 
 def associate_report(problem: Problem) -> Report:
     rep = Report("associate")
-    for fieldv in problem.symmetries:
-        prolonged = {}  # order -> fieldv prolonged to it
-        for vec in problem.conserved:
-            if vec.order not in prolonged:
-                prolonged[vec.order] = prolong(fieldv, vec.order, problem.ctx)
-            res = association_residual(problem.system, prolonged[vec.order], vec)
+    vectors = problem.conserved
+    for fieldv in problem.symmetries if vectors else ():
+        prol = prolong(fieldv, max(vec.order for vec in vectors), problem.ctx)
+        for vec in vectors:
+            res = association_residual(problem.system, prol, vec)
             ok = all(v.is_zero for v in res.values())
             rep.add(
                 f"associate.{fieldv.label}.{vec.label}",

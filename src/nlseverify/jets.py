@@ -24,9 +24,9 @@ and each predicate leaves through ``normalize`` once.  One rule,
 :func:`derivation` (each generator to its image, Leibniz over each
 monomial, the chain rule through the sin, cos and sqrt atoms), carries the
 total derivative, the explicit partial, the Euler operator, prolongation
-and the field action.  :func:`jet_table` gives a substituted dependent its
-jets, each derived once from its prefix; on-shell reduction, the
-canonical pushforward and the classify candidates all go through it.
+and the field action.  A :class:`JetTable` derives each jet's image from
+its prefix's when first asked and keeps it; the canonical pushforward, the
+classify candidates (through :func:`jet_table`) and prolongation share it.
 """
 
 from __future__ import annotations
@@ -179,29 +179,34 @@ def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
     return out
 
 
+class JetTable(dict):
+    """Images of generators; a missing jet ``u_{J,i}`` of ``ctx`` gets
+    ``derive(u_J, i)`` from its prefix (``u`` at order one) and keeps it,
+    so each jet and each of its prefixes is derived once."""
+
+    def __init__(self, ctx: Context, images: Mapping[Gen, Form], derive: Callable[[Gen, str], Form]):
+        super().__init__(images)
+        self.ctx, self.derive = ctx, derive
+
+    def __missing__(self, g: JetVar) -> Form:
+        parent = self.ctx.jet(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
+        self[g] = out = self.derive(parent, g.suffix[-1])
+        return out
+
+
 def jet_table(
     ctx: Context,
     images: Mapping[Gen, Form],
     forms: Sequence[Form],
     derive: Callable[[Form, str], Form],
-) -> dict[Gen, Form]:
+) -> JetTable:
     """``images`` extended by every jet of a substituted dependent that
-    occurs in ``forms``: the image of ``u_J`` is ``derive(image, letter)``
-    applied to the image of ``u`` for each letter of ``J``, first letter
-    first.  Each jet and each of its prefixes, ``ctx``'s own jets, is
-    derived once."""
-    table = dict(images)
-
-    def image(g: Gen) -> Form:
-        if g not in table:
-            parent = ctx.jet(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
-            table[g] = derive(image(parent), g.suffix[-1])
-        return table[g]
-
+    occurs in ``forms``; the image of ``u_{J,i}`` is ``derive(image of u_J, i)``."""
+    table = JetTable(ctx, images, lambda parent, letter: derive(table[parent], letter))
     for f in forms:
         for g in sorted(_generators(f), key=ref_sort_key):
             if isinstance(g, JetVar) and g.dep in images:
-                image(g)
+                table[g]  # derived on first request
     return table
 
 
@@ -357,12 +362,12 @@ class VectorField(Frozen):
 
 
 class ProlongedField(Frozen):
-    _fields = ("base", "order", "zeta", "dxi")  # dxi: D_i xi^k, keyed (i, k) by letter
+    _fields = ("base", "order", "zeta", "dxi")  # zeta: a JetTable; dxi: D_i xi^k, keyed (i, k) by letter
 
     def coefficient(self, g: Gen) -> Form:
         if not isinstance(g, JetVar):
             return self.base.forms.get(g.name, {})  # parameters do not move
-        if g not in self.zeta:
+        if g.total_order > self.order:
             raise ProlongationError(
                 f"{self.base.label} prolonged to order {self.order} has no coefficient for {g.name}"
             )
@@ -372,9 +377,8 @@ class ProlongedField(Frozen):
 def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
     """Standard prolongation: zeta_{J,i} = D_i zeta_J - sum_k D_i(xi^k) u_{J,k}.
 
-    Coefficients are built order by order: each jet of the next order is
-    reached from its first parent in the current one; mixed partials
-    commute, so the choice of parent does not affect the result.
+    The coefficients are a :class:`JetTable` over each dependent's eta:
+    each is derived when the field first acts on its jet, up to ``order``.
     """
     fieldv.validate(ctx)
     if order + 1 > ctx.max_order:
@@ -386,23 +390,15 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
     indep = ctx.independents
     dxi = {(i.name, k.name): iterated_derivative(given.get(k.name, {}), i.name, ctx)
            for i in indep for k in indep}
-    zeta: dict[JetVar, Form] = {}
-    for dep in ctx.dependents:
-        layer: dict[Gen, Form] = {dep: given.get(dep.name, {})}
-        for _ in range(order):
-            children: dict[JetVar, Form] = {}
-            for parent, parent_form in layer.items():
-                for w in indep:
-                    child = ctx.bump(parent, w)
-                    if child in children:
-                        continue
-                    z = iterated_derivative(parent_form, w.name, ctx)
-                    for k in indep:
-                        jet = {frozenset({(ctx.bump(parent, k), 1)}): 1}
-                        accumulate(z, mul_forms(dxi[w.name, k.name], jet), -1)
-                    children[child] = z
-            zeta.update(children)
-            layer = children
+
+    def derive(parent: Gen, letter: str) -> Form:
+        z = iterated_derivative(zeta[parent], letter, ctx)
+        for k in indep:
+            jet = {frozenset({(ctx.bump(parent, k), 1)}): 1}
+            accumulate(z, mul_forms(dxi[letter, k.name], jet), -1)
+        return z
+
+    zeta = JetTable(ctx, {dep: given.get(dep.name, {}) for dep in ctx.dependents}, derive)
     return ProlongedField(fieldv, order, zeta, dxi)
 
 
@@ -454,8 +450,8 @@ def association_residual(
 
     Components of  prX(T^i) + T^i D_k xi^k - T^k D_k xi^i  reduced against
     the evolution form; both must vanish for the pair to be associated.
-    ``prol`` is the symmetry prolonged to ``vec.order``, so a caller
-    checking one field against many vectors prolongs it once per order.
+    ``prol`` is the symmetry prolonged to at least ``vec.order``, so a
+    caller checking one field against many vectors prolongs it once.
     """
     t, x = system.time.name, system.space.name
     components = {t: vec.forms[0], x: vec.forms[1]}

@@ -225,7 +225,18 @@ def mono_mul(a: frozenset, b: frozenset) -> frozenset:
     return frozenset((g, e) for g, e in d.items() if e)
 
 
+# The most term pairs one product may form: the tier-1 suite's largest is
+# 37,265 ((x + 10)^400), a bundled command's 15.  Each nested square of a
+# sum about quadruples the pairs, so an unbounded expansion stalls the loader.
+MAX_PRODUCT_PAIRS = 200_000
+
+
 def mul_forms(a: Form, b: Form) -> Form:
+    if len(a) * len(b) > MAX_PRODUCT_PAIRS:
+        raise NormalizationError(
+            f"expanding a product of {len(a)} by {len(b)} terms exceeds "
+            f"{MAX_PRODUCT_PAIRS} term pairs"
+        )
     out: Form = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():

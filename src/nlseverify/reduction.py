@@ -60,6 +60,7 @@ from .jets import (
 from .normal import (
     Atom,
     Form,
+    NormalizationError,
     PolyNF,
     accumulate,
     as_form,
@@ -313,13 +314,16 @@ def candidate_jets(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr
     They do not depend on the parameter values."""
     cand.check_explicit()
     ctx = system.ctx
-    images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
 
     def derive(f: Form, letter: str) -> Form:
         return total_derivative(f, ctx[letter], ctx)
 
-    table = jet_table(ctx, images, system.equation_forms, derive)
-    return {g: normalize(f).to_expr() for g, f in table.items()}
+    try:
+        images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
+        table = jet_table(ctx, images, system.equation_forms, derive)
+        return {g: normalize(f).to_expr() for g, f in table.items()}
+    except NormalizationError as exc:
+        raise NormalizationError(f"{cand.label}: {exc}") from None
 
 
 def compile_jets(jets: Mapping[Gen, Expr]) -> tuple[tuple[Gen, ...], Program]:

@@ -1,8 +1,8 @@
 """The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
 pinned to one minor version.  Its Python 3.10 job installs pytest alone,
-runs the record, parser and problem-file tests on the byte-compiled
-sources, then runs the exact commands and diffs their stdout against the
-golden files."""
+runs the record, parser, problem-file, jet-calculus, association and
+symmetry tests on the byte-compiled sources, then runs the exact commands
+and diffs their stdout against the golden files."""
 
 from __future__ import annotations
 
@@ -41,7 +41,8 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert install_pytest == "python -m pip install pytest"
     assert unit_tests == (
         "PYTHONPATH=src python -m pytest -q "
-        "tests/test_value_semantics.py tests/test_parser.py tests/test_problem_file.py"
+        "tests/test_value_semantics.py tests/test_parser.py tests/test_problem_file.py "
+        "tests/test_jet_calculus.py tests/test_association.py tests/test_symmetries.py"
     )
     assert "numpy" not in commands and "--printed-variants" in commands
     assert "/dev/null" not in commands

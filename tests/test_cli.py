@@ -239,6 +239,20 @@ def test_json_output(capsys, tmp_path):
     }
 
 
+def test_options_do_not_leak_into_the_next_call(capsys, tmp_path):
+    """main reuses one parser, so each call must start from the defaults."""
+    _, out, _ = run_cli(capsys, "classify", "--case", "case1")
+    assert len(out.splitlines()) == 4
+    _, out, _ = run_cli(capsys, "classify")
+    assert len(out.splitlines()) == 12
+    target = tmp_path / "report.json"
+    run_cli(capsys, "--json-out", str(target), "verify")
+    assert json.loads(target.read_text())["command"] == "verify"
+    target.unlink()  # the same command would write the same text again
+    run_cli(capsys, "verify")
+    assert not target.exists()
+
+
 def test_custom_problem_file(capsys, tmp_path):
     target = tmp_path / "mini.prob"
     target.write_text(
@@ -290,6 +304,37 @@ def test_classify_domain_failures_are_fail_records(capsys, tmp_path, candidate, 
     assert rows[0][3].startswith(cause)
     assert rows[1][2] == "reduced-only"
     assert "FAIL classify." in err
+
+
+def nested_squares(levels: int) -> str:
+    text = "u"
+    for _ in range(levels):
+        text = f"({text} + 1)^2"
+    return text
+
+
+@pytest.mark.parametrize(
+    "old, new, argv, message",
+    [
+        ("g1 = u_t", f"g1 = {nested_squares(11)} - {nested_squares(11)} + u_t", ("verify",),
+         "expanding a product of 513 by 513 terms exceeds 200000 term pairs"),
+        ("case1-const-u : c = 0, gamma = 0 : u = sqrt(eps)",
+         "case1-const-u : c = 0, gamma = 0 : u = (x + t + beta)^80", ("classify", "--case", "case1"),
+         "case1-const-u: expanding a product of 561 by 561 terms exceeds 200000 term pairs"),
+    ],
+    ids=["nested-squares", "candidate-power"],
+)
+def test_expansion_past_the_cap_is_an_input_error(capsys, tmp_path, old, new, argv, message):
+    """Each nested square of a sum about quadruples the expansion, so without
+    the cap these files take seconds to minutes."""
+    target = tmp_path / "expanded.prob"
+    text = bundled_problem_text()
+    assert text.count(old) == 1
+    target.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "--problem", str(target), *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert err.startswith("nlseverify: error: ")
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
+import nlseverify.cli
+import nlseverify.jets
 from conftest import random_expr
-from nlseverify.exprs import Context, JetOrderError, JetVar, add, render, var
+from nlseverify.exprs import Context, JetOrderError, JetVar, add, collect_refs, render, var
 from nlseverify.jets import (
     PDESystem,
     ProlongationError,
@@ -135,6 +140,64 @@ def test_prolongation_classic_coefficients(problem):
     pv = prolong(vertical, 2, ctx)
     assert coefficient(pv, "x") == normalize(ctx.parse("u_x"))
     assert coefficient(pv, "tx") == normalize(ctx.parse("u_tx"))
+
+
+def test_prolongation_derives_a_coefficient_when_first_asked(problem, monkeypatch):
+    """A prolonged field starts from its dependents' eta; acting on g1
+    derives the jets of g1 and their prefixes, and acting again derives
+    nothing."""
+    ctx, system = problem.ctx, problem.system
+    prol = prolong(problem.symmetries[4], system.order, ctx)
+    assert list(prol.zeta) == list(ctx.dependents)
+    g1 = system.equation_forms[0]
+    first = normalize(apply_field(prol, g1))
+    jets = {g for g in collect_refs(system.equations[0][1]) if isinstance(g, JetVar)}
+    prefixes = {ctx.jet(g.dep, g.suffix[:k]) for g in jets for k in range(1, g.total_order)}
+    assert set(prol.zeta) == {*ctx.dependents, *jets, *prefixes}
+    assert {g.name for g in prefixes - jets} == {"v_x"}
+
+    derived = []
+    monkeypatch.setattr(nlseverify.jets, "iterated_derivative", lambda *a: derived.append(a))
+    assert normalize(apply_field(prol, g1)) == first
+    assert derived == []
+
+
+def test_prolongation_matches_the_characteristic(problem):
+    """Olver, Thm. 2.36: zeta_J = D_J Q + sum_k xi^k u_{J,k}, with the
+    characteristic Q = eta - sum_k xi^k u_k, for every jet up to order 3."""
+    ctx = problem.ctx
+    assert ctx.max_order == 4
+    letters = [i.name for i in ctx.independents]
+    words = ["".join(w) for n in (1, 2, 3) for w in combinations_with_replacement(letters, n)]
+    assert len(words) == 9
+    for fieldv in problem.symmetries:
+        prol = prolong(fieldv, 3, ctx)
+        xi = {i: fieldv.forms.get(i, {}) for i in letters}
+        for dep in ctx.dependents:
+            q = dict(fieldv.forms.get(dep.name, {}))
+            for i in letters:
+                accumulate(q, mul_forms(xi[i], as_form(var(ctx.jet(dep, i)))), -1)
+            for word in words:
+                want = iterated_derivative(q, word, ctx)
+                for i in letters:
+                    accumulate(want, mul_forms(xi[i], as_form(var(ctx.jet(dep, word + i)))))
+                got = normalize(prol.zeta[ctx.jet(dep, word)])
+                assert got == normalize(want), (fieldv.label, dep.name, word)
+
+
+def test_associate_prolongs_each_symmetry_once(problem, monkeypatch):
+    calls = []
+
+    def counting(fieldv, order, ctx):
+        calls.append((fieldv.label, order))
+        return prolong(fieldv, order, ctx)
+
+    monkeypatch.setattr(nlseverify.cli, "prolong", counting)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert nlseverify.cli.main(["associate"]) == 0
+    # at the highest order a conserved vector needs: t3's density holds u_xx
+    assert calls == [(f.label, 2) for f in problem.symmetries]
+    assert len(calls) == 5
 
 
 def test_prolongation_is_linear(problem):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from nlseverify.exprs import Context, add, func, mul, render, var
-from nlseverify.normal import NormalizationError, normalize
+from nlseverify.normal import MAX_PRODUCT_PAIRS, NormalizationError, normalize
 
 
 @pytest.fixture()
@@ -65,6 +65,15 @@ def test_reciprocal_of_sum_rejected(ctx):
     # a negative sine power would leave this identity nonzero
     with pytest.raises(NormalizationError):
         normalize(ctx.parse("sin(u)^-1*(sin(u)^2 + cos(u)^2 - 1)"))
+
+
+def test_expansion_is_bounded(ctx):
+    # (u + v)^2^k: the squaring that builds it multiplies (2^(k-1) + 1)^2 term pairs
+    fits = ctx.parse("(u + v)^512")
+    assert len(normalize(fits).terms) == 513
+    with pytest.raises(NormalizationError, match="^expanding a product of 513 by 513 terms"):
+        normalize(ctx.parse("(u + v)^1024"))
+    assert 257 * 257 <= MAX_PRODUCT_PAIRS < 513 * 513
 
 
 def test_negative_cosine_powers_stay_canonical(ctx):

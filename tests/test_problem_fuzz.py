@@ -1,5 +1,8 @@
-"""Mutation fuzz of the bundled problem file: whatever the loader makes of
-a damaged file, every command ends with exit 0, 1 or 2, never a traceback."""
+"""Mutation fuzz of problem files: whatever the loader makes of a damaged
+file, every command ends with exit 0, 1 or 2, never a traceback.  The
+bundled file is fuzzed, and so are two edits of it: third-order dispersion,
+whose prolongation goes past the bundled order, and the dependents spelled
+a, b."""
 
 from __future__ import annotations
 
@@ -7,14 +10,14 @@ import contextlib
 import io
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlseverify.cli import main
 from nlseverify.problem import bundled_problem_text
+from test_reduce_variants import renamed_dependents, variant
 
-BUNDLED = bundled_problem_text().splitlines()
-CONTENT = [i for i, line in enumerate(BUNDLED) if line.split("#", 1)[0].strip()]
 TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[^\sA-Za-z0-9_]")
 DECLARED = ("t", "x", "u", "v", "beta", "gamma", "delta", "c", "eps", "c1")
 LIKE = {  # a token is replaced by one of its own class, so most mutants still parse
@@ -26,26 +29,32 @@ COMMANDS = (["verify"], ["associate"], ["reduce"], ["classify"], ["simulate", "-
 
 
 @st.composite
-def mutant(draw) -> str:
-    """The bundled file with one line dropped, duplicated or swapped with
-    the next one, one token of an entry's value replaced, or one declared
+def mutant(draw, text: str, names: tuple[str, ...] = LIKE["name"]) -> str:
+    """``text`` with one line dropped, duplicated or swapped with the next
+    one, one token of an entry's value replaced by a token like it (a name
+    from ``names``) or wrapped in 1 to 12 nested squares, or one declared
     name renamed wherever it is a word."""
-    lines = BUNDLED
-    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "token", "rename")))
-    at = draw(st.sampled_from(CONTENT))
+    lines = text.splitlines()
+    content = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
+    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "token", "rename", "square")))
+    at = draw(st.sampled_from(content))
     if kind == "drop":
         lines = lines[:at] + lines[at + 1 :]
     elif kind == "duplicate":
         lines = lines[: at + 1] + lines[at:]
     elif kind == "swap":
         lines = lines[:at] + lines[at + 1 : at + 2] + lines[at : at + 1] + lines[at + 2 :]
-    elif kind == "token":
+    elif kind in ("token", "square"):
         line = lines[at]
         spans = [m.span() for m in TOKEN.finditer(line, line.find("=") + 1)] or [(0, len(line))]
         start, end = draw(st.sampled_from(spans))
         old = line[start:end]
-        like = "name" if old[0].isalpha() else "number" if old.isdigit() else "operator"
-        new = draw(st.sampled_from(LIKE[like]))
+        if kind == "square":
+            levels = draw(st.integers(1, 12))
+            new = "(" * levels + old + ")^2" * levels
+        else:
+            like = "name" if old[0].isalpha() else "number" if old.isdigit() else "operator"
+            new = draw(st.sampled_from(names if like == "name" else LIKE[like]))
         lines = lines[:at] + [line[:start] + new + line[end:]] + lines[at + 1 :]
     else:
         old, new = draw(st.sampled_from(DECLARED)), draw(st.sampled_from(("w", "k", "y", "lam")))
@@ -53,14 +62,15 @@ def mutant(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_mutated_problem_files_end_in_an_exit_code(tmp_path):
-    target = tmp_path / "mutant.prob"
+def fuzz(target, mutants, examples: int) -> None:
+    """Run a random command on ``examples`` drawn mutants; at least a
+    quarter of them must get past the loader."""
     reached = []
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def run(data):
-        text = data.draw(mutant())
+        text = data.draw(mutants)
         argv = data.draw(st.sampled_from(COMMANDS))
         target.write_text(text)
         err = io.StringIO()
@@ -72,3 +82,19 @@ def test_mutated_problem_files_end_in_an_exit_code(tmp_path):
 
     run()
     assert sum(reached) >= len(reached) / 4, f"{sum(reached)} of {len(reached)} mutants loaded"
+
+
+def test_mutated_problem_files_end_in_an_exit_code(tmp_path):
+    fuzz(tmp_path / "mutant.prob", mutant(bundled_problem_text()), 100)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        (variant("third-order"), (*LIKE["name"], "alpha", "u_xxx")),
+        (renamed_dependents(), ("t", "x", "a", "b", "beta", "gamma", "delta", "a_x", "b_xx", "a_t", "w")),
+    ],
+    ids=["third-order", "renamed-dependents"],
+)
+def test_mutated_edited_files_end_in_an_exit_code(tmp_path, text, names):
+    fuzz(tmp_path / "mutant.prob", mutant(text, names), 50)
