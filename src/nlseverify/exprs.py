@@ -5,7 +5,9 @@ Expressions are immutable trees with rational constants kept exact
 structurally and, after normalization, semantically.  Generators are
 plain variables (independent, dependent, parameter) and jet variables
 (partial derivatives of a dependent variable with respect to the
-independent ones).
+independent ones).  Generators are interned (:class:`Interned`): equal
+fields give one object, which compares and hashes by identity and keeps
+its sort key.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import operator
 import re
 import sys
+import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -137,60 +140,67 @@ class Value(Frozen):
 _set = object.__setattr__  # how a slotted __init__ writes past Frozen.__setattr__
 
 
-class VarId(Frozen):
-    """A declared variable: independent, dependent, or parameter.
+class Interned(Frozen):
+    """A record of which at most one object lives per field tuple.
 
-    The hash of the field tuple is taken once, at construction: every
-    monomial operation hashes its generators.
+    ``__new__`` takes the fields as ``Frozen.__init__`` does and returns
+    the live object with those fields from the class's ``_table``, or
+    builds one, with the derived data that ``_derive`` computes once; each
+    has its ``key``, its place in the order of generators.  Equal fields
+    thus mean the same object, so equality and hashing are ``object``'s:
+    identity, in C.  The table holds its objects weakly, so one that
+    nothing else holds is freed and, when next asked for, built anew.  No
+    derived value refers back to its object: a reference cycle would leave
+    the object to the cyclic collector, and a later call could find it
+    still alive.
     """
 
-    __slots__ = ("kind", "name", "_hash")
+    __slots__ = ("key", "__weakref__")
 
-    def __init__(self, kind: str, name: str) -> None:
-        _set(self, "kind", kind)
-        _set(self, "name", name)
-        _set(self, "_hash", hash((kind, name)))
+    __init__ = object.__init__  # __new__ has done the work
 
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return (self.kind, self.name) == (other.kind, other.name)
-        return NotImplemented
+    def __init_subclass__(cls) -> None:
+        cls._table = weakref.WeakValueDictionary()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._complete(args, kwargs)
+        self = cls._table.get(args)
+        if self is None:
+            self = object.__new__(cls)
+            for field, value in zip(cls._fields, args):
+                _set(self, field, value)
+            for name, value in self._derive().items():
+                _set(self, name, value)
+            cls._table[args] = self
+        return self
+
+
+class VarId(Interned):
+    """A declared variable: independent, dependent, or parameter."""
+
+    __slots__ = _fields = ("kind", "name")
+
+    def _derive(self) -> dict:
+        return {"key": (0, _KIND_RANK[self.kind], self.name, "")}
 
     def __repr__(self) -> str:
         return self.name
 
 
-class JetVar(Frozen):
+class JetVar(Interned):
     """A derivative of a dependent variable.
 
     ``suffix`` is the derivative word: one independent-variable letter per
     derivative, sorted, so mixed derivatives have a single canonical
     spelling (``u_tx`` and ``u_xt`` are the same jet variable, written
     ``u_tx``).  :meth:`Context.jet` builds jets and sorts and checks the word.
-    Like :class:`VarId`, a jet keeps the hash of its field tuple.
     """
 
-    __slots__ = ("dep", "suffix", "_hash")
+    __slots__ = _fields = ("dep", "suffix")
 
-    def __init__(self, dep: VarId, suffix: str) -> None:
-        _set(self, "dep", dep)
-        _set(self, "suffix", suffix)
-        _set(self, "_hash", hash((dep, suffix)))
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return (self.dep, self.suffix) == (other.dep, other.suffix)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def _derive(self) -> dict:
+        return {"key": (1, self.dep.name, len(self.suffix), self.suffix)}
 
     @property
     def total_order(self) -> int:
@@ -209,12 +219,7 @@ class JetVar(Frozen):
 
 Gen = Union[VarId, JetVar]
 
-
-def ref_sort_key(g: Gen) -> tuple:
-    """Deterministic total order over plain and jet variables."""
-    if isinstance(g, VarId):
-        return (0, _KIND_RANK[g.kind], g.name, "")
-    return (1, g.dep.name, g.total_order, g.suffix)
+ref_sort_key = operator.attrgetter("key")  # a total order over plain and jet variables
 
 
 class Expr(Value):
@@ -271,8 +276,18 @@ class FuncApp(Expr):
         _set(self, "arg", arg)
 
 
+_SHARED = {k: Const(Fraction(k)) for k in range(-99, 100)}  # one node per small integer
+
+
 def const(value) -> Const:
-    return Const(value if type(value) is Fraction else Fraction(value))
+    """The node of a rational, the shared one for an integer in ``_SHARED``."""
+    if type(value) is not int:
+        value = value if type(value) is Fraction else Fraction(value)
+        if value.denominator != 1:
+            return Const(value)
+        value = value.numerator
+    node = _SHARED.get(value)
+    return node if node is not None else Const(Fraction(value))
 
 
 ZERO = const(0)
@@ -745,6 +760,7 @@ def compile_numeric(
         raise TypeError(f"not an expression node: {e!r}")
 
     outputs = tuple(materialize(*visit(e)) for e in exprs)
+    del visit  # a recursive closure is a reference cycle, which only the collector would free
     last_use = {}
     for k, (_, _, a, b) in enumerate(code):
         last_use[a] = last_use[b] = k
@@ -811,6 +827,7 @@ class Context:
                 raise DeclarationError(msg, v.name)
         self._by_name = names
         self._jets: dict[tuple[VarId, str], JetVar] = {}  # (dep, word as asked) -> its jet
+        self.nodes: dict[str, Var] = {}  # identifier as parsed -> its node, kept by the parser
 
     def lookup(self, name: str) -> VarId | None:
         return self._by_name.get(name)
@@ -829,10 +846,10 @@ class Context:
         """Jet variable from a suffix word, e.g. ``jet(u, 'xt')`` is u_tx.
 
         Every jet is built here: this is the one place that validates the
-        letters and enforces the order cap.  The context makes one object
-        per jet and keeps it, so ``jet(u, 'xt') is jet(u, 'tx')``; a word is
-        checked the first time it is asked for, and one that fails is not
-        kept and raises on every request.
+        letters and enforces the order cap.  A jet is interned, so
+        ``jet(u, 'xt') is jet(u, 'tx')``.  The context keeps the jet of each
+        word it has checked, so a word is checked the first time it is
+        asked for; one that fails is not kept and raises on every request.
         """
         if isinstance(dep, str):
             dep = self[dep]
@@ -853,9 +870,7 @@ class Context:
             raise JetOrderError(
                 f"jet order {len(suffix)} exceeds maximum {self.max_order}"
             )
-        made = JetVar(dep, "".join(sorted(suffix)))
-        made = self._jets.setdefault((dep, made.suffix), made)
-        self._jets[dep, suffix] = made
+        made = self._jets[dep, suffix] = JetVar(dep, "".join(sorted(suffix)))
         return made
 
     def bump(self, g: Gen, wrt: VarId) -> JetVar:

@@ -53,6 +53,7 @@ from .exprs import (
 from .normal import (
     Atom,
     Form,
+    NormalizationError,
     PolyNF,
     accumulate,
     as_form,
@@ -69,6 +70,23 @@ _NO_COEFFICIENTS: Mapping[str, Expr] = MappingProxyType({})  # omitted xi or eta
 
 class ProlongationError(ExprError):
     """A prolongation coefficient needed by the computation is missing."""
+
+
+class EntryError(NormalizationError):
+    """The entry ``key`` of a system's ``section`` (``"equations"`` or
+    ``"evolution"``, keyed as in a problem file) does not normalize."""
+
+    def __init__(self, message: str, section: str, key: str) -> None:
+        super().__init__(message)
+        self.section, self.key = section, key
+
+
+def _entry_form(e: Expr, section: str, key: str) -> Form:
+    """``as_form(e)`` for the entry ``key`` of ``section``."""
+    try:
+        return as_form(e)
+    except NormalizationError as exc:
+        raise EntryError(str(exc), section, key) from None
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +199,20 @@ def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
 
 class JetTable(dict):
     """Images of generators; a missing jet ``u_{J,i}`` of ``ctx`` gets
-    ``derive(u_J, i)`` from its prefix (``u`` at order one) and keeps it,
-    so each jet and each of its prefixes is derived once."""
+    ``derive(table, u_J, i)`` from its prefix (``u`` at order one) and
+    keeps it, so each jet and each of its prefixes is derived once.
+    ``derive`` is handed the table rather than closing over it, so the
+    table is no reference cycle and is freed as soon as it is dropped."""
 
-    def __init__(self, ctx: Context, images: Mapping[Gen, Form], derive: Callable[[Gen, str], Form]):
+    def __init__(
+        self, ctx: Context, images: Mapping[Gen, Form], derive: Callable[[JetTable, Gen, str], Form]
+    ):
         super().__init__(images)
         self.ctx, self.derive = ctx, derive
 
     def __missing__(self, g: JetVar) -> Form:
         parent = self.ctx.jet(g.dep, g.suffix[:-1]) if g.total_order > 1 else g.dep
-        self[g] = out = self.derive(parent, g.suffix[-1])
+        self[g] = out = self.derive(self, parent, g.suffix[-1])
         return out
 
 
@@ -202,7 +224,7 @@ def jet_table(
 ) -> JetTable:
     """``images`` extended by every jet of a substituted dependent that
     occurs in ``forms``; the image of ``u_{J,i}`` is ``derive(image of u_J, i)``."""
-    table = JetTable(ctx, images, lambda parent, letter: derive(table[parent], letter))
+    table = JetTable(ctx, images, lambda table, parent, letter: derive(table[parent], letter))
     for f in forms:
         for g in sorted(_generators(f), key=ref_sort_key):
             if isinstance(g, JetVar) and g.dep in images:
@@ -265,12 +287,14 @@ class PDESystem(Frozen):
 
     @cached_property
     def equation_forms(self) -> tuple[Form, ...]:
-        return tuple(as_form(eq) for _, eq in self.equations)
+        return tuple(_entry_form(eq, "equations", label) for label, eq in self.equations)
 
     @cached_property
     def _bindings(self) -> dict[JetVar, Form]:
         """Time jet -> its on-shell value; those of order one are the rules."""
-        return {self.ctx.jet(d, self.time.name): as_form(r) for d, r in self.evolution.items()}
+        time = self.time.name
+        return {self.ctx.jet(d, time): _entry_form(r, "evolution", f"{d.name}_{time}")
+                for d, r in self.evolution.items()}
 
     def _binding(self, g: JetVar) -> Form:
         """The rule differentiated along ``g``'s word less one time letter,
@@ -391,7 +415,7 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
     dxi = {(i.name, k.name): iterated_derivative(given.get(k.name, {}), i.name, ctx)
            for i in indep for k in indep}
 
-    def derive(parent: Gen, letter: str) -> Form:
+    def derive(zeta: JetTable, parent: Gen, letter: str) -> Form:
         z = iterated_derivative(zeta[parent], letter, ctx)
         for k in indep:
             jet = {frozenset({(ctx.bump(parent, k), 1)}): 1}

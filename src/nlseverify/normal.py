@@ -30,7 +30,9 @@ Trig handling: sine and cosine of a normalized argument become opaque
 atoms.  Double angles are expanded on construction (``sin(2A)`` to
 ``2*sin(A)*cos(A)``, ``cos(2A)`` to ``cos(A)^2 - sin(A)^2``) so one atom
 pair per argument family survives, and the sign of the argument is
-fixed so that its leading coefficient is positive.
+fixed so that its leading coefficient is positive.  Atoms are interned
+like the generators (``exprs.Interned``): one object per function and
+argument, hashed by identity, with its sort key and its tree built once.
 
 Square roots: ``sqrt(p)`` is an atom only when ``p`` is a single declared
 parameter, so every monomial holds it to the power 0 or 1.  A wider
@@ -50,6 +52,7 @@ from .exprs import (
     Expr,
     ExprError,
     FuncApp,
+    Interned,
     JetVar,
     Pow,
     Prod,
@@ -63,9 +66,7 @@ from .exprs import (
     int_if_integral,
     mul,
     pow_,
-    ref_sort_key,
     render,
-    var,
 )
 
 
@@ -73,26 +74,21 @@ class NormalizationError(ExprError):
     """The expression is not polynomial in the supported generators."""
 
 
-def _hash_once(self) -> int:
-    """The hash of the fields, kept after the first call: every monomial
-    operation rehashes a trig atom, whose argument is a whole normal form."""
-    kept = vars(self)  # written past the frozen __setattr__, as cached_property does
-    if "_hash" not in kept:
-        kept["_hash"] = hash(self._key())
-    return kept["_hash"]
-
-
-class Atom(Value):
+class Atom(Interned):
     """sin or cos of a canonical (normalized) argument, or sqrt of a
-    single parameter."""
+    single parameter.  Interned like the generators; its ``node`` is the
+    tree that :meth:`PolyNF.to_expr` puts in its place."""
 
     _fields = ("fn", "arg")  # fn: "sin", "cos" or "sqrt"; arg: a PolyNF
+    __slots__ = (*_fields, "node")
 
-    __hash__ = _hash_once
+    def _derive(self) -> dict:
+        key = (2, _FN_RANK[self.fn], nf_key(self.arg))
+        return {"key": key, "node": func(self.fn, self.arg.to_expr())}
 
     @property
     def name(self) -> str:
-        return f"{self.fn}({render(self.arg.to_expr())})"
+        return render(self.node)
 
     def __repr__(self) -> str:
         return self.name
@@ -104,14 +100,12 @@ Monomial = tuple[tuple[NGen, int], ...]
 _FN_RANK = {"sin": 0, "cos": 1, "sqrt": 2}
 
 
-def gen_key(g: NGen) -> tuple:
-    if isinstance(g, Atom):
-        return (2, _FN_RANK[g.fn], nf_key(g.arg))
-    return ref_sort_key(g)
+def _node(g: NGen) -> Expr:
+    return g.node if type(g) is Atom else Var(g)
 
 
 def mono_key(m: Monomial) -> tuple:
-    return tuple((gen_key(g), e) for g, e in m)
+    return tuple((g.key, e) for g, e in m)
 
 
 def mono_degree(m: Monomial) -> int:
@@ -131,7 +125,13 @@ class PolyNF(Value):
 
     _fields = ("terms",)  # (monomial, coefficient) pairs
 
-    __hash__ = _hash_once
+    def __hash__(self) -> int:
+        """The hash of the fields, kept after the first call: an atom's
+        table hashes its argument, a whole normal form."""
+        kept = vars(self)  # written past the frozen __setattr__, as cached_property does
+        if "_hash" not in kept:
+            kept["_hash"] = hash(self._key())
+        return kept["_hash"]
 
     @property
     def is_zero(self) -> bool:
@@ -142,14 +142,13 @@ class PolyNF(Value):
         return {frozenset(m): k * c for m, c in self.terms}
 
     def to_expr(self) -> Expr:
-        pieces = []
-        for m, c in self.terms:
-            factors = [const(c)]
-            for g, e in m:
-                base = func(g.fn, g.arg.to_expr()) if isinstance(g, Atom) else var(g)
-                factors.append(pow_(base, e))
-            pieces.append(mul(*factors))
-        return add(*pieces)
+        """The tree of this form, built once and kept."""
+        kept = vars(self)
+        if "_expr" not in kept:
+            kept["_expr"] = add(
+                *(mul(const(c), *(pow_(_node(g), e) for g, e in m)) for m, c in self.terms)
+            )
+        return kept["_expr"]
 
     def __repr__(self) -> str:
         return f"<nf {render(self.to_expr())}>"
@@ -174,7 +173,7 @@ def _collect(f: Form) -> PolyNF:
     for m, c in f.items():
         accumulate(acc, _rewritten(m), c)
     terms = [
-        (tuple(sorted(m, key=lambda ge: gen_key(ge[0]))), int_if_integral(c))
+        (tuple(sorted(m, key=lambda ge: ge[0].key)), int_if_integral(c))
         for m, c in acc.items()
         if c
     ]

@@ -62,7 +62,6 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(rf"(\d+)|({NAME.pattern}(?:_[a-z0-9]+)?)|([-+*/^()])|(\S)")
 _END = ("", "", "", "")  # the token after the last; its value is ''
-_INTS = {str(k): const(k) for k in range(100)}  # one node per small literal
 # Deepest nesting of parentheses, function calls and unary minus.  Deeper
 # input would exhaust Python's default stack of 1000 frames: in the descent,
 # or, from about 98 nested sines on, when two equal atoms are compared.
@@ -126,9 +125,9 @@ class _Parser:
             self.depth -= 1
             return e
         if number:
-            base = _INTS.get(number) or const(int(number))
+            base = const(int(number))
         elif name and name not in FUNCTION_NAMES:
-            base = self.ident(name, k)
+            base = self.ctx.nodes.get(name) or self.ident(name, k)
         elif name or op == "(":  # FUNC '(' expr ')' | '(' expr ')'
             self.enter(k)
             if name:
@@ -167,18 +166,21 @@ class _Parser:
             raise self.error("zero raised to a negative power", caret) from None
 
     def ident(self, name: str, k: int) -> Expr:
+        """The node of an identifier the context has not resolved yet; the
+        context keeps it, and an identifier that fails raises every time."""
         base, _, suffix = name.partition("_")
         ref = self.ctx.lookup(base)
         if ref is None:
             raise self.error(f"unknown identifier {base!r}", k)
-        if not suffix:
-            return var(ref)
-        if ref.kind != DEPENDENT:
-            raise self.error(f"cannot take derivatives of {ref.kind} variable {base!r}", k)
-        try:
-            return var(self.ctx.jet(ref, suffix))
-        except (ValueError, ExprError) as exc:
-            raise self.error(str(exc), k) from None
+        if suffix:
+            if ref.kind != DEPENDENT:
+                raise self.error(f"cannot take derivatives of {ref.kind} variable {base!r}", k)
+            try:
+                ref = self.ctx.jet(ref, suffix)
+            except (ValueError, ExprError) as exc:
+                raise self.error(str(exc), k) from None
+        node = self.ctx.nodes[name] = var(ref)
+        return node
 
 
 def parse(text: str, ctx: Context) -> Expr:

@@ -41,7 +41,7 @@ from .exprs import (
     collect_refs,
     eval_numeric,
 )
-from .jets import ConservedVector, MultiplierPair, PDESystem, VectorField
+from .jets import ConservedVector, EntryError, MultiplierPair, PDESystem, VectorField
 from .parse import ParseError, parse
 from .reduction import SolutionCandidate
 
@@ -230,10 +230,12 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         overridable.update(out)
         return [(k, printed_map.get(k, v) if printed else v) for k, v in out.items()]
 
-    equations = [(k, _parse_expr(v, ctx, path, n)) for k, (n, v) in entries("equations")]
+    rows = {"equations": entries("equations")}  # section -> its entries, for the lines
+    equations = [(k, _parse_expr(v, ctx, path, n)) for k, (n, v) in rows["equations"]]
 
     evolution: dict[str, Expr] = {}
-    for key, (lineno, value) in entries("evolution"):
+    rows["evolution"] = entries("evolution")
+    for key, (lineno, value) in rows["evolution"]:
         if not key.endswith(f"_{time}") or ctx.lookup(key[:-2]) not in ctx.dependents:
             raise ProblemFormatError(
                 f"evolution key {key!r} must be <dependent>_{time}", path, lineno
@@ -241,6 +243,9 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         evolution[key[:-2]] = _parse_expr(value, ctx, path, lineno)
     try:
         system = PDESystem.build(ctx, equations, evolution)
+    except EntryError as exc:
+        lineno = dict(rows[exc.section])[exc.key][0]
+        raise ProblemFormatError(str(exc), path, lineno) from None
     except (ValueError, ExprError) as exc:
         raise ProblemFormatError(str(exc), path) from None
 

@@ -1,8 +1,9 @@
 """The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
 pinned to one minor version.  Its Python 3.10 job installs pytest alone,
-runs the record, parser, problem-file, jet-calculus, association and
-symmetry tests on the byte-compiled sources, then runs the exact commands
-and diffs their stdout against the golden files."""
+runs the record, parser, problem-file, jet-calculus, association,
+symmetry and normal-form tests on the byte-compiled sources, then runs
+the exact commands and diffs their stdout against the golden files, once
+under a random hash seed and once under ``PYTHONHASHSEED=1``."""
 
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert unit_tests == (
         "PYTHONPATH=src python -m pytest -q "
         "tests/test_value_semantics.py tests/test_parser.py tests/test_problem_file.py "
-        "tests/test_jet_calculus.py tests/test_association.py tests/test_symmetries.py"
+        "tests/test_jet_calculus.py tests/test_association.py tests/test_symmetries.py "
+        "tests/test_normalize.py"
     )
     assert "numpy" not in commands and "--printed-variants" in commands
     assert "/dev/null" not in commands
@@ -53,5 +55,8 @@ def test_workflow_runs_the_roadmap_tier1_command():
         ("tests/golden/reduce_printed.tsv", "reduce_printed.out"),
     ]
     assert "for cmd in verify associate reduce; do" in commands
+    # the whole diff loop runs twice: the hash seed must not move the stdout
+    assert commands.startswith("for PYTHONHASHSEED in random 1; do\n  export PYTHONHASHSEED\n")
+    assert commands.rstrip().endswith("\ndone") and commands.count("done") == 3
     for golden in ("verify", "associate", "reduce", "verify_printed"):
         assert (ROOT / "perfbench" / "golden" / f"{golden}.tsv").is_file()

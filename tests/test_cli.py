@@ -337,6 +337,34 @@ def test_expansion_past_the_cap_is_an_input_error(capsys, tmp_path, old, new, ar
     assert err.startswith("nlseverify: error: ")
 
 
+PLAIN, PRINTED = ("verify",), ("--printed-variants", "reduce")
+
+
+@pytest.mark.parametrize(
+    "line, runs",
+    [(24, (PLAIN, PRINTED)), (25, (PLAIN,)), (28, (PLAIN, PRINTED)), (29, (PLAIN,)), (83, (PRINTED,)),
+     (84, (PRINTED,))],
+    ids=["equations-g1", "equations-g2", "evolution-u", "evolution-v", "printed-g2", "printed-v"],
+)
+def test_expansion_past_the_cap_names_the_entry_line(capsys, tmp_path, line, runs):
+    """An [equations] or [evolution] entry that expands past the cap is
+    reported at its line, as a parse error in it would be; a [printed]
+    spelling, which the printed variants load, at the line it is on."""
+    lines = bundled_problem_text().splitlines()
+    key, rhs = lines[line - 1].split(" = ")
+    assert key in ("g1", "g2", "u_t", "v_t")
+    lines[line - 1] = f"{key} = {nested_squares(10)} - {nested_squares(10)} + {rhs}"
+    target = tmp_path / "deep.prob"
+    target.write_text("\n".join(lines) + "\n")
+    for argv in runs:
+        code, out, err = run_cli(capsys, "--problem", str(target), *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"nlseverify: error: {target}:{line}: "
+            "expanding a product of 513 by 513 terms exceeds 200000 term pairs\n"
+        )
+
+
 @pytest.mark.parametrize(
     "header, density, name",
     [
@@ -444,8 +472,9 @@ def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands):
         assert (code, out) == (1, ""), command
         assert err.startswith("nlseverify: error: ")
         assert "not polynomial" in err or "non-monomial" in err
-        if commands == EVERY_COMMAND:
-            assert err.startswith(f"nlseverify: error: {target}: ")
+        if commands == EVERY_COMMAND:  # the entry's line, as a parse error names it
+            line = text[: text.index("sqrt")].count("\n") + 1
+            assert err.startswith(f"nlseverify: error: {target}:{line}: ")
 
 
 def test_non_polynomial_candidate_exits_one(capsys, tmp_path):

@@ -124,13 +124,15 @@ def test_trig_atoms_survive_round_trip(ctx):
 
 
 def test_hash_is_kept_and_equality_unchanged(ctx):
-    """A normal form and a trig atom hash their fields once; equal forms
-    built apart stay equal, hash alike and find each other in a dict."""
+    """A normal form hashes its fields once, and a trig atom is interned,
+    so it hashes by identity; equal forms built apart stay equal, hash
+    alike and find each other in a dict."""
     text = "sin(u + 2*v)*cos(u_x) + beta*sin(u + 2*v)^3"
     a, b = normalize(ctx.parse(text)), normalize(ctx.parse(text))
     assert a is not b and a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     atom = next(g for m, _ in a.terms for g, _ in m if hasattr(g, "arg"))
-    hash(atom)
-    assert vars(a)["_hash"] == hash(a) and vars(atom)["_hash"] == hash(atom)
+    twin = next(g for m, _ in b.terms for g, _ in m if hasattr(g, "arg"))
+    assert vars(a)["_hash"] == hash(a) and hash(atom) == object.__hash__(atom)
+    assert twin is atom and type(atom)(atom.fn, atom.arg) is atom
     assert a != normalize(ctx.parse("sin(u + 2*v)*cos(u_x)"))

@@ -1,17 +1,18 @@
-"""The records of the package are plain classes with the value semantics
-they have always had.
+"""The records of the package are plain classes with value semantics.
 
 Nodes, generators, normal forms and check records built apart from equal
 fields are equal, hash alike and find each other in a dict; a field that
 differs, or a different class with the same fields, makes them unequal.
-A context makes one object per jet, and the generators of two contexts
-are still equal values.  Every immutable record refuses to have a field assigned or deleted, and
-``Grid`` checks its arguments with the same messages.
+Generators and trig atoms are interned: built apart from equal fields,
+they are one object, which compares and hashes by identity.  A context
+makes one object per jet, and the generators of two contexts are that
+same object.  Every immutable record refuses to have a field assigned or
+deleted, and ``Grid`` checks its arguments with the same messages.
 
-A record that declares its fields is built by ``Frozen.__init__`` from
-them, positionally or by keyword, with its declared defaults; a missing,
-unknown or repeated field is a ``TypeError`` that names it.  A ``Value``
-hashes as the tuple of its fields.
+A record that declares its fields is built from them, positionally or by
+keyword, with its declared defaults; a missing, unknown or repeated field
+is a ``TypeError`` that names it.  Every other ``Value`` hashes as the
+tuple of its fields.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from nlseverify.exprs import (
     Const,
     Frozen,
     FuncApp,
+    Interned,
     JetOrderError,
     JetVar,
     Pow,
@@ -85,11 +87,14 @@ DIFFERENT_BUILDS = {
 }
 
 
+INTERNED = {"VarId", "JetVar", "Atom"}
+
+
 @pytest.mark.parametrize("name", EQUAL_BUILDS)
 def test_equal_fields_make_equal_values(name):
     build = EQUAL_BUILDS[name]
     a, b = build(), build()
-    assert a is not b
+    assert (a is b) == (name in INTERNED)
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert {a: name}[b] == name
@@ -98,15 +103,21 @@ def test_equal_fields_make_equal_values(name):
     assert a != (a,) and a.__eq__(object()) is NotImplemented
 
 
-def test_generator_hash_is_the_hash_of_its_fields():
-    """Taken once at construction, the hash is still the field tuple's."""
+def test_generator_hash_is_the_identity_hash():
+    """Interned, a generator or atom needs no hash of its own: ``object``'s
+    equality and hash, by identity, are the value semantics."""
     v, jet = u(), JetVar(u(), "x")
-    assert hash(v) == hash((DEPENDENT, "u"))
-    assert hash(jet) == hash((v, "x"))
+    atom = EQUAL_BUILDS["Atom"]()
+    assert hash(v) == object.__hash__(v) and hash(jet) == object.__hash__(jet)
+    assert hash(atom) == object.__hash__(atom)
     for kind, name in ((INDEPENDENT, "t"), (PARAMETER, "beta")):
-        assert hash(VarId(kind, name)) == hash((kind, name))
+        g = VarId(kind, name)
+        assert hash(g) == object.__hash__(g) and g is VarId(kind, name)
     for suffix in ("t", "tx", "xxxx"):
-        assert hash(JetVar(v, suffix)) == hash((v, suffix))
+        g = JetVar(v, suffix)
+        assert hash(g) == object.__hash__(g) and g is JetVar(v, suffix)
+    for cls in (VarId, JetVar, Atom):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
 def test_a_context_makes_one_object_per_jet(problem):
@@ -122,10 +133,10 @@ def test_a_context_makes_one_object_per_jet(problem):
 def test_generators_of_two_loads_are_equal_values():
     first, second = load_problem().ctx, load_problem().ctx
     for name in ("t", "x", "u", "v", "beta"):
-        assert first[name] is not second[name]
+        assert first[name] is second[name]
         assert first[name] == second[name] and hash(first[name]) == hash(second[name])
     a, b = first.jet("u", "xt"), second.jet("u", "tx")
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert {a: "u_tx"}[b] == "u_tx"
 
 
@@ -152,12 +163,14 @@ def test_a_refused_jet_is_refused_on_every_request(problem, dep, suffix, error, 
 def test_generators_refuse_their_kept_hash_being_set(problem):
     for g in (problem.ctx["u"], problem.ctx.jet("u", "x")):
         before = hash(g)
-        for name in ("_hash", "kind", "dep"):
+        key = g.key
+        for name in ("_hash", "kind", "dep", "key"):
             with pytest.raises(AttributeError):
                 setattr(g, name, 0)
-        with pytest.raises(AttributeError):
-            del g._hash
-        assert hash(g) == before
+        for name in ("_hash", "key"):
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert hash(g) == before and g.key is key
 
 
 def test_a_sum_is_not_a_product_of_the_same_tuple():
@@ -237,7 +250,13 @@ def fields_of(value) -> list:
 
 
 def test_thirteen_records_are_built_from_their_declared_fields(problem):
-    values = [value for value, _ in frozen_values(problem) if type(value).__init__ is Frozen.__init__]
+    """Twelve by ``Frozen.__init__``; the interned ``Atom`` by its
+    ``__new__``, which gives back the one object with those fields."""
+    values = [
+        value
+        for value, _ in frozen_values(problem)
+        if type(value).__init__ is Frozen.__init__ or type(value) is Atom
+    ]
     assert sorted(type(v).__name__ for v in values) == sorted(
         "Atom PolyNF PDESystem MultiplierPair ConservedVector VectorField ProlongedField CanonicalTransform "
         "ReducedODE SolutionCandidate DrawResult CandidateReport Problem".split()
@@ -248,7 +267,10 @@ def test_thirteen_records_are_built_from_their_declared_fields(problem):
         by_keyword = cls(**dict(zip(cls._fields, fields)))
         mixed = cls(fields[0], **dict(zip(cls._fields[1:], fields[1:])))
         for built in (by_position, by_keyword, mixed):
-            assert list(vars(built)) == list(cls._fields)
+            if isinstance(value, Interned):
+                assert built is value
+            else:
+                assert list(vars(built)) == list(cls._fields)
             assert all(a is b for a, b in zip(fields_of(built), fields, strict=True)), cls.__name__
 
 
@@ -290,10 +312,13 @@ def test_a_missing_unknown_or_repeated_field_is_a_type_error(args, kwargs, messa
 
 
 def test_every_value_hashes_as_its_field_tuple(problem):
-    values = [value for value, _ in frozen_values(problem) if isinstance(value, Value)]
+    """The interned records hash by identity instead (see above)."""
+    records = [value for value, _ in frozen_values(problem)]
+    values = [value for value in records if isinstance(value, Value)]
     assert {type(v).__name__ for v in values} == {
-        "Const", "Var", "Sum", "Prod", "Pow", "FuncApp", "Atom", "PolyNF", "Record"
+        "Const", "Var", "Sum", "Prod", "Pow", "FuncApp", "PolyNF", "Record"
     }
+    assert {type(v).__name__ for v in records if isinstance(v, Interned)} == INTERNED
     values += [v for v in (build() for build in EQUAL_BUILDS.values()) if isinstance(v, Value)]
     for value in values:
         assert hash(value) == hash(tuple(fields_of(value))), type(value).__name__
