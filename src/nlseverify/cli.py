@@ -21,7 +21,7 @@ from .jets import (
     prolong,
     symmetry_invariance,
 )
-from .normal import PolyNF, accumulate, as_form, normalize
+from .normal import PolyNF, accumulate, as_form, integral, normalize
 from .problem import Problem, ProblemFormatError, load_problem
 from .reduction import build_canonical_transform, classify, reduced_ode
 from .report import Report
@@ -168,13 +168,14 @@ def reduce_report(problem: Problem) -> Report:
     )
     by_label = {vec.label: vec for vec in problem.conserved}
     if "t2" in by_label:
-        pushed = tr.pushforward(by_label["t2"].forms, as_form(var(tr.red_ctx["w"])))
+        d, *forms = integral(*by_label["t2"].forms)
+        pushed = tr.pushforward(forms, as_form(var(tr.red_ctx["w"])))
         for part, e in zip(("density", "flux"), pushed):
             rep.add(
                 f"reduce.{part}.t2",
                 "t2",
                 "info",
-                render(normalize(e).to_expr()),
+                render(normalize(e, d).to_expr()),
                 f"{part} in canonical variables (invariant profile)",
             )
     try:

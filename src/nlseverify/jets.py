@@ -27,6 +27,12 @@ total derivative, the explicit partial, the Euler operator, prolongation
 and the field action.  A :class:`JetTable` derives each jet's image from
 its prefix's when first asked and keeps it; the canonical pushforward, the
 classify candidates (through :func:`jet_table`) and prolongation share it.
+
+``divergence_match``, ``association_residual`` and the canonical
+pushforward (a substitution) are linear in the conserved vector ``T``,
+so they run on ``d*T``, scaled by ``normal.integral`` to int coefficients
+(the bundled ones are halves and quarters), and ``normalize`` divides by
+``d`` once at the end: the same exact value by a cheaper route.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from .normal import (
     PolyNF,
     accumulate,
     as_form,
+    integral,
     mono_mul,
     mul_forms,
     normalize,
@@ -72,9 +79,10 @@ class ProlongationError(ExprError):
     """A prolongation coefficient needed by the computation is missing."""
 
 
-class EntryError(NormalizationError):
+class EntryError(ValueError):
     """The entry ``key`` of a system's ``section`` (``"equations"`` or
-    ``"evolution"``, keyed as in a problem file) does not normalize."""
+    ``"evolution"``, keyed as in a problem file) does not normalize, or is
+    a rule holding a time derivative, or an equation the rules do not solve."""
 
     def __init__(self, message: str, section: str, key: str) -> None:
         super().__init__(message)
@@ -264,10 +272,8 @@ class PDESystem(Frozen):
             dep = ctx[name]
             for g in collect_refs(rhs):
                 if isinstance(g, JetVar) and g.order_in(t.name) > 0:
-                    raise ValueError(
-                        f"evolution rule for {name} contains the time "
-                        f"derivative {g.name}"
-                    )
+                    msg = f"evolution rule for {name} contains the time derivative {g.name}"
+                    raise EntryError(msg, "evolution", f"{name}_{t.name}")
             evo[dep] = rhs
         missing = [d.name for d in ctx.dependents if d not in evo]
         if missing:
@@ -275,9 +281,7 @@ class PDESystem(Frozen):
         system = cls(ctx, t, space, tuple(equations), evo)
         for (label, _), eq in zip(system.equations, system.equation_forms):
             if not normalize(system.reduce(eq)).is_zero:
-                raise ValueError(
-                    f"evolution form does not solve equation {label}"
-                )
+                raise EntryError(f"evolution form does not solve equation {label}", "equations", label)
         return system
 
     @property
@@ -452,10 +456,10 @@ def divergence_match(
     system: PDESystem, pair: MultiplierPair, vec: ConservedVector
 ) -> PolyNF:
     """D_t(density) + D_x(flux) - multiplier combination, normalized."""
-    (density, flux), ctx = vec.forms, system.ctx
+    (d, density, flux, combo), ctx = integral(*vec.forms, pair.combination(system)), system.ctx
     out = iterated_derivative(density, system.time.name, ctx)
     accumulate(out, iterated_derivative(flux, system.space.name, ctx))
-    return normalize(accumulate(out, pair.combination(system), -1))
+    return normalize(accumulate(out, combo, -1), d)
 
 
 def symmetry_invariance(system: PDESystem, fieldv: VectorField) -> dict[str, PolyNF]:
@@ -478,7 +482,8 @@ def association_residual(
     caller checking one field against many vectors prolongs it once.
     """
     t, x = system.time.name, system.space.name
-    components = {t: vec.forms[0], x: vec.forms[1]}
+    d, density, flux = integral(*vec.forms)
+    components = {t: density, x: flux}
     dxi = prol.dxi
     trace = accumulate(dict(dxi[t, t]), dxi[x, x])
     out = {}
@@ -486,5 +491,5 @@ def association_residual(
         comp = accumulate(apply_field(prol, t_i), mul_forms(t_i, trace))
         for k, t_k in components.items():
             accumulate(comp, mul_forms(t_k, dxi[k, i]), -1)
-        out[i] = normalize(system.reduce(comp))
+        out[i] = normalize(system.reduce(comp), d)
     return out

@@ -7,6 +7,13 @@ integral, a ``Fraction`` otherwise, and never a float.  Two expressions
 that agree as polynomial/trig identities normalize to equal forms; the
 empty form is the decisive zero test used by every verification predicate.
 
+A ``Fraction`` operation costs about a hundred ``int`` ones, so a caller
+linear in its input clears the denominators first (Geddes, Czapor &
+Labahn, *Algorithms for Computer Algebra*, ch. 2): :func:`integral`
+scales forms by their coefficients' least common denominator ``d``, the
+work runs on ints, and ``normalize(f, d)`` divides the collected form by
+``d``, the one division.
+
 :func:`normalize` is the only constructor.  It takes a tree, which
 :func:`as_form` walks into the working form, a dict from monomials
 (frozensets of ``(generator, exponent)`` pairs, so unordered) to exact
@@ -43,6 +50,7 @@ depend on how the argument is factored (``sqrt(8*eps)`` against
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -201,6 +209,16 @@ def _rewritten(m: frozenset) -> Form:
     return out
 
 
+def integral(*forms: Form) -> tuple:
+    """``(d, d*f, ...)`` for the least common denominator ``d`` of every
+    coefficient of ``forms``, so each scaled form has int coefficients;
+    the forms themselves when ``d`` is 1."""
+    d = math.lcm(*(c.denominator for f in forms for c in f.values()))
+    if d == 1:
+        return (1, *forms)
+    return (d, *({m: c.numerator * (d // c.denominator) for m, c in f.items()} for f in forms))
+
+
 def accumulate(acc: Form, f: Form, k=1) -> Form:
     """Add ``k*f`` into ``acc`` in place."""
     for m, c in f.items():
@@ -315,12 +333,14 @@ def as_form(e: Expr) -> Form:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def normalize(e: Expr | Form) -> PolyNF:
-    """Normal form of an expression tree or of a working form.
+def normalize(e: Expr | Form, den: int = 1) -> PolyNF:
+    """Normal form of an expression tree or of a working form, divided by
+    ``den`` (the ``d`` of :func:`integral`).
 
     Raises :class:`NormalizationError` on arctan nodes, on sqrt of
     anything but a single parameter, on reciprocals of non-monomial
     subexpressions and on negative powers of a sine; those shapes live
     outside the fragment this form covers.
     """
-    return _collect(e if isinstance(e, dict) else as_form(e))
+    nf = _collect(e if isinstance(e, dict) else as_form(e))
+    return nf if den == 1 else PolyNF(tuple((m, int_if_integral(Fraction(c, den))) for m, c in nf.terms))

@@ -137,13 +137,6 @@ def _keyed(lines: list[tuple[int, str]], path: str) -> dict[str, tuple[int, str]
     return out
 
 
-def _parse_expr(text: str, ctx: Context, path: str, lineno: int) -> Expr:
-    try:
-        return parse(text, ctx)
-    except (ParseError, ExprError) as exc:  # ExprError: sqrt of a negative constant
-        raise ProblemFormatError(str(exc), path, lineno) from None
-
-
 _PAIR_RE = re.compile(r"pair(\d+)_q(\d+)$")
 _VEC_RE = re.compile(r"t(\d+)_(density|flux)$")
 _SYM_RE = re.compile(rf"x(\d+)_((xi|eta)_({NAME.pattern}))$")
@@ -156,10 +149,11 @@ def _contiguous(indices, what: str, path: str) -> None:
         raise ProblemFormatError(f"{what} indices must be 1..{n}", path)
 
 
-def _indexed(entries, pattern: re.Pattern, what: str, build, ctx: Context, path: str) -> list:
+def _indexed(entries, pattern: re.Pattern, what: str, build, parsed, path: str) -> list:
     """One ``build(n, {part: expression})`` per index ``n`` 1..N, in order.
     ``pattern`` captures the index, then the part (``pair2_q1``: 2, ``1``);
-    ``what`` names the objects (``multiplier pair``), its first word the keys."""
+    ``what`` names the objects (``multiplier pair``), its first word the keys;
+    ``parsed(text, lineno)`` gives an entry's tree."""
     groups: dict[int, dict[str, Expr]] = {}
     for key, (lineno, value) in entries:
         m = pattern.match(key)
@@ -168,7 +162,7 @@ def _indexed(entries, pattern: re.Pattern, what: str, build, ctx: Context, path:
         parts = groups.setdefault(int(m[1]), {})
         if m[2] in parts:  # the index spelled with a leading zero
             raise ProblemFormatError(f"duplicate key {key!r}", path, lineno)
-        parts[m[2]] = _parse_expr(value, ctx, path, lineno)
+        parts[m[2]] = parsed(value, lineno)
     built = [build(n, groups[n]) for n in sorted(groups)]
     _contiguous(groups, what, path)
     return built
@@ -198,9 +192,21 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         ctx = Context(names("independents"), names("dependents"), names("params"))
     except DeclarationError as de:
         raise ProblemFormatError(str(de), path, declared_at[de.name]) from None
+    trees: dict[str, Expr] = {}  # entry text -> its tree, for this load only
+
+    def parsed(text: str, lineno: int) -> Expr:
+        """Equal texts share one tree, an immutable value; only a successful
+        parse is kept, so an error names the first line of its text."""
+        if text not in trees:
+            try:
+                trees[text] = parse(text, ctx)
+            except (ParseError, ExprError) as exc:  # ExprError: sqrt of a negative constant
+                raise ProblemFormatError(str(exc), path, lineno) from None
+        return trees[text]
+
     param_values: dict[str, float] = {}
     for name, (lineno, source) in value_text.items():
-        expr = _parse_expr(source, ctx, path, lineno)
+        expr = parsed(source, lineno)
         refs = sorted(g.name for g in collect_refs(expr))
         if refs:
             raise ProblemFormatError(
@@ -231,7 +237,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         return [(k, printed_map.get(k, v) if printed else v) for k, v in out.items()]
 
     rows = {"equations": entries("equations")}  # section -> its entries, for the lines
-    equations = [(k, _parse_expr(v, ctx, path, n)) for k, (n, v) in rows["equations"]]
+    equations = [(k, parsed(v, n)) for k, (n, v) in rows["equations"]]
 
     evolution: dict[str, Expr] = {}
     rows["evolution"] = entries("evolution")
@@ -240,7 +246,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             raise ProblemFormatError(
                 f"evolution key {key!r} must be <dependent>_{time}", path, lineno
             )
-        evolution[key[:-2]] = _parse_expr(value, ctx, path, lineno)
+        evolution[key[:-2]] = parsed(value, lineno)
     try:
         system = PDESystem.build(ctx, equations, evolution)
     except EntryError as exc:
@@ -285,9 +291,9 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             raise ProblemFormatError(str(ve), path) from None
         return fieldv
 
-    multipliers = _indexed(entries("multipliers"), _PAIR_RE, "multiplier pair", pair, ctx, path)
-    conserved = _indexed(entries("conserved"), _VEC_RE, "conserved vector", vector, ctx, path)
-    symmetries = _indexed(targeted(keyed("symmetries").items()), _SYM_RE, "symmetry", symmetry, ctx, path)
+    multipliers = _indexed(entries("multipliers"), _PAIR_RE, "multiplier pair", pair, parsed, path)
+    conserved = _indexed(entries("conserved"), _VEC_RE, "conserved vector", vector, parsed, path)
+    symmetries = _indexed(targeted(keyed("symmetries").items()), _SYM_RE, "symmetry", symmetry, parsed, path)
 
     candidates: list[SolutionCandidate] = []
     deps = [d.name for d in ctx.dependents]
@@ -323,7 +329,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
                     )
                 if any(name == cname for name, _ in constraints):
                     raise ProblemFormatError(f"duplicate constraint target {cname!r}", path, lineno)
-                cexpr = _parse_expr(cval, ctx, path, lineno)
+                cexpr = parsed(cval, lineno)
                 named = sorted(g.name for g in collect_refs(cexpr) if g not in ctx.parameters)
                 if named:  # classify binds only the parameters, in file order
                     msg = f"constraint value of {cname} may name only parameters, found {named[0]}"
@@ -340,7 +346,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
                     path,
                     lineno,
                 )
-            exprs[dname] = _parse_expr(dval, ctx, path, lineno)
+            exprs[dname] = parsed(dval, lineno)
         if set(exprs) != dep_names:
             raise ProblemFormatError(
                 "candidate must give every dependent variable", path, lineno

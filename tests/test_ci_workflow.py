@@ -1,9 +1,10 @@
 """The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
-pinned to one minor version.  Its Python 3.10 job installs pytest alone,
-runs the record, parser, problem-file, jet-calculus, association,
-symmetry and normal-form tests on the byte-compiled sources, then runs
-the exact commands and diffs their stdout against the golden files, once
-under a random hash seed and once under ``PYTHONHASHSEED=1``."""
+pinned to one minor version.  Its Python 3.10 job installs pytest and
+hypothesis alone, runs the record, parser, problem-file, jet-calculus,
+association, symmetry, normal-form and integer-route tests on the
+byte-compiled sources, then runs the exact commands and diffs their
+stdout against the golden files, once under a random hash seed and once
+under ``PYTHONHASHSEED=1``."""
 
 from __future__ import annotations
 
@@ -39,12 +40,12 @@ def test_workflow_runs_the_roadmap_tier1_command():
     assert python("exact-commands") == "3.10"
     compile_step, install_pytest, unit_tests, commands = runs("exact-commands")
     assert compile_step == "python -m compileall -q src"
-    assert install_pytest == "python -m pip install pytest"
+    assert install_pytest == "python -m pip install pytest hypothesis"
     assert unit_tests == (
         "PYTHONPATH=src python -m pytest -q "
         "tests/test_value_semantics.py tests/test_parser.py tests/test_problem_file.py "
         "tests/test_jet_calculus.py tests/test_association.py tests/test_symmetries.py "
-        "tests/test_normalize.py"
+        "tests/test_normalize.py tests/test_integral_forms.py"
     )
     assert "numpy" not in commands and "--printed-variants" in commands
     assert "/dev/null" not in commands

@@ -10,7 +10,7 @@ import pytest
 import nlseverify
 from nlseverify.cli import main
 from nlseverify.exprs import Context, render
-from nlseverify.parse import MAX_DEPTH
+from nlseverify.parse import MAX_DEPTH, parse
 from nlseverify.problem import ProblemFormatError, bundled_problem_text, load_problem, load_problem_text
 
 MINIMAL = """\
@@ -107,6 +107,23 @@ def test_minimal_problem_loads():
     assert prob.candidates == ()
 
 
+def test_each_distinct_entry_text_is_parsed_once_per_load(monkeypatch):
+    import nlseverify.problem as problem_module
+
+    texts = []
+
+    def counted(text, ctx):
+        texts.append(text)
+        return parse(text, ctx)
+
+    monkeypatch.setattr(problem_module, "parse", counted)
+    loaded = [load_problem(), load_problem()]
+    # each load parses every distinct text once: no memo outlives a load
+    assert len(texts) == 2 * len(set(texts)) and texts.count("sqrt(eps)") == 2
+    case1, case2 = (p.candidates[0].fields["u"] for p in loaded)
+    assert case1 is loaded[0].candidates[4].fields["u"] and case1 is not case2
+
+
 def expect_error(text, fragment):
     with pytest.raises(ProblemFormatError) as info:
         load_problem_text(text, "<test>")
@@ -158,14 +175,22 @@ def test_first_independent_is_time():
 
 
 def test_inconsistent_evolution_is_wrapped():
-    expect_error(
+    # each refusal names the line of the entry it refuses
+    err = expect_error(
         MINIMAL.replace("u_t = -beta*u_x", "u_t = beta*u_x"),
         "does not solve equation g1",
     )
-    expect_error(
+    assert str(err).startswith("<test>:12: ") and err.lineno == 12
+    err = expect_error(
         MINIMAL.replace("u_t = -beta*u_x", "u_t = -beta*u_t"),
         "time",
     )
+    assert str(err).startswith("<test>:15: ") and err.lineno == 15
+    bundled = bundled_problem_text()
+    err = expect_error(bundled.replace("u_t = -beta*u_x", "u_t = -2*beta*u_x"), "equation g1")
+    assert str(err).startswith("<test>:24: ")
+    err = expect_error(bundled.replace("u_t = -beta*u_x", "u_t = -beta*u_tx"), "u_tx")
+    assert str(err) == "<test>:28: evolution rule for u contains the time derivative u_tx"
     expect_error(MINIMAL.replace("u_t = -beta*u_x", "q_t = u"), "evolution key")
     expect_error(TWO_DEP.replace("v_t = -beta*v_x\n", ""), "no evolution rule for v")
 
