@@ -58,47 +58,28 @@ class DeclarationError(ValueError):
 class Frozen:
     """Immutable instances whose class declares its fields once.
 
-    ``_fields`` names the fields in order and ``_defaults`` gives the
-    value of each field that may be left out; every instance shares that
-    value, so it must be immutable.  ``__init__`` takes the
-    fields positionally or by keyword and writes them into ``vars(self)``,
-    past ``__setattr__``, so a ``cached_property`` still keeps its value;
-    a field that is missing, unknown or given twice is a ``TypeError``
-    naming it.  A class with ``__slots__`` has no ``vars``: its own
+    ``_fields`` names the fields in order.  ``__init__`` takes every field
+    positionally and writes them into ``vars(self)``, past
+    ``__setattr__``, so a ``cached_property`` still keeps its value; a
+    wrong count is a ``TypeError`` naming the fields, and a keyword is
+    Python's own.  A class with ``__slots__`` has no ``vars``: its own
     ``__init__`` writes through ``object.__setattr__``.  Assigning or
     deleting an attribute later raises.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: Mapping[str, object] = {}
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         fields = self._fields
-        # Normal forms and atoms are built in the hot loops, every field positional.
-        if kwargs or len(args) != len(fields):
-            args = self._complete(args, kwargs)
+        if len(args) != len(fields):
+            raise self._arity_error(args)
         vars(self).update(zip(fields, args))
 
     @classmethod
-    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
-        """Every field's value in declared order, from positional and
-        keyword arguments and the defaults."""
-        fields, defaults, name = cls._fields, cls._defaults, cls.__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} fields {fields}, got {len(args)}")
-        given = dict(zip(fields, args))
-        for field, value in kwargs.items():
-            if field not in fields:
-                raise TypeError(f"{name}() got an unknown field {field!r}")
-            if field in given:
-                raise TypeError(f"{name}() got field {field!r} twice")
-            given[field] = value
-        values = {**defaults, **given}
-        for field in fields:
-            if field not in values:
-                raise TypeError(f"{name}() missing field {field!r}")
-        return tuple(values[field] for field in fields)
+    def _arity_error(cls, args: tuple) -> TypeError:
+        fields = cls._fields
+        return TypeError(f"{cls.__name__}() takes {len(fields)} fields {fields}, got {len(args)}")
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -143,7 +124,8 @@ _set = object.__setattr__  # how a slotted __init__ writes past Frozen.__setattr
 class Interned(Frozen):
     """A record of which at most one object lives per field tuple.
 
-    ``__new__`` takes the fields as ``Frozen.__init__`` does and returns
+    ``__new__`` takes every field positionally, as ``Frozen.__init__``
+    does, with the same ``TypeError`` for a wrong count, and returns
     the live object with those fields from the class's ``_table``, or
     builds one, with the derived data that ``_derive`` computes once; each
     has its ``key``, its place in the order of generators.  Equal fields
@@ -162,9 +144,9 @@ class Interned(Frozen):
     def __init_subclass__(cls) -> None:
         cls._table = weakref.WeakValueDictionary()
 
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._fields):
-            args = cls._complete(args, kwargs)
+    def __new__(cls, *args):
+        if len(args) != len(cls._fields):
+            raise cls._arity_error(args)
         self = cls._table.get(args)
         if self is None:
             self = object.__new__(cls)
@@ -602,26 +584,18 @@ def _negate(a, _, out=None):
     return -a if out is None else sys.modules["numpy"].negative(a, out)
 
 
-class Program:
+class Program(Frozen):
     """Expressions compiled by :func:`compile_numeric`, evaluated by :meth:`run`.
 
     The registers are the inputs, in the order of ``inputs``, followed by
     ``registers``: the compile-time constants, and None for each instruction
-    result.  Each instruction ``(fn, dest, a, b, dead)`` stores
+    result.  Each instruction ``(fn, dest, a, b, dead)`` of ``code`` stores
     ``fn(reg[a], reg[b])`` in ``reg[dest]`` and then clears the registers in
-    ``dead``, whose last use it was.
+    ``dead``, whose last use it was.  ``outputs`` holds the register of each
+    expression.
     """
 
-    __slots__ = ("inputs", "registers", "code", "outputs")
-
-    def __init__(
-        self,
-        inputs: tuple[Gen, ...],
-        registers: tuple,
-        code: tuple[tuple, ...],
-        outputs: tuple[int, ...],  # the register of each expression
-    ) -> None:
-        self.inputs, self.registers, self.code, self.outputs = inputs, registers, code, outputs
+    _fields = ("inputs", "registers", "code", "outputs")
 
     def run(self, values) -> list:
         """The compiled expressions' values, one per expression, given one

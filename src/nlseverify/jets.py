@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .exprs import (
@@ -72,7 +71,6 @@ from .normal import (
 )
 
 _UNIT: Form = {frozenset(): 1}
-_NO_COEFFICIENTS: Mapping[str, Expr] = MappingProxyType({})  # omitted xi or eta: all zero
 
 
 class ProlongationError(ExprError):
@@ -363,7 +361,6 @@ class VectorField(Frozen):
     """
 
     _fields = ("label", "xi", "eta")
-    _defaults = {"xi": _NO_COEFFICIENTS, "eta": _NO_COEFFICIENTS}
 
     def validate(self, ctx: Context) -> None:
         indep = {v.name for v in ctx.independents}

@@ -203,7 +203,7 @@ def _rewritten(m: frozenset) -> Form:
             # (1 - cos(A)^2) / sin(A)^2, once per square taken out
             ratio = {
                 frozenset({(g, -2)}): 1,
-                frozenset({(g, -2), (Atom("cos", g.arg), 2)}): Fraction(-1),
+                frozenset({(g, -2), (Atom("cos", g.arg), 2)}): -1,
             }
             out = mul_forms(out, pow_form(ratio, k // 2))
     return out

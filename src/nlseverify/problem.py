@@ -61,6 +61,8 @@ _SECTIONS = (
 
 _REQUIRED = ("independents", "dependents", "equations", "evolution")
 
+_PRINTABLE = ("equations", "evolution", "multipliers", "conserved")  # what [printed] may respell
+
 
 class ProblemFormatError(Exception):
     def __init__(self, message: str, path: str, lineno: int | None = None) -> None:
@@ -223,25 +225,23 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         raise ProblemFormatError("[independents] must list exactly two variables, time first", path)
     time = ctx.independents[0].name
 
-    def keyed(section: str) -> dict[str, tuple[int, str]]:
-        return _keyed(sections.get(section, []), path)
-
-    printed_map = keyed("printed")
-    overridable: set[str] = set()
+    # section -> key -> (lineno, value), filled as each section is read
+    rows: dict[str, dict[str, tuple[int, str]]] = {}
 
     def entries(section: str):
-        """The section's (key, (lineno, value)) entries, with the [printed]
-        spelling swapped in when loading printed; records each key seen."""
-        out = keyed(section)
-        overridable.update(out)
-        return [(k, printed_map.get(k, v) if printed else v) for k, v in out.items()]
+        """The section's (key, (lineno, value)) entries, kept in ``rows``;
+        in a printable section the [printed] spelling is swapped in when
+        loading printed."""
+        row = rows[section] = _keyed(sections.get(section, []), path)
+        if printed and section in _PRINTABLE:
+            row.update((k, v) for k, v in rows["printed"].items() if k in row)
+        return row.items()
 
-    rows = {"equations": entries("equations")}  # section -> its entries, for the lines
-    equations = [(k, parsed(v, n)) for k, (n, v) in rows["equations"]]
+    entries("printed")  # first: its spellings are swapped into the sections read below
+    equations = [(k, parsed(v, n)) for k, (n, v) in entries("equations")]
 
     evolution: dict[str, Expr] = {}
-    rows["evolution"] = entries("evolution")
-    for key, (lineno, value) in rows["evolution"]:
+    for key, (lineno, value) in entries("evolution"):
         if not key.endswith(f"_{time}") or ctx.lookup(key[:-2]) not in ctx.dependents:
             raise ProblemFormatError(
                 f"evolution key {key!r} must be <dependent>_{time}", path, lineno
@@ -250,7 +250,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     try:
         system = PDESystem.build(ctx, equations, evolution)
     except EntryError as exc:
-        lineno = dict(rows[exc.section])[exc.key][0]
+        lineno = rows[exc.section][exc.key][0]
         raise ProblemFormatError(str(exc), path, lineno) from None
     except (ValueError, ExprError) as exc:
         raise ProblemFormatError(str(exc), path) from None
@@ -293,7 +293,7 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
 
     multipliers = _indexed(entries("multipliers"), _PAIR_RE, "multiplier pair", pair, parsed, path)
     conserved = _indexed(entries("conserved"), _VEC_RE, "conserved vector", vector, parsed, path)
-    symmetries = _indexed(targeted(keyed("symmetries").items()), _SYM_RE, "symmetry", symmetry, parsed, path)
+    symmetries = _indexed(targeted(entries("symmetries")), _SYM_RE, "symmetry", symmetry, parsed, path)
 
     candidates: list[SolutionCandidate] = []
     deps = [d.name for d in ctx.dependents]
@@ -359,24 +359,17 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             raise ProblemFormatError(str(ve), path, lineno) from None
         candidates.append(cand)
 
-    reduced_notes = {key: value for key, (_, value) in keyed("reduced").items()}
+    reduced_notes = {key: value for key, (_, value) in entries("reduced")}
 
-    for key, (lineno, _) in printed_map.items():
-        if key not in overridable:
+    for key, (lineno, _) in rows["printed"].items():
+        if not any(key in rows[section] for section in _PRINTABLE):
             raise ProblemFormatError(
                 f"printed entry {key!r} overrides nothing", path, lineno
             )
 
     return Problem(
-        path=path,
-        ctx=ctx,
-        system=system,
-        multipliers=tuple(multipliers),
-        conserved=tuple(conserved),
-        symmetries=tuple(symmetries),
-        candidates=tuple(candidates),
-        reduced_notes=reduced_notes,
-        param_values=param_values,
+        path, ctx, system, tuple(multipliers), tuple(conserved), tuple(symmetries),
+        tuple(candidates), reduced_notes, param_values,
     )
 
 

@@ -235,7 +235,6 @@ class SolutionCandidate(Frozen):
     parameter constraints of its case."""
 
     _fields = ("label", "constraints", "fields", "suspect")
-    _defaults = {"suspect": False}
 
     @property
     def case(self) -> str:
@@ -254,8 +253,7 @@ class SolutionCandidate(Frozen):
 
 
 class DrawResult(Frozen):
-    _fields = ("params", "eq_residual", "reduced_residual", "verdict", "cause")
-    _defaults = {"cause": ""}  # cause: why a "fail" draw failed
+    _fields = ("params", "eq_residual", "reduced_residual", "verdict", "cause")  # cause: why a "fail" draw failed
 
 
 class CandidateReport(Frozen):

@@ -84,7 +84,7 @@ def test_acceptance_3_symmetry_invariance(capsys, problem, system):
             res = symmetry_invariance(system, fieldv)
             assert set(res) == {"g1", "g2"}
             assert all(nf.is_zero for nf in res.values()), fieldv.label
-        broken = VectorField("broken", eta={"u": var(system.ctx["u"])})
+        broken = VectorField("broken", {}, {"u": var(system.ctx["u"])})
         res = symmetry_invariance(system, broken)
         assert not all(nf.is_zero for nf in res.values())
 
@@ -223,8 +223,8 @@ def test_acceptance_8_calculus_invariants(capsys, problem):
         x4, x5 = problem.symmetries[3], problem.symmetries[4]
         combined = VectorField(
             "x4-plus-x5",
-            xi={n: add(x4.xi.get(n, 0), x5.xi.get(n, 0)) for n in ("t", "x")},
-            eta={n: add(x4.eta.get(n, 0), x5.eta.get(n, 0)) for n in ("u", "v")},
+            {n: add(x4.xi.get(n, 0), x5.xi.get(n, 0)) for n in ("t", "x")},
+            {n: add(x4.eta.get(n, 0), x5.eta.get(n, 0)) for n in ("u", "v")},
         )
         p4 = prolong(x4, 2, pctx)
         p5 = prolong(x5, 2, pctx)

@@ -1,8 +1,8 @@
 """The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
 pinned to one minor version.  Its Python 3.10 job installs pytest and
 hypothesis alone, runs the record, parser, problem-file, jet-calculus,
-association, symmetry, normal-form and integer-route tests on the
-byte-compiled sources, then runs the exact commands and diffs their
+association, symmetry, normal-form, integer-route, conservation-law,
+reduce-variant and time-name tests on the byte-compiled sources, then runs the exact commands and diffs their
 stdout against the golden files, once under a random hash seed and once
 under ``PYTHONHASHSEED=1``."""
 
@@ -45,7 +45,8 @@ def test_workflow_runs_the_roadmap_tier1_command():
         "PYTHONPATH=src python -m pytest -q "
         "tests/test_value_semantics.py tests/test_parser.py tests/test_problem_file.py "
         "tests/test_jet_calculus.py tests/test_association.py tests/test_symmetries.py "
-        "tests/test_normalize.py tests/test_integral_forms.py"
+        "tests/test_normalize.py tests/test_integral_forms.py tests/test_conservation.py "
+        "tests/test_reduce_variants.py tests/test_time_name.py"
     )
     assert "numpy" not in commands and "--printed-variants" in commands
     assert "/dev/null" not in commands

@@ -127,7 +127,7 @@ def test_substitute_jets_is_simultaneous(ctx6):
 def test_prolongation_classic_coefficients(problem):
     ctx = problem.ctx
     u, x = ctx["u"], ctx["x"]
-    scaling = VectorField("scale-x", xi={"x": var(x)})
+    scaling = VectorField("scale-x", {"x": var(x)}, {})
     prol = prolong(scaling, 2, ctx)
 
     def coefficient(p, word):
@@ -136,7 +136,7 @@ def test_prolongation_classic_coefficients(problem):
     assert coefficient(prol, "x") == normalize(ctx.parse("-u_x"))
     assert coefficient(prol, "xx") == normalize(ctx.parse("-2*u_xx"))
 
-    vertical = VectorField("vert-u", eta={"u": var(u)})
+    vertical = VectorField("vert-u", {}, {"u": var(u)})
     pv = prolong(vertical, 2, ctx)
     assert coefficient(pv, "x") == normalize(ctx.parse("u_x"))
     assert coefficient(pv, "tx") == normalize(ctx.parse("u_tx"))
@@ -209,7 +209,7 @@ def test_prolongation_is_linear(problem):
     eta = {
         n.name: add(x4.eta.get(n.name, 0), x5.eta.get(n.name, 0)) for n in ctx.dependents
     }
-    combined = VectorField("x4-plus-x5", xi=xi, eta=eta)
+    combined = VectorField("x4-plus-x5", xi, eta)
     p4 = prolong(x4, 2, ctx)
     p5 = prolong(x5, 2, ctx)
     pc = prolong(combined, 2, ctx)
@@ -273,8 +273,8 @@ def test_system_build_rejects_inconsistent_evolution():
 def test_vector_field_validation(problem):
     ctx = problem.ctx
     with pytest.raises(ValueError):
-        VectorField("bad", xi={"t": ctx.parse("u_x")}).validate(ctx)
+        VectorField("bad", {"t": ctx.parse("u_x")}, {}).validate(ctx)
     with pytest.raises(ValueError):
-        VectorField("bad", eta={"u": ctx.parse("u_xx")}).validate(ctx)
+        VectorField("bad", {}, {"u": ctx.parse("u_xx")}).validate(ctx)
     with pytest.raises(ValueError):
-        VectorField("bad", eta={"q": ctx.parse("u")}).validate(ctx)
+        VectorField("bad", {}, {"q": ctx.parse("u")}).validate(ctx)

@@ -89,8 +89,8 @@ def test_prolongation_is_linear_in_the_field(problem, pair):
     a, b = (problem.symmetries[i] for i in pair)
     summed = VectorField(
         "sum",
-        xi={n: add(a.xi.get(n, 0), b.xi.get(n, 0)) for n in ("t", "x")},
-        eta={n: add(a.eta.get(n, 0), b.eta.get(n, 0)) for n in ("u", "v")},
+        {n: add(a.xi.get(n, 0), b.xi.get(n, 0)) for n in ("t", "x")},
+        {n: add(a.eta.get(n, 0), b.eta.get(n, 0)) for n in ("u", "v")},
     )
     pa, pb, ps = (prolong(f, 2, ctx) for f in (a, b, summed))
     rng = random.Random(sum(pair))

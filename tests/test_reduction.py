@@ -156,7 +156,7 @@ def test_factorization_checks_the_reported_factors(ode, factor):
         "equation_subs": ode.equation_subs,
     }
     fields[factor] = normalize(add(getattr(ode, factor).to_expr(), const(1)))
-    wrong = ReducedODE(**fields)
+    wrong = ReducedODE(*fields.values())
     residuals = wrong.factorization_residuals()
     assert set(residuals) == {"combination", "g1", "g2"}
     assert not any(nf.is_zero for nf in residuals.values())
@@ -343,7 +343,7 @@ def _values(e, ctx, jets=None):
 
 def test_candidate_bindings_reject_implicit_forms(problem):
     ctx = problem.ctx
-    bad = SolutionCandidate("loop", (), {"u": ctx.parse("v"), "v": ctx.parse("0")})
+    bad = SolutionCandidate("loop", (), {"u": ctx.parse("v"), "v": ctx.parse("0")}, False)
     with pytest.raises(ValueError):
         candidate_jets(bad, problem.system)
 

@@ -17,7 +17,7 @@ def test_generators_leave_system_invariant(problem, system, idx):
 
 
 def test_broken_generator_is_rejected(problem, system):
-    broken = VectorField("broken", eta={"u": var(problem.ctx["u"])})
+    broken = VectorField("broken", {}, {"u": var(problem.ctx["u"])})
     res = symmetry_invariance(system, broken)
     assert any(not nf.is_zero for nf in res.values())
 

@@ -9,10 +9,10 @@ makes one object per jet, and the generators of two contexts are that
 same object.  Every immutable record refuses to have a field assigned or
 deleted, and ``Grid`` checks its arguments with the same messages.
 
-A record that declares its fields is built from them, positionally or by
-keyword, with its declared defaults; a missing, unknown or repeated field
-is a ``TypeError`` that names it.  Every other ``Value`` hashes as the
-tuple of its fields.
+A record that declares its fields is built from all of them, given
+positionally: a wrong count is one ``TypeError`` that names the fields,
+the same for every kind of record, and a keyword is Python's own
+``TypeError``.  Every other ``Value`` hashes as the tuple of its fields.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ from nlseverify.exprs import (
     JetVar,
     Pow,
     Prod,
+    Program,
     Sum,
     Value,
     Var,
     VarId,
+    compile_numeric,
 )
 from nlseverify.jets import VectorField, prolong
 from nlseverify.normal import Atom, normalize
@@ -186,7 +188,7 @@ def frozen_values(problem):
     nf = normalize(ctx.parse("sin(u)*u_x"))
     atom = next(g for m, _ in nf.terms for g, _ in m if isinstance(g, Atom))
     transform = build_canonical_transform(system)
-    draw = DrawResult({"beta": 1.0}, 0.0, 0.0, "pass")
+    draw = DrawResult({"beta": 1.0}, 0.0, 0.0, "pass", "")
     return [
         (ctx["u"], "name"),
         (ctx.jet("u", "x"), "suffix"),
@@ -209,6 +211,7 @@ def frozen_values(problem):
         (draw, "verdict"),
         (CandidateReport(problem.candidates[0], (draw,), "pass"), "verdict"),
         (problem, "path"),
+        (compile_numeric([ctx.parse("u + 1")], {}, [ctx["u"]]), "code"),
         (Grid(16, 1.0), "n"),
         (Record("a", "b", "c", "d", "e"), "verdict"),
     ]
@@ -216,7 +219,7 @@ def frozen_values(problem):
 
 def test_frozen_classes_refuse_assignment(problem):
     values = frozen_values(problem)
-    assert len({type(value) for value, _ in values}) == 23
+    assert len({type(value) for value, _ in values}) == 24
     for value, field in values:
         before = getattr(value, field)
         with pytest.raises(AttributeError):
@@ -249,9 +252,10 @@ def fields_of(value) -> list:
     return [getattr(value, field) for field in value._fields]
 
 
-def test_thirteen_records_are_built_from_their_declared_fields(problem):
-    """Twelve by ``Frozen.__init__``; the interned ``Atom`` by its
-    ``__new__``, which gives back the one object with those fields."""
+def test_fourteen_records_are_built_from_their_declared_fields(problem):
+    """Thirteen by ``Frozen.__init__``; the interned ``Atom`` by its
+    ``__new__``, which gives back the one object with those fields.  Every
+    field is given positionally; a keyword is Python's own ``TypeError``."""
     values = [
         value
         for value, _ in frozen_values(problem)
@@ -259,30 +263,30 @@ def test_thirteen_records_are_built_from_their_declared_fields(problem):
     ]
     assert sorted(type(v).__name__ for v in values) == sorted(
         "Atom PolyNF PDESystem MultiplierPair ConservedVector VectorField ProlongedField CanonicalTransform "
-        "ReducedODE SolutionCandidate DrawResult CandidateReport Problem".split()
+        "ReducedODE SolutionCandidate DrawResult CandidateReport Problem Program".split()
     )
     for value in values:
         cls, fields = type(value), fields_of(value)
-        by_position = cls(*fields)
-        by_keyword = cls(**dict(zip(cls._fields, fields)))
-        mixed = cls(fields[0], **dict(zip(cls._fields[1:], fields[1:])))
-        for built in (by_position, by_keyword, mixed):
-            if isinstance(value, Interned):
-                assert built is value
-            else:
-                assert list(vars(built)) == list(cls._fields)
-            assert all(a is b for a, b in zip(fields_of(built), fields, strict=True)), cls.__name__
+        built = cls(*fields)
+        if isinstance(value, Interned):
+            assert built is value
+        else:
+            assert list(vars(built)) == list(cls._fields)
+        assert all(a is b for a, b in zip(fields_of(built), fields, strict=True)), cls.__name__
+        with pytest.raises(TypeError, match=r"^\w+\.__(init|new)__\(\) got an unexpected keyword argument"):
+            cls(*fields[1:], **{cls._fields[0]: fields[0]})
 
 
-def test_declared_defaults_apply(problem):
+def test_every_declared_field_is_required(problem):
+    """No field has a default: leaving any out is the arity ``TypeError``."""
     cand = problem.candidates[0]
-    assert SolutionCandidate(cand.label, cand.constraints, cand.fields).suspect is False
-    assert DrawResult({}, 0.0, 0.0, "pass").cause == ""
-    field = VectorField("none")
+    message = "VectorField() takes 3 fields ('label', 'xi', 'eta'), got 1"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        VectorField("none")
+    with pytest.raises(TypeError, match=r"^SolutionCandidate\(\) takes 4 fields .*, got 3$"):
+        SolutionCandidate(cand.label, cand.constraints, cand.fields)
+    field = VectorField("none", {}, {})
     assert field.xi == {} and field.eta == {} and field.forms == {}
-    with pytest.raises(TypeError):
-        field.xi["t"] = Const(Fraction(1))
-    assert VectorField("none").xi == {}
 
 
 def test_cached_properties_keep_their_value_on_declared_records(problem):
@@ -292,23 +296,41 @@ def test_cached_properties_keep_their_value_on_declared_records(problem):
     assert rebuilt.forms is rebuilt.forms and rebuilt.forms == pair.forms
 
 
+DRAW_ARITY = "DrawResult() takes 5 fields ('params', 'eq_residual', 'reduced_residual', 'verdict', 'cause'), got "
+
+
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [
-        (("pass",), {}, "DrawResult() missing field 'eq_residual'"),
-        (({}, 0.0, 0.0), {}, "DrawResult() missing field 'verdict'"),
-        (({}, 0.0, 0.0, "pass"), {"note": ""}, "DrawResult() got an unknown field 'note'"),
-        (({}, 0.0), {"eq_residual": 1.0}, "DrawResult() got field 'eq_residual' twice"),
-        (
-            ({}, 0.0, 0.0, "pass", "", "extra"),
-            {},
-            "DrawResult() takes 5 fields ('params', 'eq_residual', 'reduced_residual', 'verdict', 'cause'), got 6",
-        ),
+        ((), {}, DRAW_ARITY + "0"),
+        (("pass",), {}, DRAW_ARITY + "1"),
+        (({}, 0.0, 0.0), {}, DRAW_ARITY + "3"),
+        (({}, 0.0, 0.0, "pass"), {}, DRAW_ARITY + "4"),  # cause, too, must be given
+        (({}, 0.0, 0.0, "pass", "", "extra"), {}, DRAW_ARITY + "6"),
+        (({}, 0.0, 0.0, "pass"), {"cause": ""}, "Frozen.__init__() got an unexpected keyword argument 'cause'"),
     ],
 )
 def test_a_missing_unknown_or_repeated_field_is_a_type_error(args, kwargs, message):
+    """Too few fields or too many: one ``TypeError`` naming them all.  A
+    field given by keyword is unknown: Python's own ``TypeError``."""
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         DrawResult(*args, **kwargs)
+
+
+def test_one_arity_message_for_every_kind_of_record(problem):
+    """``Frozen``, ``Interned``, ``Value`` and ``Program`` share the message
+    of a wrong count."""
+    nf = normalize(problem.ctx.parse("u"))
+    for cls, args in (
+        (DrawResult, ({},)),
+        (VarId, (DEPENDENT,)),
+        (type(nf), (nf.terms, None)),
+        (Program, ((), ())),
+    ):
+        fields = cls._fields
+        message = f"{cls.__name__}() takes {len(fields)} fields {fields}, got {len(args)}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cls(*args)
 
 
 def test_every_value_hashes_as_its_field_tuple(problem):
