@@ -36,11 +36,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _join(parts: dict[str, PolyNF]) -> str:
-    bad = {k: v for k, v in parts.items() if not v.is_zero}
-    if not bad:
-        return "0"
-    return "; ".join(f"{k}: {render(v.to_expr())}" for k, v in bad.items())
+def _check(
+    rep: Report, check_id: str, subject: str, residual, anchor: str, verdicts=("pass", "fail")
+) -> None:
+    """One exact record: the first of ``verdicts`` when every residual is zero.
+    A dict's nonzero forms print as ``label: expr``, a lone ``PolyNF`` as
+    ``expr`` (it is one part with no label), joined by ``; ``, else ``0``."""
+    parts = {"": residual} if isinstance(residual, PolyNF) else residual
+    bad = {k: render(v.to_expr()) for k, v in parts.items() if not v.is_zero}
+    text = "; ".join(f"{k}: {expr}" if k else expr for k, expr in bad.items()) or "0"
+    rep.add(check_id, subject, verdicts[1] if bad else verdicts[0], text, anchor)
 
 
 def _angular(problem: Problem, command: str) -> str:
@@ -68,14 +73,16 @@ def build_parser() -> _Parser:
     p.add_argument("--json-out", metavar="PATH", help="also write records as JSON")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="multiplier, divergence, and symmetry identities")
-    sub.add_parser("associate", help="symmetry/conserved-vector association matrix")
-    sub.add_parser("reduce", help="canonical variables and the reduced profile equation")
-
-    cl = sub.add_parser("classify", help="adjudicate closed-form solution candidates")
-    cl.add_argument("--case", help="restrict to one candidate case label prefix")
-
-    sim = sub.add_parser("simulate", help="integrate and audit conserved quantities")
+    for name, report, text in (  # each command and the function that fills its report
+        ("verify", verify_report, "multiplier, divergence, and symmetry identities"),
+        ("associate", associate_report, "symmetry/conserved-vector association matrix"),
+        ("reduce", reduce_report, "canonical variables and the reduced profile equation"),
+        ("classify", classify_report, "adjudicate closed-form solution candidates"),
+        ("simulate", simulate_report, "integrate and audit conserved quantities"),
+    ):
+        sub.add_parser(name, help=text).set_defaults(report=report)
+    sub.choices["classify"].add_argument("--case", help="restrict to one candidate case label prefix")
+    sim = sub.choices["simulate"]
     sim.add_argument("--N", type=int, default=256, help="grid points (power of two, >= 16)")
     sim.add_argument("--dt", type=float, default=1e-3, help="time step")
     sim.add_argument("--T", type=float, default=1.0, help="time horizon")
@@ -94,60 +101,50 @@ def build_parser() -> _Parser:
     return p
 
 
-def verify_report(problem: Problem) -> Report:
-    rep = Report("verify")
+def verify_report(rep: Report, problem: Problem, args: argparse.Namespace) -> None:
     system = problem.system
     for pair in problem.multipliers:
-        res = multiplier_condition(system, pair)
-        ok = all(v.is_zero for v in res.values())
-        rep.add(
+        _check(
+            rep,
             f"verify.multiplier.{pair.label}",
             pair.label,
-            "pass" if ok else "fail",
-            _join({f"E_{k}": v for k, v in res.items()}),
+            {f"E_{k}": v for k, v in multiplier_condition(system, pair).items()},
             "E_w[q1*g1 + q2*g2] = 0 for each dependent w",
         )
     for pair, vec in zip(problem.multipliers, problem.conserved):
-        nf = divergence_match(system, pair, vec)
-        rep.add(
+        _check(
+            rep,
             f"verify.divergence.{pair.label}.{vec.label}",
             f"{pair.label},{vec.label}",
-            "pass" if nf.is_zero else "fail",
-            render(nf.to_expr()),
+            divergence_match(system, pair, vec),
             "D_t[T^t] + D_x[T^x] - (q1*g1 + q2*g2) = 0",
         )
     for fieldv in problem.symmetries:
-        res = symmetry_invariance(system, fieldv)
-        ok = all(v.is_zero for v in res.values())
-        rep.add(
+        _check(
+            rep,
             f"verify.symmetry.{fieldv.label}",
             fieldv.label,
-            "pass" if ok else "fail",
-            _join(res),
+            symmetry_invariance(system, fieldv),
             "pr(X)[g] = 0 modulo the evolution form",
         )
-    return rep
 
 
-def associate_report(problem: Problem) -> Report:
-    rep = Report("associate")
+def associate_report(rep: Report, problem: Problem, args: argparse.Namespace) -> None:
     vectors = problem.conserved
     for fieldv in problem.symmetries if vectors else ():
         prol = prolong(fieldv, max(vec.order for vec in vectors), problem.ctx)
         for vec in vectors:
-            res = association_residual(problem.system, prol, vec)
-            ok = all(v.is_zero for v in res.values())
-            rep.add(
+            _check(
+                rep,
                 f"associate.{fieldv.label}.{vec.label}",
                 f"{fieldv.label},{vec.label}",
-                "associated" if ok else "not-associated",
-                _join(res),
+                association_residual(problem.system, prol, vec),
                 "pr(X)[T] + T*div(xi) - T.(D xi) = 0 modulo the evolution form",
+                ("associated", "not-associated"),
             )
-    return rep
 
 
-def reduce_report(problem: Problem) -> Report:
+def reduce_report(rep: Report, problem: Problem, args: argparse.Namespace) -> None:
     if len(problem.ctx.dependents) != 2:
         raise UsageError("reduce needs exactly two dependents, the real and imaginary part")
     angular = _angular(problem, "reduce")
@@ -156,14 +153,12 @@ def reduce_report(problem: Problem) -> Report:
         tr = build_canonical_transform(system)
     except ValueError as exc:  # a file name taken by the reduced variables
         raise UsageError(f"reduce: {exc}; r, s, w, p name the reduced variables") from None
-    rep = Report("reduce")
-    det_gap = normalize(accumulate(tr.jac_det, {frozenset(): 1}, -1))
     time_space = f"{system.time.name},{system.space.name}"
-    rep.add(
+    _check(
+        rep,
         "reduce.jacobian",
         f"({time_space})->(s,r)",
-        "pass" if det_gap.is_zero else "fail",
-        render(det_gap.to_expr()),
+        normalize(accumulate(tr.jac_det, {frozenset(): 1}, -1)),
         f"det[D({time_space})/D(s,r)] = 1",
     )
     by_label = {vec.label: vec for vec in problem.conserved}
@@ -207,35 +202,27 @@ def reduce_report(problem: Problem) -> Report:
             "second factor of the reduced profile equation",
         )
         fres = ode.factorization_residuals()
-        rep.add(
+        _check(
+            rep,
             "reduce.factorization",
             ",".join(sorted(fres)),
-            "pass" if all(v.is_zero for v in fres.values()) else "fail",
-            _join(fres),
+            fres,
             "substituted system is an invertible rotation of the two factors",
         )
-    for key in sorted(problem.reduced_notes):
-        rep.add(
-            f"reduce.printed.{key}",
-            key,
-            "info",
-            problem.reduced_notes[key],
-            "as printed; not parsed",
-        )
-    return rep
+    for key, note in sorted(problem.reduced_notes.items()):
+        rep.add(f"reduce.printed.{key}", key, "info", note, "as printed; not parsed")
 
 
-def classify_report(problem: Problem, seed: int, case: str | None) -> Report:
-    rep = Report("classify")
+def classify_report(rep: Report, problem: Problem, args: argparse.Namespace) -> None:
     cands = problem.candidates
-    if case is not None:
-        cands = tuple(c for c in cands if c.case == case)
+    if args.case is not None:
+        cands = tuple(c for c in cands if c.case == args.case)
         if not cands:
-            raise UsageError(f"no candidates in case {case!r}")
+            raise UsageError(f"no candidates in case {args.case!r}")
     if not cands:
-        return rep
+        return
     angular = _angular(problem, "classify")
-    for cr in classify(problem.system, cands, seed=seed):
+    for cr in classify(problem.system, cands, seed=args.seed):
         causes = [d.cause for d in cr.draws if d.cause]
         eq_max = max(d.eq_residual for d in cr.draws)
         ang_max = max(d.reduced_residual for d in cr.draws)
@@ -246,14 +233,12 @@ def classify_report(problem: Problem, seed: int, case: str | None) -> Report:
             causes[0] if causes else f"eq={eq_max:.3e},angular={ang_max:.3e}",
             f"max|g_a| and max|{angular}| over seeded draws and sample points",
         )
-    return rep
 
 
 CASE1_EXACT = "case1-linear-phase"  # the candidate that --init case1-exact starts from
 
 
-def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
-    rep = Report("simulate")
+def simulate_report(rep: Report, problem: Problem, args: argparse.Namespace) -> None:
     deps = [d.name for d in problem.ctx.dependents]
     if len(deps) != 2:
         raise UsageError(
@@ -303,12 +288,12 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
             numerics.run(state, system, params, args.dt, steps, audit, args.sample_every)
         except numerics.BlowupError as be:
             rep.add("simulate.blowup", args.init, "fail", str(be), "bounded trajectory")
-            return rep
+            return
         except EvalDomainError as exc:
             rep.add(
                 "simulate.domain", args.init, "fail", str(exc), "rules defined along the trajectory"
             )
-            return rep
+            return
         except UnboundGeneratorError as exc:  # the densities were sampled above
             raise UsageError(f"cannot evaluate the [evolution] rules: {exc}") from None
         series = audit.series
@@ -323,7 +308,6 @@ def simulate_report(problem: Problem, args: argparse.Namespace) -> Report:
             )
     if args.csv_out:
         _write(args.csv_out, series.to_csv(), "--csv-out")
-    return rep
 
 
 def _write(path: str, text: str, option: str) -> None:
@@ -339,16 +323,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         problem = load_problem(args.problem, printed=args.printed_variants)
-        if args.command == "verify":
-            rep = verify_report(problem)
-        elif args.command == "associate":
-            rep = associate_report(problem)
-        elif args.command == "reduce":
-            rep = reduce_report(problem)
-        elif args.command == "classify":
-            rep = classify_report(problem, args.seed, args.case)
-        else:
-            rep = simulate_report(problem, args)
+        rep = Report(args.command)
+        args.report(rep, problem, args)
         if args.json_out:
             _write(args.json_out, rep.to_json(), "--json-out")
     except (ProblemFormatError, OSError, UsageError, ExprError) as exc:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exprs import (
     DEPENDENT,
@@ -87,26 +87,36 @@ class EntryError(ValueError):
         self.section, self.key = section, key
 
 
-def _entry_form(e: Expr, section: str, key: str) -> Form:
-    """``as_form(e)`` for the entry ``key`` of ``section``."""
+def _entry_form(e: Expr, key: str, section: str | None = None) -> Form:
+    """``as_form(e)`` for the entry ``key``.  A system's entry, in ``section``,
+    fails with an EntryError the loader places at its line; a record's entry
+    is normalized after the loader, so its error names the key instead."""
     try:
         return as_form(e)
     except NormalizationError as exc:
-        raise EntryError(str(exc), section, key) from None
+        if section:
+            raise EntryError(str(exc), section, key) from None
+        raise NormalizationError(f"{key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # calculus on working forms
 
 
-def _generators(f: Form) -> set[Gen]:
+def form_generators(f: Form) -> set[Gen]:
     """The variables and jets of the nonzero terms, inside trig atoms too."""
     out: set[Gen] = set()
     for m, c in f.items():
         if c:
             for g, _ in m:
-                out |= _generators(g.arg.form()) if isinstance(g, Atom) else {g}
+                out |= form_generators(g.arg.form()) if isinstance(g, Atom) else {g}
     return out
+
+
+def _jet_order(forms: Iterable[Form]) -> int:
+    """Highest order of a jet in ``forms``; one that cancels in a tree is not there."""
+    gens = (g for f in forms for g in form_generators(f))
+    return max((g.total_order for g in gens if isinstance(g, JetVar)), default=0)
 
 
 def derivation(f: Form, image: Callable[[Gen], Form]) -> Form:
@@ -172,7 +182,7 @@ def euler_operator(f: Form, dep: VarId, ctx: Context) -> Form:
     if dep.kind != DEPENDENT:
         raise ValueError(f"Euler operator needs a dependent variable, not {dep.name}")
     out: Form = {}
-    for g in sorted(_generators(f), key=ref_sort_key):
+    for g in sorted(form_generators(f), key=ref_sort_key):
         if g == dep or (isinstance(g, JetVar) and g.dep == dep):
             word = g.suffix if isinstance(g, JetVar) else ""
             accumulate(out, iterated_derivative(explicit_partial(f, g), word, ctx), (-1) ** len(word))
@@ -188,7 +198,7 @@ def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
     def power(g, k: int) -> Form:
         if g not in memo:
             memo[g] = images.get(g)
-            if isinstance(g, Atom) and images.keys() & _generators(g.arg.form()):
+            if isinstance(g, Atom) and images.keys() & form_generators(g.arg.form()):
                 arg = normalize(substitute_forms(g.arg.form(), images))
                 memo[g] = trig_form(g.fn, arg)
         return {frozenset({(g, k)}): 1} if memo[g] is None else pow_form(memo[g], k)
@@ -225,14 +235,14 @@ class JetTable(dict):
 def jet_table(
     ctx: Context,
     images: Mapping[Gen, Form],
-    forms: Sequence[Form],
+    generators: Iterable[Iterable[Gen]],
     derive: Callable[[Form, str], Form],
 ) -> JetTable:
-    """``images`` extended by every jet of a substituted dependent that
-    occurs in ``forms``; the image of ``u_{J,i}`` is ``derive(image of u_J, i)``."""
+    """``images`` extended by every jet of a substituted dependent in ``generators``,
+    one set per entry; the image of ``u_{J,i}`` is ``derive(image of u_J, i)``."""
     table = JetTable(ctx, images, lambda table, parent, letter: derive(table[parent], letter))
-    for f in forms:
-        for g in sorted(_generators(f), key=ref_sort_key):
+    for gens in generators:
+        for g in sorted(gens, key=ref_sort_key):
             if isinstance(g, JetVar) and g.dep in images:
                 table[g]  # derived on first request
     return table
@@ -285,17 +295,17 @@ class PDESystem(Frozen):
     @property
     def order(self) -> int:
         """Highest jet order in the equations."""
-        return max(jet_order(eq) for _, eq in self.equations)
+        return _jet_order(self.equation_forms)
 
     @cached_property
     def equation_forms(self) -> tuple[Form, ...]:
-        return tuple(_entry_form(eq, "equations", label) for label, eq in self.equations)
+        return tuple(_entry_form(eq, label, "equations") for label, eq in self.equations)
 
     @cached_property
     def _bindings(self) -> dict[JetVar, Form]:
         """Time jet -> its on-shell value; those of order one are the rules."""
         time = self.time.name
-        return {self.ctx.jet(d, time): _entry_form(r, "evolution", f"{d.name}_{time}")
+        return {self.ctx.jet(d, time): _entry_form(r, f"{d.name}_{time}", "evolution")
                 for d, r in self.evolution.items()}
 
     def _binding(self, g: JetVar) -> Form:
@@ -312,7 +322,7 @@ class PDESystem(Frozen):
         rule holds no time jet, so a binding needs only bindings of lower
         time order, and one substitution of reduced bindings leaves none."""
         time = self.time.name
-        gens = sorted(_generators(f), key=ref_sort_key)
+        gens = sorted(form_generators(f), key=ref_sort_key)
         targets = {g: self._binding(g) for g in gens if isinstance(g, JetVar) and g.order_in(time)}
         return substitute_forms(f, targets) if targets else f
 
@@ -328,7 +338,7 @@ class MultiplierPair(Frozen):
 
     @cached_property
     def forms(self) -> tuple[Form, ...]:
-        return tuple(as_form(qa) for qa in self.q)
+        return tuple(_entry_form(qa, f"{self.label}_q{i}") for i, qa in enumerate(self.q, 1))
 
     def combination(self, system: PDESystem) -> Form:
         out: Form = {}
@@ -344,12 +354,15 @@ class ConservedVector(Frozen):
 
     @cached_property
     def forms(self) -> tuple[Form, Form]:
-        return as_form(self.density), as_form(self.flux)
+        return (
+            _entry_form(self.density, f"{self.label}_density"),
+            _entry_form(self.flux, f"{self.label}_flux"),
+        )
 
     @cached_property
     def order(self) -> int:
         """The prolongation order its association check needs."""
-        return max(jet_order(self.density), jet_order(self.flux), 1)
+        return max(_jet_order(self.forms), 1)
 
 
 class VectorField(Frozen):
@@ -383,7 +396,11 @@ class VectorField(Frozen):
     @cached_property
     def forms(self) -> dict[str, Form]:
         """Every given coefficient, xi and eta alike, keyed by its variable."""
-        return {name: as_form(e) for name, e in {**self.xi, **self.eta}.items()}
+        return {
+            name: _entry_form(e, f"{self.label}_{kind}_{name}")
+            for kind, part in (("xi", self.xi), ("eta", self.eta))
+            for name, e in part.items()
+        }
 
 
 class ProlongedField(Frozen):

@@ -11,7 +11,7 @@ A problem file is a line-oriented text format with bracketed sections:
     [symmetries]    xN_xi_<indep> / xN_eta_<dep> = expression
     [candidates]    label : constraints : <dep> = expr, one per dependent
     [printed]       key = expression       (variant entries, see below)
-    [reduced]       key = raw text         (display strings, never parsed)
+    [reduced]       key = raw text         (display strings, never parsed, no tab)
 
 ``#`` starts a comment.  The ``[printed]`` section carries alternative
 spellings of specific entries exactly as they circulate in print; loading
@@ -127,12 +127,14 @@ def _split_sections(text: str, path: str) -> dict[str, list[tuple[int, str]]]:
 
 def _keyed(lines: list[tuple[int, str]], path: str) -> dict[str, tuple[int, str]]:
     """A ``key = value`` section as key -> (lineno, value), in file order;
-    a key may appear once."""
+    a key may appear once, and holds no tab: keys reach the TSV columns."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in lines:
         if "=" not in line:
             raise ProblemFormatError("expected 'key = value'", path, lineno)
         key, value = (s.strip() for s in line.split("=", 1))
+        if "\t" in key:
+            raise ProblemFormatError(f"key {key!r} contains a tab", path, lineno)
         if key in out:
             raise ProblemFormatError(f"duplicate key {key!r}", path, lineno)
         out[key] = (lineno, value)
@@ -359,7 +361,11 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             raise ProblemFormatError(str(ve), path, lineno) from None
         candidates.append(cand)
 
-    reduced_notes = {key: value for key, (_, value) in entries("reduced")}
+    reduced_notes = {}
+    for key, (lineno, value) in entries("reduced"):
+        if "\t" in value:  # printed as a TSV column
+            raise ProblemFormatError(f"reduced note {key!r} contains a tab", path, lineno)
+        reduced_notes[key] = value
 
     for key, (lineno, _) in rows["printed"].items():
         if not any(key in rows[section] for section in _PRINTABLE):

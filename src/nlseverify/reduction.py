@@ -53,6 +53,7 @@ from .exprs import (
 from .jets import (
     PDESystem,
     explicit_partial,
+    form_generators,
     jet_table,
     substitute_forms,
     total_derivative,
@@ -102,7 +103,7 @@ class CanonicalTransform(Frozen):
                 return explicit_partial(f, s)
             return total_derivative(f, r, red)
 
-        table = jet_table(system.ctx, images, forms, derive)
+        table = jet_table(system.ctx, images, map(form_generators, forms), derive)
         return tuple(substitute_forms(f, table) for f in forms)
 
     @property
@@ -307,9 +308,9 @@ def apply_constraints(
 
 
 def candidate_jets(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr]:
-    """Each dependent and every jet that occurs in the equations as the
-    candidate's closed form and its total derivatives, normalized once.
-    They do not depend on the parameter values."""
+    """Each dependent and every jet the equation trees name, which the compiled
+    equations bind, as the candidate's closed form and its total derivatives,
+    normalized once.  They do not depend on the parameter values."""
     cand.check_explicit()
     ctx = system.ctx
 
@@ -318,7 +319,7 @@ def candidate_jets(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr
 
     try:
         images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
-        table = jet_table(ctx, images, system.equation_forms, derive)
+        table = jet_table(ctx, images, (collect_refs(eq) for _, eq in system.equations), derive)
         return {g: normalize(f).to_expr() for g, f in table.items()}
     except NormalizationError as exc:
         raise NormalizationError(f"{cand.label}: {exc}") from None

@@ -12,7 +12,7 @@ import pytest
 
 import nlseverify
 from nlseverify.cli import main
-from nlseverify.problem import bundled_problem_text
+from nlseverify.problem import bundled_problem_text, load_problem
 
 VERIFY_IDS = [
     "verify.multiplier.pair1",
@@ -440,19 +440,20 @@ EVERY_COMMAND = ("verify", "associate", "reduce", "classify", "simulate")
 
 
 @pytest.mark.parametrize(
-    "text, commands",
+    "text, commands, key",
     [
         # The loader normalizes [equations] and [evolution], so every command fails.
         (ONE_DEP_HEADER + "[equations]\ng1 = u_t - sqrt(u)\n[evolution]\nu_t = u\n",
-         EVERY_COMMAND),
+         EVERY_COMMAND, "g1"),
         (ONE_DEP_HEADER + "[equations]\ng1 = u_t - u\n[evolution]\nu_t = sqrt(u)\n",
-         EVERY_COMMAND),
-        (BUNDLED.replace("pair1_q1 = v_x", "pair1_q1 = sqrt(u)"), ("verify",)),
-        (BUNDLED.replace("pair2_q1 = u\n", "pair2_q1 = arctan(u)\n"), ("verify",)),
-        (BUNDLED.replace("pair3_q1 = v_t", "pair3_q1 = 1/(u + v)"), ("verify",)),
+         EVERY_COMMAND, "u_t"),
+        (BUNDLED.replace("pair1_q1 = v_x", "pair1_q1 = sqrt(u)"), ("verify",), "pair1_q1"),
+        (BUNDLED.replace("pair2_q1 = u\n", "pair2_q1 = arctan(u)\n"), ("verify",), "pair2_q1"),
+        (BUNDLED.replace("pair3_q1 = v_t", "pair3_q1 = 1/(u + v)"), ("verify",), "pair3_q1"),
         (BUNDLED.replace("t2_density = (u^2 + v^2)/2", "t2_density = sqrt(u^2 + v^2)"),
-         ("verify", "associate", "reduce")),
-        (BUNDLED.replace("x3_eta_u = -v", "x3_eta_u = -arctan(v)"), ("verify", "associate")),
+         ("verify", "associate", "reduce"), "t2_density"),
+        (BUNDLED.replace("x3_eta_u = -v", "x3_eta_u = -arctan(v)"), ("verify", "associate"),
+         "x3_eta_u"),
     ],
     ids=[
         "equations-sqrt",
@@ -464,7 +465,9 @@ EVERY_COMMAND = ("verify", "associate", "reduce", "classify", "simulate")
         "symmetries-arctan",
     ],
 )
-def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands):
+def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands, key):
+    """The message names the entry: a system's entry by its line, which the
+    loader reaches; a record's entry, normalized later, by its key."""
     target = tmp_path / "nonpolynomial.prob"
     target.write_text(text)
     for command in commands:
@@ -475,6 +478,30 @@ def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands):
         if commands == EVERY_COMMAND:  # the entry's line, as a parse error names it
             line = text[: text.index("sqrt")].count("\n") + 1
             assert err.startswith(f"nlseverify: error: {target}:{line}: ")
+            assert text.splitlines()[line - 1].startswith(f"{key} = ")
+        else:
+            assert err.startswith(f"nlseverify: error: {key}: "), command
+
+
+@pytest.mark.parametrize("jet", ["u_xxx", "u_xxxx"])
+def test_a_jet_that_cancels_in_an_equation_changes_no_result(capsys, tmp_path, jet):
+    """``g1 + J - J`` is the same equation.  ``classify`` used to end in a
+    KeyError (the compiled equations bind every jet of the tree, the
+    candidates' jets were derived from the normal form), and with ``u_xxxx``
+    ``verify`` asked for a prolongation past the maximum jet order."""
+    g1 = BUNDLED.splitlines()[23]
+    target = tmp_path / "cancel.prob"
+    target.write_text(BUNDLED.replace(g1, f"{g1} + {jet} - {jet}"))
+    assert load_problem(str(target)).system.order == 2
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+    for command in ("verify", "associate", "reduce"):
+        code, out, _ = run_cli(capsys, "--problem", str(target), command)
+        assert (code, out) == (0, (golden / f"{command}.tsv").read_text(encoding="utf-8")), command
+    code, out, _ = run_cli(capsys, "--problem", str(target), "classify")
+    bundled = run_cli(capsys, "classify")[1]
+    verdicts = [[line.split("\t")[:3] for line in o.splitlines()] for o in (out, bundled)]
+    assert code == 0 and verdicts[0] == verdicts[1] and len(verdicts[0]) == 12
+    assert run_cli(capsys, "--problem", str(target), "simulate", "--T", "0.01")[0] == 0
 
 
 def test_non_polynomial_candidate_exits_one(capsys, tmp_path):

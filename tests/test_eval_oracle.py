@@ -21,7 +21,6 @@ from nlseverify.exprs import (
     eval_numeric,
     ref_sort_key,
     render,
-    var,
 )
 from nlseverify.jets import jet_table, total_derivative
 from nlseverify.normal import as_form, normalize
@@ -122,7 +121,7 @@ def test_candidates_and_second_jets_match_sympy(problem):
     labelled = []
     for cand in problem.candidates:
         images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
-        table = jet_table(ctx, images, [as_form(var(g)) for g in gens], derive)
+        table = jet_table(ctx, images, [gens], derive)
         for g in gens:
             dep, word = (g.dep, g.suffix) if isinstance(g, JetVar) else (g, "")
             reference = oracle.total_derivative(cand.fields[dep.name], word)

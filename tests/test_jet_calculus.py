@@ -101,8 +101,10 @@ def test_substitute_jets_derives_each_occurring_jet_once(ctx6):
         calls.append(letter)
         return total_derivative(f, ctx6[letter], ctx6)
 
-    forms = [as_form(ctx6.parse("u_xx*v + u")), as_form(ctx6.parse("u_xxx - u_x + u_tx"))]
-    table = jet_table(ctx6, {ctx6["u"]: as_form(ctx6.parse("t*x^3 + beta*x"))}, forms, derive)
+    trees = [ctx6.parse("u_xx*v + u"), ctx6.parse("u_xxx - u_x + u_tx")]
+    forms = [as_form(e) for e in trees]
+    image = {ctx6["u"]: as_form(ctx6.parse("t*x^3 + beta*x"))}
+    table = jet_table(ctx6, image, map(collect_refs, trees), derive)
     got = [normalize(substitute_forms(f, table)) for f in forms]
     assert got[0] == normalize(ctx6.parse("6*t*x*v + t*x^3 + beta*x"))
     assert got[1] == normalize(ctx6.parse("6*t - 3*t*x^2 - beta + 3*x^2"))
@@ -119,8 +121,9 @@ def test_substitute_jets_is_simultaneous(ctx6):
     def derive(f, letter):
         return total_derivative(f, ctx6[letter], ctx6)
 
-    form = as_form(ctx6.parse("u_x*v_tt + u"))
-    got = substitute_forms(form, jet_table(ctx6, swap, [form], derive))
+    tree = ctx6.parse("u_x*v_tt + u")
+    form = as_form(tree)
+    got = substitute_forms(form, jet_table(ctx6, swap, [collect_refs(tree)], derive))
     assert normalize(got) == normalize(ctx6.parse("v_x*u_tt + v"))
 
 

@@ -410,6 +410,31 @@ def test_nesting_past_the_cap_is_an_error_at_its_line(tmp_path, capsys, nesting)
     assert captured.err == f"nlseverify: error: {target}:24: {message}\n"
 
 
+TABS = {  # case -> (file with one tab, what holds it): a key or a note reaches a TSV column
+    "equations-label": (bundled_problem_text().replace(G1, "g\t1 = u_t + "), "key 'g\\t1'"),
+    "multipliers-key": (TWO_DEP + "\n[multipliers]\npair1\t_q1 = u\n", "key 'pair1\\t_q1'"),
+    "reduced-note": (
+        bundled_problem_text().replace("= beta*w^2/2 - k", "= beta*w^2/2\t- k"),
+        "reduced note 't2_flux_printed'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TABS)
+def test_a_tab_that_would_reach_a_tsv_column_is_refused_at_its_line(tmp_path, capsys, case):
+    """A tab inside an [equations] label or a [reduced] note used to end
+    reduce and classify in the records' own separator check, a traceback."""
+    text, what = TABS[case]
+    line = text[: text.index("\t")].count("\n") + 1
+    assert expect_error(text, f"{what} contains a tab").lineno == line
+    target = tmp_path / "tab.prob"
+    target.write_text(text)
+    for command in ("verify", "associate", "reduce", "classify", "simulate"):
+        assert main(["--problem", str(target), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"nlseverify: error: {target}:{line}: ")
+
+
 def nested(kind: str, depth: int) -> str:
     """``u`` inside ``depth`` levels of ``kind``, equal to ``u`` when the
     minus signs are even."""

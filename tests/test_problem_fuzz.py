@@ -32,11 +32,16 @@ COMMANDS = (["verify"], ["associate"], ["reduce"], ["classify"], ["simulate", "-
 def mutant(draw, text: str, names: tuple[str, ...] = LIKE["name"]) -> str:
     """``text`` with one line dropped, duplicated or swapped with the next
     one, one token of an entry's value replaced by a token like it (a name
-    from ``names``) or wrapped in 1 to 12 nested squares, or one declared
-    name renamed wherever it is a word."""
+    from ``names``) or wrapped in 1 to 12 nested squares, one declared
+    name renamed wherever it is a word, ``+ J - J`` appended to an entry
+    for a jet ``J`` of order 1 to 4, or a tab put inside a key or a
+    ``[reduced]`` note."""
     lines = text.splitlines()
     content = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
-    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "token", "rename", "square")))
+    kinds = ("drop", "duplicate", "swap", "token", "rename", "square", "cancel", "tab")
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("cancel", "tab"):  # an entry: a line with a value
+        content = [i for i in content if "=" in lines[i].split("#", 1)[0]]
     at = draw(st.sampled_from(content))
     if kind == "drop":
         lines = lines[:at] + lines[at + 1 :]
@@ -56,6 +61,17 @@ def mutant(draw, text: str, names: tuple[str, ...] = LIKE["name"]) -> str:
             like = "name" if old[0].isalpha() else "number" if old.isdigit() else "operator"
             new = draw(st.sampled_from(names if like == "name" else LIKE[like]))
         lines = lines[:at] + [line[:start] + new + line[end:]] + lines[at + 1 :]
+    elif kind == "cancel":
+        dep = draw(st.sampled_from(sorted({n.split("_")[0] for n in names if "_" in n})))
+        jet = f"{dep}_{''.join(sorted(draw(st.text('tx', min_size=1, max_size=4))))}"
+        lines[at] = f"{lines[at].split('#', 1)[0].rstrip()} + {jet} - {jet}"
+    elif kind == "tab":  # strictly inside, where the loader's strip leaves it
+        line = lines[at].split("#", 1)[0].rstrip()
+        eq = line.index("=")
+        header = next(h.strip() for h in reversed(lines[:at]) if h.strip().startswith("["))
+        lo, hi = (eq + 2, len(line) - 1) if header == "[reduced]" else (1, eq - 2)
+        cut = draw(st.integers(lo, max(lo, hi)))
+        lines[at] = line[:cut] + "\t" + line[cut:]
     else:
         old, new = draw(st.sampled_from(DECLARED)), draw(st.sampled_from(("w", "k", "y", "lam")))
         lines = [re.sub(rf"\b{old}\b", new, line) for line in lines]
@@ -63,15 +79,16 @@ def mutant(draw, text: str, names: tuple[str, ...] = LIKE["name"]) -> str:
 
 
 def fuzz(target, mutants, examples: int) -> None:
-    """Run a random command on ``examples`` drawn mutants; at least a
-    quarter of them must get past the loader."""
+    """Run a random command, with or without the printed variants, on
+    ``examples`` drawn mutants; at least a quarter of them must get past
+    the loader."""
     reached = []
 
     @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def run(data):
         text = data.draw(mutants)
-        argv = data.draw(st.sampled_from(COMMANDS))
+        argv = ["--printed-variants"] * data.draw(st.booleans()) + data.draw(st.sampled_from(COMMANDS))
         target.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
