@@ -589,23 +589,18 @@ class Program(Frozen):
 
     The registers are the inputs, in the order of ``inputs``, followed by
     ``registers``: the compile-time constants, and None for each instruction
-    result.  Each instruction ``(fn, dest, a, b, dead)`` of ``code`` stores
-    ``fn(reg[a], reg[b])`` in ``reg[dest]`` and then clears the registers in
-    ``dead``, whose last use it was.  ``outputs`` holds the register of each
-    expression.
+    result.  Each instruction ``(fn, dest, a, b)`` of ``code`` stores ``fn(reg[a],
+    reg[b])`` in ``reg[dest]``; ``outputs`` holds the register of each expression.
     """
 
     _fields = ("inputs", "registers", "code", "outputs")
 
     def run(self, values) -> list:
         """The compiled expressions' values, one per expression, given one
-        value per input."""
-        reg = [*map(_as_value, values), *self.registers]
-        del values  # so that an input no caller holds is freed after its last use
-        for fn, dest, a, b, dead in self.code:
+        float or array per input; any other scalar is the caller's to convert."""
+        reg = [*values, *self.registers]
+        for fn, dest, a, b in self.code:
             reg[dest] = fn(reg[a], reg[b])
-            for i in dead:
-                reg[i] = None
         return [reg[i] for i in self.outputs]
 
 
@@ -621,11 +616,10 @@ def compile_numeric(
     operations and the domain checks of :func:`eval_numeric`.  It computes
     each distinct operation on the same operands once, folds what depends
     on constants and fixed values alone at compile time, starts a sum at
-    its first term and a product at its first factor, and drops each
-    intermediate value after its last use.  An error that folding meets (an
-    unbound generator, a constant that overflows, a fixed value outside a
-    function's domain) is raised when a run reaches its node, so every run
-    fails as the walk of the tree would.
+    its first term and a product at its first factor.  An error that
+    folding meets (an unbound generator, a constant that overflows, a fixed
+    value outside a function's domain) is raised when a run reaches its
+    node, so every run fails as the walk of the tree would.
 
     Factors of the float ``1.0`` or ``-1.0`` cost nothing, by four rewrites
     that give the same bits for every float, signed zeros and infinities
@@ -735,19 +729,7 @@ def compile_numeric(
 
     outputs = tuple(materialize(*visit(e)) for e in exprs)
     del visit  # a recursive closure is a reference cycle, which only the collector would free
-    last_use = {}
-    for k, (_, _, a, b) in enumerate(code):
-        last_use[a] = last_use[b] = k
-    dead: list[list[int]] = [[] for _ in code]
-    for r, k in last_use.items():
-        if r not in known and r not in outputs:
-            dead[k].append(r)
-    return Program(
-        tuple(free),
-        tuple(registers),
-        tuple((*op, tuple(d)) for op, d in zip(code, dead)),
-        outputs,
-    )
+    return Program(tuple(free), tuple(registers), tuple(code), outputs)
 
 
 def eval_numeric(e: Expr, bindings: Mapping[Gen, object]) -> object:

@@ -78,9 +78,9 @@ class ProlongationError(ExprError):
 
 
 class EntryError(ValueError):
-    """The entry ``key`` of a system's ``section`` (``"equations"`` or
-    ``"evolution"``, keyed as in a problem file) does not normalize, or is
-    a rule holding a time derivative, or an equation the rules do not solve."""
+    """The entry ``key`` of ``section`` (keyed as in a problem file) does not
+    normalize, or is a rule holding a time derivative, an equation the rules
+    do not solve, or a symmetry coefficient holding a jet past its bound."""
 
     def __init__(self, message: str, section: str, key: str) -> None:
         super().__init__(message)
@@ -376,22 +376,22 @@ class VectorField(Frozen):
     _fields = ("label", "xi", "eta")
 
     def validate(self, ctx: Context) -> None:
-        indep = {v.name for v in ctx.independents}
-        dep = {v.name for v in ctx.dependents}
-        for name, e in self.xi.items():
-            if name not in indep:
-                raise ValueError(f"{self.label}: xi component for unknown {name!r}")
-            if jet_order(e) > 0:
-                raise ValueError(
-                    f"{self.label}: xi[{name}] involves jet variables"
-                )
-        for name, e in self.eta.items():
-            if name not in dep:
-                raise ValueError(f"{self.label}: eta component for unknown {name!r}")
-            if jet_order(e) > 1:
-                raise ValueError(
-                    f"{self.label}: eta[{name}] exceeds first order"
-                )
+        """ValueError for an undeclared variable's coefficient; EntryError for
+        one whose normal form holds a jet past the bound."""
+        for kind, part, declared, bound, fault in (
+            ("xi", self.xi, ctx.independents, 0, "involves jet variables"),
+            ("eta", self.eta, ctx.dependents, 1, "exceeds first order"),
+        ):
+            for name, e in part.items():
+                if name not in {v.name for v in declared}:
+                    raise ValueError(f"{self.label}: {kind} component for unknown {name!r}")
+                try:  # a tree's jets bound its form's; a tree that does not normalize keeps them
+                    past = jet_order(e) > bound and _jet_order((as_form(e),)) > bound
+                except NormalizationError:
+                    past = True
+                if past:
+                    key = f"{self.label}_{kind}_{name}"
+                    raise EntryError(f"{self.label}: {kind}[{name}] {fault}", "symmetries", key)
 
     @cached_property
     def forms(self) -> dict[str, Form]:

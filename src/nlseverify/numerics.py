@@ -198,17 +198,19 @@ def lower(program: Program, slots: tuple, work: Workspace) -> Program:
     instruction that reads it last (an elementwise ufunc may write over its
     operand), and an output keeps its array.  The pool grows to the most
     arrays one program holds at once."""
+    last_use = {r: k for k, (_, _, a, b) in enumerate(program.code) for r in (a, b)}
     arrays = {i for i, s in enumerate(slots) if s != "t"}
     pool, held, free, code = work.pool, {}, [], []  # held: register -> its pool index
-    for fn, dest, a, b, dead in program.code:
+    for k, (fn, dest, a, b) in enumerate(program.code):
         if a in arrays or b in arrays:
-            free.extend(held.pop(r) for r in dead if r in held)
+            free.extend(held.pop(r) for r in {a, b}  # the operands read last here, each once
+                        if last_use[r] == k and r in held and r not in program.outputs)
             i = held[dest] = free.pop() if free else len(held)  # all held when none is free
             if i == len(pool):
                 pool.append(np.empty(work.grid.n))
             fn = _into(fn, pool[i])
             arrays.add(dest)
-        code.append((fn, dest, a, b, dead))
+        code.append((fn, dest, a, b))
     return Program(program.inputs, program.registers, tuple(code), program.outputs)
 
 

@@ -289,8 +289,10 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
         fieldv = VectorField(f"x{n}", coefficients["xi"], coefficients["eta"])
         try:
             fieldv.validate(ctx)
-        except ValueError as ve:
-            raise ProblemFormatError(str(ve), path) from None
+        except EntryError as exc:  # keyed x1_..., as the file may not write it (x01_...)
+            lineno = next(line for key, (line, _) in rows["symmetries"].items()
+                          if (m := _SYM_RE.match(key)) and f"x{int(m[1])}_{m[2]}" == exc.key)
+            raise ProblemFormatError(str(exc), path, lineno) from None
         return fieldv
 
     multipliers = _indexed(entries("multipliers"), _PAIR_RE, "multiplier pair", pair, parsed, path)

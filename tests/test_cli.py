@@ -483,20 +483,37 @@ def test_non_polynomial_entries_exit_one(capsys, tmp_path, text, commands, key):
             assert err.startswith(f"nlseverify: error: {key}: "), command
 
 
-@pytest.mark.parametrize("jet", ["u_xxx", "u_xxxx"])
-def test_a_jet_that_cancels_in_an_equation_changes_no_result(capsys, tmp_path, jet):
-    """``g1 + J - J`` is the same equation.  ``classify`` used to end in a
-    KeyError (the compiled equations bind every jet of the tree, the
-    candidates' jets were derived from the normal form), and with ``u_xxxx``
-    ``verify`` asked for a prolongation past the maximum jet order."""
-    g1 = BUNDLED.splitlines()[23]
+# every key of the bundled [equations], [multipliers], [conserved] and [symmetries]
+CANCELLABLE = [
+    line.split(" = ")[0]
+    for section in ("equations", "multipliers", "conserved", "symmetries")
+    for line in BUNDLED.split(f"[{section}]\n")[1].split("\n\n")[0].splitlines()
+]
+CANCELS = [(key, jet) for key in CANCELLABLE for jet in ("u_xx", "v_tx")]
+
+
+@pytest.mark.parametrize(
+    "key, jet",
+    [("g1", "u_xxx"), ("g1", "u_xxxx"), *CANCELS],
+    ids=["u_xxx", "u_xxxx", *(f"{key}-{jet}" for key, jet in CANCELS)],
+)
+def test_a_jet_that_cancels_in_an_equation_changes_no_result(capsys, tmp_path, key, jet):
+    """``E + J - J`` is the same entry ``E``, whatever its section.
+    ``classify`` used to end in a KeyError (the compiled equations bind every
+    jet of the tree, the candidates' jets were derived from the normal form),
+    ``verify`` asked ``g1 + u_xxxx - u_xxxx`` for a prolongation past the
+    maximum jet order, and a symmetry coefficient was refused for the jets
+    of its tree."""
+    line = next(line for line in BUNDLED.splitlines() if line.startswith(f"{key} = "))
     target = tmp_path / "cancel.prob"
-    target.write_text(BUNDLED.replace(g1, f"{g1} + {jet} - {jet}"))
+    target.write_text(BUNDLED.replace(line, f"{line} + {jet} - {jet}", 1))
     assert load_problem(str(target)).system.order == 2
     golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
     for command in ("verify", "associate", "reduce"):
         code, out, _ = run_cli(capsys, "--problem", str(target), command)
         assert (code, out) == (0, (golden / f"{command}.tsv").read_text(encoding="utf-8")), command
+    if key not in ("g1", "g2"):
+        return
     code, out, _ = run_cli(capsys, "--problem", str(target), "classify")
     bundled = run_cli(capsys, "classify")[1]
     verdicts = [[line.split("\t")[:3] for line in o.splitlines()] for o in (out, bundled)]

@@ -1,12 +1,12 @@
 """The compiled evaluator against the recursive walk of ``eval_walk``.
 
 ``compile_numeric`` shares repeated operations, folds constants and fixed
-values, skips the neutral start of sums and products, drops factors of 1.0
-and -1.0 and values after their last use; none of that may change a value
-or an error.  Each case is evaluated three ways (every generator an input,
-every generator fixed, parameters fixed and the rest inputs) and must give
-the walk's bytes outside NaN positions (so -0.0 is not 0.0; scalars as
-floats) or raise the walk's error, same type and message.
+values, skips the neutral start of sums and products and drops factors of
+1.0 and -1.0; none of that may change a value or an error.  Each case is
+evaluated three ways (every generator an input, every generator fixed,
+parameters fixed and the rest inputs) and must give the walk's bytes
+outside NaN positions (so -0.0 is not 0.0; scalars as floats) or raise the
+walk's error, same type and message.
 """
 
 from __future__ import annotations

@@ -222,6 +222,23 @@ def test_symmetry_key_errors():
     expect_error(MINIMAL + "\n[symmetries]\nx1_eta_u = u_xx\n", "exceeds first order")
 
 
+def test_symmetry_jets_are_read_off_the_normal_form():
+    """A jet that cancels in a coefficient's normal form is not there; one
+    that stays is refused at the entry's line."""
+    text = MINIMAL + "\n[symmetries]\nx1_xi_x = 1 + u_x - u_x\nx1_eta_u = -u + u_xx - u_xx\n"
+    (field,) = load_problem_text(text, "<test>").symmetries
+    assert (field.label, list(field.xi), list(field.eta)) == ("x1", ["x"], ["u"])
+    for entry, message in [
+        ("x1_xi_x = u_x", "x1: xi[x] involves jet variables"),
+        ("x1_eta_u = u_xx", "x1: eta[u] exceeds first order"),
+        ("x1_eta_u = u + u_xx - u_x", "x1: eta[u] exceeds first order"),
+        ("x01_eta_u = u_xx", "x1: eta[u] exceeds first order"),  # placed though keyed x1
+        ("x01_xi_x = sqrt(u_x)", "x1: xi[x] involves jet variables"),
+    ]:
+        err = expect_error(MINIMAL + f"\n[symmetries]\nx1_xi_t = 1\n{entry}\n", message)
+        assert str(err) == f"<test>:19: {message}" and err.lineno == 19
+
+
 def test_candidate_line_errors():
     expect_error(TWO_DEP + "\n[candidates]\nfoo : : u = 1\n", "candidate needs")
     expect_error(

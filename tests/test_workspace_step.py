@@ -14,6 +14,7 @@ import pytest
 from nlseverify import cli
 from nlseverify.exprs import Pow
 from nlseverify.numerics import (
+    Audit,
     FieldState,
     Grid,
     Workspace,
@@ -22,6 +23,7 @@ from nlseverify.numerics import (
     step_rk4,
 )
 from nlseverify.problem import load_problem, load_problem_text
+from nlseverify.reduction import compile_equations
 import reference_states
 
 PARAMS = {"beta": 1.0, "gamma": 0.5, "delta": 1.0}
@@ -155,3 +157,21 @@ def test_one_step_allocates_only_the_fields_it_returns():
         tracemalloc.stop()
     arrays = peak / (8 * grid.n)
     assert arrays <= 2.25, f"one step held {arrays:.2f} arrays of n floats"
+
+
+def test_the_bundled_rules_and_densities_lower_to_a_pool_of_six_arrays():
+    """``lower`` reuses a pool array after its value's last use: the bundled
+    rules hold at most three at once, and the audit's densities, which share
+    the rules' workspace, six.  Every instruction, lowered or not, is
+    ``(fn, dest, a, b)``."""
+    problem = load_problem()
+    system, params, grid = problem.system, problem.param_values, Grid(16, 1.0)
+    rules = evolution_program(system, params, Workspace(grid, 2))
+    assert len(rules.work.pool) == 3
+    zeros = FieldState(grid, 0.0, (np.zeros(grid.n), np.zeros(grid.n)))
+    audit = Audit(problem.quantity_densities(), system, params, zeros)
+    assert len(audit.work.pool) == 6
+    rules = evolution_program(system, params, audit.work)
+    assert len(audit.work.pool) == 6
+    for program in (rules.program, audit.densities.program, compile_equations(system)):
+        assert all(len(instruction) == 4 for instruction in program.code)
