@@ -132,7 +132,7 @@ def verify_report(rep: Report, problem: Problem, args: argparse.Namespace) -> No
 def associate_report(rep: Report, problem: Problem, args: argparse.Namespace) -> None:
     vectors = problem.conserved
     for fieldv in problem.symmetries if vectors else ():
-        prol = prolong(fieldv, max(vec.order for vec in vectors), problem.ctx)
+        prol = prolong(fieldv, problem.ctx)
         for vec in vectors:
             _check(
                 rep,

@@ -45,10 +45,8 @@ from .exprs import (
     DEPENDENT,
     Context,
     Expr,
-    ExprError,
     Frozen,
     Gen,
-    JetOrderError,
     JetVar,
     VarId,
     collect_refs,
@@ -71,10 +69,6 @@ from .normal import (
 )
 
 _UNIT: Form = {frozenset(): 1}
-
-
-class ProlongationError(ExprError):
-    """A prolongation coefficient needed by the computation is missing."""
 
 
 class EntryError(ValueError):
@@ -111,12 +105,6 @@ def form_generators(f: Form) -> set[Gen]:
             for g, _ in m:
                 out |= form_generators(g.arg.form()) if isinstance(g, Atom) else {g}
     return out
-
-
-def _jet_order(forms: Iterable[Form]) -> int:
-    """Highest order of a jet in ``forms``; one that cancels in a tree is not there."""
-    gens = (g for f in forms for g in form_generators(f))
-    return max((g.total_order for g in gens if isinstance(g, JetVar)), default=0)
 
 
 def derivation(f: Form, image: Callable[[Gen], Form]) -> Form:
@@ -292,11 +280,6 @@ class PDESystem(Frozen):
                 raise EntryError(f"evolution form does not solve equation {label}", "equations", label)
         return system
 
-    @property
-    def order(self) -> int:
-        """Highest jet order in the equations."""
-        return _jet_order(self.equation_forms)
-
     @cached_property
     def equation_forms(self) -> tuple[Form, ...]:
         return tuple(_entry_form(eq, label, "equations") for label, eq in self.equations)
@@ -359,11 +342,6 @@ class ConservedVector(Frozen):
             _entry_form(self.flux, f"{self.label}_flux"),
         )
 
-    @cached_property
-    def order(self) -> int:
-        """The prolongation order its association check needs."""
-        return max(_jet_order(self.forms), 1)
-
 
 class VectorField(Frozen):
     """Point vector field: coefficients on the base and first-order arrows.
@@ -386,7 +364,9 @@ class VectorField(Frozen):
                 if name not in {v.name for v in declared}:
                     raise ValueError(f"{self.label}: {kind} component for unknown {name!r}")
                 try:  # a tree's jets bound its form's; a tree that does not normalize keeps them
-                    past = jet_order(e) > bound and _jet_order((as_form(e),)) > bound
+                    past = jet_order(e) > bound and any(
+                        isinstance(g, JetVar) and g.total_order > bound for g in form_generators(as_form(e))
+                    )
                 except NormalizationError:
                     past = True
                 if past:
@@ -404,30 +384,22 @@ class VectorField(Frozen):
 
 
 class ProlongedField(Frozen):
-    _fields = ("base", "order", "zeta", "dxi")  # zeta: a JetTable; dxi: D_i xi^k, keyed (i, k) by letter
+    _fields = ("base", "zeta", "dxi")  # zeta: a JetTable; dxi: D_i xi^k, keyed (i, k) by letter
 
     def coefficient(self, g: Gen) -> Form:
         if not isinstance(g, JetVar):
             return self.base.forms.get(g.name, {})  # parameters do not move
-        if g.total_order > self.order:
-            raise ProlongationError(
-                f"{self.base.label} prolonged to order {self.order} has no coefficient for {g.name}"
-            )
         return self.zeta[g]
 
 
-def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
+def prolong(fieldv: VectorField, ctx: Context) -> ProlongedField:
     """Standard prolongation: zeta_{J,i} = D_i zeta_J - sum_k D_i(xi^k) u_{J,k}.
 
     The coefficients are a :class:`JetTable` over each dependent's eta:
-    each is derived when the field first acts on its jet, up to ``order``.
+    each is derived when the field first acts on its jet, so the context's
+    jet cap is the only bound (a JetOrderError from ``ctx.bump``).
     """
     fieldv.validate(ctx)
-    if order + 1 > ctx.max_order:
-        raise JetOrderError(
-            f"prolongation to order {order} needs jets of order {order + 1}, "
-            f"past the maximum {ctx.max_order}"
-        )
     given = fieldv.forms
     indep = ctx.independents
     dxi = {(i.name, k.name): iterated_derivative(given.get(k.name, {}), i.name, ctx)
@@ -441,7 +413,7 @@ def prolong(fieldv: VectorField, order: int, ctx: Context) -> ProlongedField:
         return z
 
     zeta = JetTable(ctx, {dep: given.get(dep.name, {}) for dep in ctx.dependents}, derive)
-    return ProlongedField(fieldv, order, zeta, dxi)
+    return ProlongedField(fieldv, zeta, dxi)
 
 
 def apply_field(prol: ProlongedField, f: Form) -> Form:
@@ -478,7 +450,7 @@ def divergence_match(
 
 def symmetry_invariance(system: PDESystem, fieldv: VectorField) -> dict[str, PolyNF]:
     """Prolonged action on each equation, reduced on shell and normalized."""
-    prol = prolong(fieldv, system.order, system.ctx)
+    prol = prolong(fieldv, system.ctx)
     return {
         label: normalize(system.reduce(apply_field(prol, eq)))
         for (label, _), eq in zip(system.equations, system.equation_forms)
@@ -492,8 +464,8 @@ def association_residual(
 
     Components of  prX(T^i) + T^i D_k xi^k - T^k D_k xi^i  reduced against
     the evolution form; both must vanish for the pair to be associated.
-    ``prol`` is the symmetry prolonged to at least ``vec.order``, so a
-    caller checking one field against many vectors prolongs it once.
+    ``prol`` keeps each coefficient it derives, so a caller checking one
+    field against many vectors prolongs it once.
     """
     t, x = system.time.name, system.space.name
     d, density, flux = integral(*vec.forms)

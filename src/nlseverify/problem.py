@@ -386,7 +386,7 @@ def load_problem(path: str | None = None, printed: bool = False) -> Problem:
     if path is None:
         return load_problem_text(bundled_problem_text(), "cubic_nlse.prob", printed)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(str(exc), path) from None

@@ -10,6 +10,16 @@ from nlseverify.exprs import add, const, mul, pow_, var
 from nlseverify.problem import load_problem
 from nlseverify.reduction import build_canonical_transform, reduced_ode
 
+# u_t + u_xxxx = 0 with six point fields: the translations x1, x2, the
+# scaling x3 = 4t*dt + x*dx and x4 = u*du leave it invariant; x5 = 2t*dt + x*dx
+# has the wrong weight and the Galilean boost x6 = t*dx is no symmetry.
+FOURTH_ORDER_SYMMETRIES = (
+    "[independents]\nt\nx\n[dependents]\nu\n"
+    "[equations]\ng1 = u_t + u_xxxx\n[evolution]\nu_t = -u_xxxx\n[symmetries]\n"
+    "x1_xi_t = 1\nx2_xi_x = 1\nx3_xi_t = 4*t\nx3_xi_x = x\nx4_eta_u = u\n"
+    "x5_xi_t = 2*t\nx5_xi_x = x\nx6_xi_x = t\n"
+)
+
 
 @pytest.fixture(scope="session")
 def problem():

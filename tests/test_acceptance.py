@@ -102,7 +102,7 @@ def association_matrix(problem):
     out = {}
     for fieldv in problem.symmetries:
         for vec in problem.conserved:
-            prol = prolong(fieldv, vec.order, problem.ctx)
+            prol = prolong(fieldv, problem.ctx)
             res = association_residual(problem.system, prol, vec)
             out[(fieldv.label, vec.label)] = (res["t"], res["x"])
     return out
@@ -226,9 +226,9 @@ def test_acceptance_8_calculus_invariants(capsys, problem):
             {n: add(x4.xi.get(n, 0), x5.xi.get(n, 0)) for n in ("t", "x")},
             {n: add(x4.eta.get(n, 0), x5.eta.get(n, 0)) for n in ("u", "v")},
         )
-        p4 = prolong(x4, 2, pctx)
-        p5 = prolong(x5, 2, pctx)
-        pc = prolong(combined, 2, pctx)
+        p4 = prolong(x4, pctx)
+        p5 = prolong(x5, pctx)
+        pc = prolong(combined, pctx)
         pgens = [
             pctx["t"], pctx["x"], pctx["u"], pctx["v"], pctx["beta"],
             pctx.jet("u", "x"), pctx.jet("v", "t"), pctx.jet("u", "tx"),

@@ -20,8 +20,8 @@ ASSOCIATED = {
 
 
 def associate(system, fieldv, vec):
-    """The association residual with ``fieldv`` prolonged as far as ``vec`` needs."""
-    return association_residual(system, prolong(fieldv, vec.order, system.ctx), vec)
+    """The association residual of ``fieldv`` and ``vec``."""
+    return association_residual(system, prolong(fieldv, system.ctx), vec)
 
 
 def all_pairs(problem):

@@ -1,6 +1,6 @@
 """The CI workflow runs the ROADMAP's tier-1 command verbatim with numpy
-pinned to one minor version.  Its Python 3.10 job installs pytest and
-hypothesis alone, runs the record, parser, problem-file, jet-calculus,
+pinned to one minor version, then the benchmark's self-test.  Its Python
+3.10 job installs pytest and hypothesis alone, runs the record, parser, problem-file, jet-calculus,
 association, symmetry, normal-form, integer-route, conservation-law,
 reduce-variant and time-name tests on the byte-compiled sources, then runs the exact commands and diffs their
 stdout against the golden files, once under a random hash seed and once
@@ -31,7 +31,8 @@ def test_workflow_runs_the_roadmap_tier1_command():
         (version,) = [s["with"]["python-version"] for s in jobs[job]["steps"] if "with" in s]
         return version
 
-    assert python("tests") == "3.11" and command in runs("tests")
+    assert python("tests") == "3.11"
+    assert runs("tests")[1:] == [command, "python perfbench/selftest.py"]
     install = runs("tests")[0].split()
     assert install[:4] == ["python", "-m", "pip", "install"]
     # the minor version the golden CSVs and byte-identity claims were made with

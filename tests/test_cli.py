@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import nlseverify
+from conftest import FOURTH_ORDER_SYMMETRIES
 from nlseverify.cli import main
-from nlseverify.problem import bundled_problem_text, load_problem
+from nlseverify.problem import bundled_problem_text
 
 VERIFY_IDS = [
     "verify.multiplier.pair1",
@@ -507,7 +508,6 @@ def test_a_jet_that_cancels_in_an_equation_changes_no_result(capsys, tmp_path, k
     line = next(line for line in BUNDLED.splitlines() if line.startswith(f"{key} = "))
     target = tmp_path / "cancel.prob"
     target.write_text(BUNDLED.replace(line, f"{line} + {jet} - {jet}", 1))
-    assert load_problem(str(target)).system.order == 2
     golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
     for command in ("verify", "associate", "reduce"):
         code, out, _ = run_cli(capsys, "--problem", str(target), command)
@@ -554,10 +554,10 @@ JET_PAST_CAP = "jet order 5 exceeds maximum 4"
         (BUNDLED.replace("pair1_q1 = v_x", "pair1_q1 = u_xxxx"), ("verify",), JET_PAST_CAP),
         # Only jets that occur are differentiated; the rule still needs u_xxxxx.
         (FOURTH_ORDER, ("verify", "associate"), JET_PAST_CAP),
-        # Without multipliers, verify reaches the prolongation to order 4.
+        # Without multipliers, verify reaches the prolongation: a first-order
+        # eta makes zeta[u_xxxx] hold u_xxxxx.
         (ONE_DEP_HEADER + "[equations]\ng1 = u_t + u_xxxx\n[evolution]\nu_t = -u_xxxx\n"
-         "[symmetries]\nx1_xi_t = 1\n", ("verify",),
-         "prolongation to order 4 needs jets of order 5, past the maximum 4"),
+         "[symmetries]\nx1_eta_u = u_x\n", ("verify",), JET_PAST_CAP),
     ],
     ids=["multiplier-order-3", "multiplier-order-4", "system-order-4", "prolong-order-4"],
 )
@@ -567,6 +567,23 @@ def test_high_order_jets_exit_one(capsys, tmp_path, text, commands, message):
     for command in commands:
         code, out, err = run_cli(capsys, "--problem", str(target), command)
         assert (code, out, err) == (1, "", f"nlseverify: error: {message}\n"), command
+
+
+def test_fourth_order_symmetries_verify_up_to_the_cap(capsys, tmp_path):
+    """A point field of a fourth-order equation verifies unless one of the
+    coefficients g1 reads needs a jet past the cap, as eta_u = u_x does;
+    then the command prints no record, not even the other fields'."""
+    target = tmp_path / "fourth.prob"
+    target.write_text(FOURTH_ORDER_SYMMETRIES)
+    code, out, err = run_cli(capsys, "--problem", str(target), "verify")
+    assert code == 2
+    assert [line.split("\t")[2] for line in out.splitlines()] == ["pass"] * 4 + ["fail"] * 2
+    assert err.splitlines()[1:] == [
+        "  FAIL verify.symmetry.x5: g1: (-2)*u_xxxx", "  FAIL verify.symmetry.x6: g1: -u_x",
+    ]
+    target.write_text(FOURTH_ORDER_SYMMETRIES + "x7_eta_u = u_x\n")
+    code, out, err = run_cli(capsys, "--problem", str(target), "verify")
+    assert (code, out, err) == (1, "", f"nlseverify: error: {JET_PAST_CAP}\n")
 
 
 TRANSPORT = ONE_DEP_HEADER + (

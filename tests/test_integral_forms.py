@@ -66,9 +66,8 @@ def assert_routes_agree(problem, vectors):
             assert typed(divergence_match(system, pair, vec)) == typed(
                 fraction_divergence(system, pair, vec)
             ), (pair.label, vec.label)
-    order = max(vec.order for vec in vectors)
     for fieldv in problem.symmetries:
-        prol = prolong(fieldv, order, problem.ctx)
+        prol = prolong(fieldv, problem.ctx)
         for vec in vectors:
             got = association_residual(system, prol, vec)
             want = fraction_association(system, prol, vec)

@@ -13,7 +13,6 @@ from conftest import random_expr
 from nlseverify.exprs import Context, JetOrderError, JetVar, add, collect_refs, render, var
 from nlseverify.jets import (
     PDESystem,
-    ProlongationError,
     VectorField,
     apply_field,
     euler_operator,
@@ -131,7 +130,7 @@ def test_prolongation_classic_coefficients(problem):
     ctx = problem.ctx
     u, x = ctx["u"], ctx["x"]
     scaling = VectorField("scale-x", {"x": var(x)}, {})
-    prol = prolong(scaling, 2, ctx)
+    prol = prolong(scaling, ctx)
 
     def coefficient(p, word):
         return normalize(p.zeta[ctx.jet("u", word)])
@@ -140,7 +139,7 @@ def test_prolongation_classic_coefficients(problem):
     assert coefficient(prol, "xx") == normalize(ctx.parse("-2*u_xx"))
 
     vertical = VectorField("vert-u", {}, {"u": var(u)})
-    pv = prolong(vertical, 2, ctx)
+    pv = prolong(vertical, ctx)
     assert coefficient(pv, "x") == normalize(ctx.parse("u_x"))
     assert coefficient(pv, "tx") == normalize(ctx.parse("u_tx"))
 
@@ -150,7 +149,7 @@ def test_prolongation_derives_a_coefficient_when_first_asked(problem, monkeypatc
     derives the jets of g1 and their prefixes, and acting again derives
     nothing."""
     ctx, system = problem.ctx, problem.system
-    prol = prolong(problem.symmetries[4], system.order, ctx)
+    prol = prolong(problem.symmetries[4], ctx)
     assert list(prol.zeta) == list(ctx.dependents)
     g1 = system.equation_forms[0]
     first = normalize(apply_field(prol, g1))
@@ -174,7 +173,7 @@ def test_prolongation_matches_the_characteristic(problem):
     words = ["".join(w) for n in (1, 2, 3) for w in combinations_with_replacement(letters, n)]
     assert len(words) == 9
     for fieldv in problem.symmetries:
-        prol = prolong(fieldv, 3, ctx)
+        prol = prolong(fieldv, ctx)
         xi = {i: fieldv.forms.get(i, {}) for i in letters}
         for dep in ctx.dependents:
             q = dict(fieldv.forms.get(dep.name, {}))
@@ -191,15 +190,14 @@ def test_prolongation_matches_the_characteristic(problem):
 def test_associate_prolongs_each_symmetry_once(problem, monkeypatch):
     calls = []
 
-    def counting(fieldv, order, ctx):
-        calls.append((fieldv.label, order))
-        return prolong(fieldv, order, ctx)
+    def counting(fieldv, ctx):
+        calls.append(fieldv.label)
+        return prolong(fieldv, ctx)
 
     monkeypatch.setattr(nlseverify.cli, "prolong", counting)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert nlseverify.cli.main(["associate"]) == 0
-    # at the highest order a conserved vector needs: t3's density holds u_xx
-    assert calls == [(f.label, 2) for f in problem.symmetries]
+    assert calls == [f.label for f in problem.symmetries]
     assert len(calls) == 5
 
 
@@ -213,9 +211,9 @@ def test_prolongation_is_linear(problem):
         n.name: add(x4.eta.get(n.name, 0), x5.eta.get(n.name, 0)) for n in ctx.dependents
     }
     combined = VectorField("x4-plus-x5", xi, eta)
-    p4 = prolong(x4, 2, ctx)
-    p5 = prolong(x5, 2, ctx)
-    pc = prolong(combined, 2, ctx)
+    p4 = prolong(x4, ctx)
+    p5 = prolong(x5, ctx)
+    pc = prolong(combined, ctx)
     names = ("t", "x", "u", "v", "beta", "u_x", "v_x", "u_xx", "v_tx")
     for e in corpus(ctx, names, seed=404, count=10, depth=2):
         f = as_form(e)
@@ -224,16 +222,15 @@ def test_prolongation_is_linear(problem):
 
 
 def test_prolongation_requires_headroom(problem):
+    """The context's cap is prolongation's only bound: with eta_u = u_x,
+    zeta[u_J] holds u_{J,x}, so the coefficient of a jet at the cap needs
+    a jet past it."""
     ctx = problem.ctx
-    with pytest.raises(JetOrderError):
-        prolong(problem.symmetries[4], ctx.max_order, ctx)
-
-
-def test_apply_field_reports_missing_jets(problem):
-    ctx = problem.ctx
-    prol = prolong(problem.symmetries[2], 1, ctx)
-    with pytest.raises(ProlongationError, match="order 1 has no coefficient for u_xx"):
-        apply_field(prol, as_form(ctx.parse("u_xx")))
+    assert ctx.max_order == 4
+    prol = prolong(VectorField("shift-u", {}, {"u": ctx.parse("u_x")}), ctx)
+    assert normalize(prol.zeta[ctx.jet("u", "xxx")]) == normalize(ctx.parse("u_xxxx"))
+    with pytest.raises(JetOrderError, match="jet order 5 exceeds maximum 4"):
+        prol.zeta[ctx.jet("u", "xxxx")]
 
 
 def test_reduce_eliminates_time_jets(system):

@@ -92,7 +92,7 @@ def test_prolongation_is_linear_in_the_field(problem, pair):
         {n: add(a.xi.get(n, 0), b.xi.get(n, 0)) for n in ("t", "x")},
         {n: add(a.eta.get(n, 0), b.eta.get(n, 0)) for n in ("u", "v")},
     )
-    pa, pb, ps = (prolong(f, 2, ctx) for f in (a, b, summed))
+    pa, pb, ps = (prolong(f, ctx) for f in (a, b, summed))
     rng = random.Random(sum(pair))
     refs = [ctx.parse(n).ref for n in ("t", "x", "u", "v", "beta", "u_x", "v_t", "u_tx", "v_xx")]
     for _ in range(6):

@@ -479,3 +479,17 @@ def test_the_deepest_admitted_nesting_runs_verify(tmp_path, kind):
     )
     assert (proc.returncode, proc.stderr) == (0, "verify: 13 checks (13 pass)\n")
     assert proc.stdout == (Path(src).parent / "perfbench" / "golden" / "verify.tsv").read_text()
+
+
+def test_a_byte_order_mark_is_not_content(tmp_path, capsys):
+    """A UTF-8 file saved with a byte-order mark loads as the same file;
+    a file that is not UTF-8 is still an error that names it."""
+    target = tmp_path / "bom.prob"
+    target.write_bytes(b"\xef\xbb\xbf" + bundled_problem_text().encode("utf-8"))
+    assert main(["--problem", str(target), "verify"]) == 0
+    golden = Path(nlseverify.__file__).resolve().parents[2] / "perfbench" / "golden" / "verify.tsv"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    target.write_bytes(b"[params]\nbeta\xe9\n")
+    with pytest.raises(ProblemFormatError, match="'utf-8' codec can't decode byte 0xe9") as info:
+        load_problem(str(target))
+    assert str(target) in str(info.value)

@@ -381,7 +381,6 @@ def test_candidate_bindings_follow_the_system_order(problem):
         "g1 = u_t + beta*u_x", "g1 = u_t + u_xxx + beta*u_x"
     ).replace("u_t = -beta*u_x", "u_t = -u_xxx - beta*u_x")
     third = load_problem_text(text, "third.prob")
-    assert (problem.system.order, third.system.order) == (2, 3)
     oracle = pytest.importorskip("sympy_jets").SympyJets(third.ctx)
     cand = {c.label: c for c in third.candidates}["case1-linear-phase"]
     third_jets = candidate_jets(cand, third.system)

@@ -204,7 +204,7 @@ def frozen_values(problem):
         (problem.multipliers[0], "q"),
         (problem.conserved[0], "density"),
         (problem.symmetries[0], "xi"),
-        (prolong(problem.symmetries[0], 1, ctx), "order"),
+        (prolong(problem.symmetries[0], ctx), "zeta"),
         (transform, "theta"),
         (reduced_ode(transform), "curvature"),
         (problem.candidates[0], "label"),

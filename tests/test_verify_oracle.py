@@ -16,7 +16,8 @@ of ``t, x``, and SymPy computes each residual by its own route:
 Each residual comes back through the package's parser and normal form and
 must equal the package's own residual: zero for all 13 identities of the
 bundled file, and the same non-zero residual where the printed variants
-break one.  SymPy is a test-only dependency.
+break one.  The symmetries of a fourth-order equation are checked the same
+way.  SymPy is a test-only dependency.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from functools import cache
 
 import pytest
 
+from conftest import FOURTH_ORDER_SYMMETRIES
 from nlseverify.jets import divergence_match, multiplier_condition, symmetry_invariance
 from nlseverify.normal import normalize
-from nlseverify.problem import load_problem
+from nlseverify.problem import load_problem, load_problem_text
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
@@ -38,9 +40,10 @@ VARIANTS = pytest.mark.parametrize("printed", [False, True], ids=["bundled", "pr
 
 
 @cache
-def setting(printed: bool):
-    """The problem, its SymPy translation and its equations in SymPy."""
-    problem = load_problem(printed=printed)
+def setting(printed: bool, text: str | None = None):
+    """The problem (the bundled one, or ``text``), its SymPy translation and
+    its equations in SymPy."""
+    problem = load_problem_text(text, "file.prob") if text else load_problem(printed=printed)
     oracle = SympyJets(problem.ctx)
     equations = tuple(oracle.to_sympy(eq) for _, eq in problem.system.equations)
     return problem, oracle, equations
@@ -116,10 +119,19 @@ def test_divergence_identities_match_sympy(printed):
         assert got.is_zero != printed, (pair.label, vec.label)
 
 
-@VARIANTS
-def test_symmetry_invariances_match_sympy(printed):
-    """The printed g2 drops a factor u, which breaks x3, x4 and x5 only."""
-    problem, oracle, equations = setting(printed)
+@pytest.mark.parametrize(
+    "printed, text, want",
+    [
+        (False, None, []),
+        (True, None, ["x3", "x4", "x5"]),
+        (False, FOURTH_ORDER_SYMMETRIES, ["x5", "x6"]),
+    ],
+    ids=["bundled", "printed", "fourth-order"],
+)
+def test_symmetry_invariances_match_sympy(printed, text, want):
+    """The printed g2 drops a factor u, which breaks x3, x4 and x5 only; on
+    u_t + u_xxxx = 0, the wrong scaling x5 and the boost x6 fail."""
+    problem, oracle, equations = setting(printed, text)
     system = problem.system
     rules = {oracle.funcs[d.name]: oracle.to_sympy(r) for d, r in system.evolution.items()}
     broken = []
@@ -129,4 +141,4 @@ def test_symmetry_invariances_match_sympy(printed):
         assert got == list(symmetry_invariance(system, fieldv).values()), fieldv.label
         if not all(nf.is_zero for nf in got):
             broken.append(fieldv.label)
-    assert broken == (["x3", "x4", "x5"] if printed else [])
+    assert broken == want
