@@ -299,7 +299,8 @@ def add(*terms) -> Expr:
     flat: list[Expr] = []
     rat = 0
     for t in terms:
-        t = as_expr(t)
+        if not isinstance(t, Expr):
+            t = as_expr(t)
         if isinstance(t, Sum):
             for s in t.terms:
                 if isinstance(s, Const):
@@ -323,7 +324,8 @@ def mul(*factors) -> Expr:
     flat: list[Expr] = []
     rat = 1
     for f in factors:
-        f = as_expr(f)
+        if not isinstance(f, Expr):
+            f = as_expr(f)
         if isinstance(f, Prod):
             for g in f.factors:
                 if isinstance(g, Const):

@@ -183,20 +183,24 @@ def substitute_forms(f: Form, images: Mapping[Gen, Form]) -> Form:
     a sqrt atom's argument is a parameter, which no caller substitutes."""
     memo: dict = {}
 
-    def power(g, k: int) -> Form:
+    def image(g) -> Form | None:
         if g not in memo:
             memo[g] = images.get(g)
             if isinstance(g, Atom) and images.keys() & form_generators(g.arg.form()):
                 arg = normalize(substitute_forms(g.arg.form(), images))
                 memo[g] = trig_form(g.fn, arg)
-        return {frozenset({(g, k)}): 1} if memo[g] is None else pow_form(memo[g], k)
+        return memo[g]
 
     out: Form = {}
     for m, c in f.items():
         if c:
-            term: Form = {frozenset(): c}
-            for g, k in m:
-                term = mul_forms(term, power(g, k))
+            # the unsubstituted generators stay as they are; the powers of
+            # the others are multiplied in, in the monomial's order
+            moved = [(g, k) for g, k in m if image(g) is not None]
+            kept = m.difference(moved) if moved else m
+            term: Form = {kept: c}
+            for g, k in moved:
+                term = mul_forms(term, pow_form(memo[g], k))
             accumulate(out, term)
     return out
 
@@ -283,6 +287,11 @@ class PDESystem(Frozen):
     @cached_property
     def equation_forms(self) -> tuple[Form, ...]:
         return tuple(_entry_form(eq, label, "equations") for label, eq in self.equations)
+
+    @cached_property
+    def equation_refs(self) -> tuple[set[Gen], ...]:
+        """The variables and jets each equation tree names."""
+        return tuple(collect_refs(eq) for _, eq in self.equations)
 
     @cached_property
     def _bindings(self) -> dict[JetVar, Form]:

@@ -68,11 +68,10 @@ from .exprs import (
     Var,
     Value,
     VarId,
-    add,
+    ZERO,
     const,
     func,
     int_if_integral,
-    mul,
     pow_,
     render,
 )
@@ -150,12 +149,23 @@ class PolyNF(Value):
         return {frozenset(m): k * c for m, c in self.terms}
 
     def to_expr(self) -> Expr:
-        """The tree of this form, built once and kept."""
+        """The tree of this form, built once and kept: the tree ``add`` of
+        ``mul(const(c), pow_(node, e), ...)`` per term gives, built directly.
+        A node is a ``Var`` or a ``FuncApp``, so nothing folds: a coefficient
+        of 1 is dropped, the constant term goes last, and one term or
+        factor stands unwrapped."""
         kept = vars(self)
         if "_expr" not in kept:
-            kept["_expr"] = add(
-                *(mul(const(c), *(pow_(_node(g), e) for g, e in m)) for m, c in self.terms)
-            )
+            terms, constant = [], []
+            for m, c in self.terms:
+                if not m:
+                    constant.append(const(c))
+                    continue
+                factors = [const(c)] if c != 1 else []
+                factors += (_node(g) if e == 1 else Pow(_node(g), e) for g, e in m)
+                terms.append(factors[0] if len(factors) == 1 else Prod(tuple(factors)))
+            terms += constant
+            kept["_expr"] = Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO
         return kept["_expr"]
 
     def __repr__(self) -> str:
@@ -179,7 +189,10 @@ def _collect(f: Form) -> PolyNF:
     """
     acc: Form = {}
     for m, c in f.items():
-        accumulate(acc, _rewritten(m), c)
+        if any(type(g) is Atom for g, _ in m):
+            accumulate(acc, _rewritten(m), c)
+        else:
+            acc[m] = acc.get(m, 0) + c
     terms = [
         (tuple(sorted(m, key=lambda ge: ge[0].key)), int_if_integral(c))
         for m, c in acc.items()
@@ -254,6 +267,9 @@ def mul_forms(a: Form, b: Form) -> Form:
             f"expanding a product of {len(a)} by {len(b)} terms exceeds "
             f"{MAX_PRODUCT_PAIRS} term pairs"
         )
+    if len(a) == 1 == len(b):  # monomial times monomial
+        ((m1, c1),), ((m2, c2),) = a.items(), b.items()
+        return {mono_mul(m1, m2): c1 * c2}
     out: Form = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -276,6 +292,9 @@ def pow_form(f: Form, n: int) -> Form:
             shown = render(pow_(base.to_expr(), n))
             raise NormalizationError(f"cannot normalize a negative power of a sine: {shown}")
         f, n = {frozenset((g, -k) for g, k in m): Fraction(1) / c}, -n
+    if len(f) == 1 and n:  # a monomial: scale its exponents
+        ((m, c),) = f.items()
+        return {frozenset((g, k * n) for g, k in m): c**n}
     out: Form = {_ONE: 1}
     while n:
         if n & 1:
@@ -315,10 +334,18 @@ def as_form(e: Expr) -> Form:
             accumulate(acc, as_form(t))
         return acc
     if isinstance(e, Prod):
+        # one-term factors fold into one monomial, multiplied in last: a
+        # capped product sees the operand sizes of the plain left-to-right chain
         out: Form = {_ONE: 1}
+        mono, coeff = _ONE, 1
         for f in e.factors:
-            out = mul_forms(out, as_form(f))
-        return out
+            fa = as_form(f)
+            if len(fa) == 1:
+                ((m, c),) = fa.items()
+                mono, coeff = mono_mul(mono, m), coeff * c
+            else:
+                out = mul_forms(out, fa)
+        return {mono: coeff} if out == {_ONE: 1} else mul_forms(out, {mono: coeff})
     if isinstance(e, Pow):
         return pow_form(as_form(e.base), e.exponent)
     if isinstance(e, FuncApp):

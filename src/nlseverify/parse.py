@@ -32,6 +32,7 @@ folding the operands in pairs.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .exprs import (
@@ -62,6 +63,7 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(rf"(\d+)|({NAME.pattern}(?:_[a-z0-9]+)?)|([-+*/^()])|(\S)")
 _END = ("", "", "", "")  # the token after the last; its value is ''
+_STRAY = operator.itemgetter(3)  # a token's stray character, '' for the others
 # Deepest nesting of parentheses, function calls and unary minus.  Deeper
 # input would exhaust Python's default stack of 1000 frames: in the descent,
 # or, from about 98 nested sines on, when two equal atoms are compared.
@@ -76,9 +78,9 @@ class _Parser:
     def __init__(self, text: str, ctx: Context) -> None:
         self.text, self.ctx = text, ctx
         self.toks = toks = _TOKEN_RE.findall(text)
-        for k, (*_, bad) in enumerate(toks):
-            if bad:
-                raise self.error(f"unexpected character {bad!r}", k)
+        if any(map(_STRAY, toks)):  # one pass in C; the loop finds the first
+            k, bad = next((k, tok[3]) for k, tok in enumerate(toks) if tok[3])
+            raise self.error(f"unexpected character {bad!r}", k)
         toks.append(_END)
         self.i = self.depth = 0
 

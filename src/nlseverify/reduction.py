@@ -319,7 +319,7 @@ def candidate_jets(cand: SolutionCandidate, system: PDESystem) -> dict[Gen, Expr
 
     try:
         images = {ctx[name]: as_form(e) for name, e in cand.fields.items()}
-        table = jet_table(ctx, images, (collect_refs(eq) for _, eq in system.equations), derive)
+        table = jet_table(ctx, images, system.equation_refs, derive)
         return {g: normalize(f).to_expr() for g, f in table.items()}
     except NormalizationError as exc:
         raise NormalizationError(f"{cand.label}: {exc}") from None

@@ -2,8 +2,8 @@
 pinned to one minor version, then the benchmark's self-test.  Its Python
 3.10 job installs pytest and hypothesis alone, runs the record, parser, problem-file, jet-calculus,
 association, symmetry, normal-form, integer-route, conservation-law,
-reduce-variant and time-name tests on the byte-compiled sources, then runs the exact commands and diffs their
-stdout against the golden files, once under a random hash seed and once
+reduce-variant and time-name tests on the byte-compiled sources, then runs the exact commands, the printed ``associate`` among them, and
+diffs their stdout against the golden files, once under a random hash seed and once
 under ``PYTHONHASHSEED=1``."""
 
 from __future__ import annotations
@@ -56,10 +56,14 @@ def test_workflow_runs_the_roadmap_tier1_command():
         ('"perfbench/golden/$cmd.tsv"', '"$cmd.out"'),
         ("perfbench/golden/verify_printed.tsv", "verify_printed.out"),
         ("tests/golden/reduce_printed.tsv", "reduce_printed.out"),
+        ("tests/golden/associate_printed.tsv", "associate_printed.out"),
     ]
+    assert "python -m nlseverify --printed-variants associate > associate_printed.out" in commands
     assert "for cmd in verify associate reduce; do" in commands
     # the whole diff loop runs twice: the hash seed must not move the stdout
     assert commands.startswith("for PYTHONHASHSEED in random 1; do\n  export PYTHONHASHSEED\n")
     assert commands.rstrip().endswith("\ndone") and commands.count("done") == 3
     for golden in ("verify", "associate", "reduce", "verify_printed"):
         assert (ROOT / "perfbench" / "golden" / f"{golden}.tsv").is_file()
+    for golden in ("reduce_printed", "associate_printed"):
+        assert (ROOT / "tests" / "golden" / f"{golden}.tsv").is_file()

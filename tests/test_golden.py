@@ -42,6 +42,17 @@ def test_printed_reduce_stdout_is_pinned(capsys):
     assert code == 2
 
 
+def test_printed_associate_stdout_is_pinned(capsys):
+    """The printed rules change ``system.reduce``, so the residuals of
+    x1.t4, x4.t3, x5.t1 and x5.t3 differ from the bundled run's; the
+    verdicts do not, and the exit is 0."""
+    code = main(["--printed-variants", "associate"])
+    out = capsys.readouterr().out
+    expected = Path(__file__).resolve().parent / "golden" / "associate_printed.tsv"
+    assert out == expected.read_text(encoding="utf-8")
+    assert code == 0
+
+
 @pytest.mark.parametrize("init", ["plane-wave", "case1-exact", "random"])
 def test_simulate_output_is_pinned(capsys, tmp_path, init):
     """Stdout and the sampled series of a short run of each initial-data

@@ -133,6 +133,9 @@ BAD = {  # text -> (message, position)
     "u^v": ("exponent must be an integer literal", 2),
     "2^u": ("exponent must be an integer literal", 2),
     "u ? v": ("unexpected character '?'", 2),
+    # of several stray characters, the first is reported
+    "u ? v $": ("unexpected character '?'", 2),
+    "u_ + v": ("unexpected character '_'", 1),
     "": ("unexpected ''", 0),
     "u/0": ("division by zero", 1),
     "0^-1": ("zero raised to a negative power", 1),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ LIKE = {  # a token is replaced by one of its own class, so most mutants still p
     "operator": ("+", "-", "*", "/"),
 }
 COMMANDS = (["verify"], ["associate"], ["reduce"], ["classify"], ["simulate", "--T", "0.01"])
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 @st.composite
@@ -115,3 +117,43 @@ def test_mutated_problem_files_end_in_an_exit_code(tmp_path):
 )
 def test_mutated_edited_files_end_in_an_exit_code(tmp_path, text, names):
     fuzz(tmp_path / "mutant.prob", mutant(text, names), 50)
+
+
+def run_quietly(*argv) -> tuple[int, str]:
+    """Exit code and stdout of one command, stderr dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def test_a_jet_cancelled_in_an_equation_keeps_every_verdict(tmp_path):
+    """``+ J - J`` appended to g1 or g2, for a jet ``J`` of order 1 to 4: the
+    mutation fuzz above rarely draws it with ``classify``, whose compiled
+    equations bind every jet the equation trees name.  The verdict columns
+    stay the bundled ones (the residual digits move with the tree) and
+    ``verify`` prints the golden records."""
+    text = bundled_problem_text()
+    target = tmp_path / "cancel.prob"
+
+    def verdicts(out: str) -> list:
+        return [line.split("\t")[:3] for line in out.splitlines()]
+
+    bundled = verdicts(run_quietly("classify")[1])
+    golden = (GOLDEN / "verify.tsv").read_text(encoding="utf-8")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        key=st.sampled_from(("g1", "g2")),
+        dep=st.sampled_from(("u", "v")),
+        word=st.text("tx", min_size=1, max_size=4),
+    )
+    def run(key, dep, word):
+        jet = f"{dep}_{''.join(sorted(word))}"
+        line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        target.write_text(text.replace(line, f"{line} + {jet} - {jet}", 1))
+        code, out = run_quietly("--problem", str(target), "classify")
+        assert (code, verdicts(out)) == (0, bundled), jet
+        assert run_quietly("--problem", str(target), "verify") == (0, golden), jet
+
+    run()
