@@ -45,6 +45,7 @@ from .exprs import (
     DEPENDENT,
     Context,
     Expr,
+    ExprError,
     Frozen,
     Gen,
     JetVar,
@@ -74,7 +75,8 @@ _UNIT: Form = {frozenset(): 1}
 class EntryError(ValueError):
     """The entry ``key`` of ``section`` (keyed as in a problem file) does not
     normalize, or is a rule holding a time derivative, an equation the rules
-    do not solve, or a symmetry coefficient holding a jet past its bound."""
+    do not solve or solve only past the jet cap, or a symmetry coefficient
+    of an undeclared variable or holding a jet past its bound."""
 
     def __init__(self, message: str, section: str, key: str) -> None:
         super().__init__(message)
@@ -270,7 +272,7 @@ class PDESystem(Frozen):
         evo: dict[VarId, Expr] = {}
         for name, rhs in evolution.items():
             dep = ctx[name]
-            for g in collect_refs(rhs):
+            for g in sorted(collect_refs(rhs), key=ref_sort_key):
                 if isinstance(g, JetVar) and g.order_in(t.name) > 0:
                     msg = f"evolution rule for {name} contains the time derivative {g.name}"
                     raise EntryError(msg, "evolution", f"{name}_{t.name}")
@@ -280,7 +282,11 @@ class PDESystem(Frozen):
             raise ValueError(f"no evolution rule for {', '.join(missing)}")
         system = cls(ctx, t, space, tuple(equations), evo)
         for (label, _), eq in zip(system.equations, system.equation_forms):
-            if not normalize(system.reduce(eq)).is_zero:
+            try:  # past the jet cap or a product's cap, the check refuses this equation
+                solved = normalize(system.reduce(eq)).is_zero
+            except ExprError as exc:
+                raise EntryError(str(exc), "equations", label) from None
+            if not solved:
                 raise EntryError(f"evolution form does not solve equation {label}", "equations", label)
         return system
 
@@ -363,15 +369,17 @@ class VectorField(Frozen):
     _fields = ("label", "xi", "eta")
 
     def validate(self, ctx: Context) -> None:
-        """ValueError for an undeclared variable's coefficient; EntryError for
-        one whose normal form holds a jet past the bound."""
+        """EntryError for a coefficient of an undeclared variable, or one
+        whose normal form holds a jet past the bound."""
         for kind, part, declared, bound, fault in (
             ("xi", self.xi, ctx.independents, 0, "involves jet variables"),
             ("eta", self.eta, ctx.dependents, 1, "exceeds first order"),
         ):
             for name, e in part.items():
+                key = f"{self.label}_{kind}_{name}"
                 if name not in {v.name for v in declared}:
-                    raise ValueError(f"{self.label}: {kind} component for unknown {name!r}")
+                    msg = f"symmetry key {key!r} targets unknown variable {name!r}"
+                    raise EntryError(msg, "symmetries", key)
                 try:  # a tree's jets bound its form's; a tree that does not normalize keeps them
                     past = jet_order(e) > bound and any(
                         isinstance(g, JetVar) and g.total_order > bound for g in form_generators(as_form(e))
@@ -379,7 +387,6 @@ class VectorField(Frozen):
                 except NormalizationError:
                     past = True
                 if past:
-                    key = f"{self.label}_{kind}_{name}"
                     raise EntryError(f"{self.label}: {kind}[{name}] {fault}", "symmetries", key)
 
     @cached_property

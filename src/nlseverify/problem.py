@@ -143,22 +143,27 @@ def _keyed(lines: list[tuple[int, str]], path: str) -> dict[str, tuple[int, str]
 
 _PAIR_RE = re.compile(r"pair(\d+)_q(\d+)$")
 _VEC_RE = re.compile(r"t(\d+)_(density|flux)$")
-_SYM_RE = re.compile(rf"x(\d+)_((xi|eta)_({NAME.pattern}))$")
+_SYM_RE = re.compile(rf"x(\d+)_((?:xi|eta)_{NAME.pattern})$")
 _LABEL_RE = re.compile(r"[a-z][a-z0-9-]*$")
 
 
-def _contiguous(indices, what: str, path: str) -> None:
-    n = len(indices)
-    if sorted(indices) != list(range(1, n + 1)):
-        raise ProblemFormatError(f"{what} indices must be 1..{n}", path)
+def _contiguous(indexed: list[tuple[int, int]], what: str, path: str) -> None:
+    """Refuse, at its line, the first ``(index, lineno)`` whose index is
+    past 1..N or repeats an earlier one; N is the number of indices."""
+    n, seen = len(indexed), set()
+    for index, lineno in indexed:
+        if not 0 < index <= n or index in seen:
+            raise ProblemFormatError(f"{what} indices must be 1..{n}", path, lineno)
+        seen.add(index)
 
 
 def _indexed(entries, pattern: re.Pattern, what: str, build, parsed, path: str) -> list:
-    """One ``build(n, {part: expression})`` per index ``n`` 1..N, in order.
-    ``pattern`` captures the index, then the part (``pair2_q1``: 2, ``1``);
-    ``what`` names the objects (``multiplier pair``), its first word the keys;
-    ``parsed(text, lineno)`` gives an entry's tree."""
-    groups: dict[int, dict[str, Expr]] = {}
+    """One ``build(n, parts, lineno)`` per index ``n`` 1..N, in order:
+    ``parts`` maps each part to its ``(lineno, expression)``, ``lineno`` is
+    its first entry's.  ``pattern`` captures the index, then the part
+    (``pair2_q1``: 2, ``1``); ``what`` names the objects, its first word the
+    keys (``multiplier pair``); ``parsed(text, lineno)`` gives a tree."""
+    groups: dict[int, dict[str, tuple[int, Expr]]] = {}
     for key, (lineno, value) in entries:
         m = pattern.match(key)
         if not m:
@@ -166,9 +171,10 @@ def _indexed(entries, pattern: re.Pattern, what: str, build, parsed, path: str) 
         parts = groups.setdefault(int(m[1]), {})
         if m[2] in parts:  # the index spelled with a leading zero
             raise ProblemFormatError(f"duplicate key {key!r}", path, lineno)
-        parts[m[2]] = parsed(value, lineno)
-    built = [build(n, groups[n]) for n in sorted(groups)]
-    _contiguous(groups, what, path)
+        parts[m[2]] = lineno, parsed(value, lineno)
+    firsts = {n: next(iter(parts.values()))[0] for n, parts in groups.items()}
+    built = [build(n, groups[n], firsts[n]) for n in sorted(groups)]
+    _contiguous(list(firsts.items()), what, path)
     return built
 
 
@@ -252,52 +258,38 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
     try:
         system = PDESystem.build(ctx, equations, evolution)
     except EntryError as exc:
-        lineno = rows[exc.section][exc.key][0]
-        raise ProblemFormatError(str(exc), path, lineno) from None
-    except (ValueError, ExprError) as exc:
+        raise ProblemFormatError(str(exc), path, rows[exc.section][exc.key][0]) from None
+    except ValueError as exc:  # a dependent with no rule: the section's fault
         raise ProblemFormatError(str(exc), path) from None
 
-    def pair(n: int, qs: dict[str, Expr]) -> MultiplierPair:
-        _contiguous([int(q) for q in qs], f"pair{n} multiplier", path)
+    # builders of the indexed sections; a group is refused at its first line
+    def pair(n: int, qs: dict[str, tuple[int, Expr]], first: int) -> MultiplierPair:
+        _contiguous([(int(q), line) for q, (line, _) in qs.items()], f"pair{n} multiplier", path)
         if len(qs) != len(equations):
             msg = f"pair{n} has {len(qs)} multipliers for {len(equations)} equations"
-            raise ProblemFormatError(msg, path)
-        return MultiplierPair(f"pair{n}", tuple(qs[q] for q in sorted(qs, key=int)))
+            raise ProblemFormatError(msg, path, first)
+        return MultiplierPair(f"pair{n}", tuple(qs[q][1] for q in sorted(qs, key=int)))
 
-    def vector(n: int, parts: dict[str, Expr]) -> ConservedVector:
+    def vector(n: int, parts: dict[str, tuple[int, Expr]], first: int) -> ConservedVector:
         if set(parts) != {"density", "flux"}:
-            raise ProblemFormatError(f"t{n} needs both density and flux", path)
-        return ConservedVector(f"t{n}", parts["density"], parts["flux"])
+            raise ProblemFormatError(f"t{n} needs both density and flux", path, first)
+        return ConservedVector(f"t{n}", parts["density"][1], parts["flux"][1])
 
-    indep_names = {v.name for v in ctx.independents}
-    dep_names = {v.name for v in ctx.dependents}
-
-    def targeted(entries):
-        """[symmetries] entries, each naming a declared variable of its kind."""
-        for key, (lineno, value) in entries:
-            m = _SYM_RE.match(key)
-            if m and m[4] not in (indep_names if m[3] == "xi" else dep_names):
-                msg = f"symmetry key {key!r} targets unknown variable {m[4]!r}"
-                raise ProblemFormatError(msg, path, lineno)
-            yield key, (lineno, value)
-
-    def symmetry(n: int, parts: dict[str, Expr]) -> VectorField:
+    def symmetry(n: int, parts: dict[str, tuple[int, Expr]], _first: int) -> VectorField:
         coefficients: dict[str, dict[str, Expr]] = {"xi": {}, "eta": {}}
-        for part, e in parts.items():
+        for part, (_, e) in parts.items():
             kind, _, target = part.partition("_")
             coefficients[kind][target] = e
         fieldv = VectorField(f"x{n}", coefficients["xi"], coefficients["eta"])
         try:
             fieldv.validate(ctx)
         except EntryError as exc:  # keyed x1_..., as the file may not write it (x01_...)
-            lineno = next(line for key, (line, _) in rows["symmetries"].items()
-                          if (m := _SYM_RE.match(key)) and f"x{int(m[1])}_{m[2]}" == exc.key)
-            raise ProblemFormatError(str(exc), path, lineno) from None
+            raise ProblemFormatError(str(exc), path, parts[exc.key.partition("_")[2]][0]) from None
         return fieldv
 
     multipliers = _indexed(entries("multipliers"), _PAIR_RE, "multiplier pair", pair, parsed, path)
     conserved = _indexed(entries("conserved"), _VEC_RE, "conserved vector", vector, parsed, path)
-    symmetries = _indexed(targeted(entries("symmetries")), _SYM_RE, "symmetry", symmetry, parsed, path)
+    symmetries = _indexed(entries("symmetries"), _SYM_RE, "symmetry", symmetry, parsed, path)
 
     candidates: list[SolutionCandidate] = []
     deps = [d.name for d in ctx.dependents]
@@ -344,14 +336,14 @@ def load_problem_text(text: str, path: str, printed: bool = False) -> Problem:
             if "=" not in piece:
                 raise ProblemFormatError(f"bad candidate field {piece!r}", path, lineno)
             dname, dval = (s.strip() for s in piece.split("=", 1))
-            if dname not in dep_names:
+            if dname not in deps:
                 raise ProblemFormatError(
                     f"candidate field {dname!r} is not a dependent variable",
                     path,
                     lineno,
                 )
             exprs[dname] = parsed(dval, lineno)
-        if set(exprs) != dep_names:
+        if set(exprs) != set(deps):
             raise ProblemFormatError(
                 "candidate must give every dependent variable", path, lineno
             )

@@ -245,12 +245,12 @@ class SolutionCandidate(Frozen):
         """Raise ValueError unless every field is an explicit function of
         the base variables (no dependent variable or jet in any)."""
         for dep_name, expr in self.fields.items():
-            for g in collect_refs(expr):
-                if isinstance(g, JetVar) or g.kind == DEPENDENT:
-                    raise ValueError(
-                        f"{self.label}: candidate {dep_name} must be an explicit "
-                        f"function of the base variables, found {g}"
-                    )
+            found = [g for g in collect_refs(expr) if isinstance(g, JetVar) or g.kind == DEPENDENT]
+            if found:
+                raise ValueError(
+                    f"{self.label}: candidate {dep_name} must be an explicit "
+                    f"function of the base variables, found {min(found, key=ref_sort_key)}"
+                )
 
 
 class DrawResult(Frozen):

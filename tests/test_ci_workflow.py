@@ -4,7 +4,10 @@ pinned to one minor version, then the benchmark's self-test.  Its Python
 association, symmetry, normal-form, integer-route, conservation-law,
 reduce-variant and time-name tests on the byte-compiled sources, then runs the exact commands, the printed ``associate`` among them, and
 diffs their stdout against the golden files, once under a random hash seed and once
-under ``PYTHONHASHSEED=1``."""
+under ``PYTHONHASHSEED=1``.  In the same loop it writes the two edits of
+the bundled file whose refusal names one of several offending generators
+(``test_problem_file.SEVERAL_OFFENDERS``) with ``sed``, runs ``verify`` on
+each and diffs its stderr against the one expected line."""
 
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_problem_file import SEVERAL_OFFENDERS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,9 +64,18 @@ def test_workflow_runs_the_roadmap_tier1_command():
     ]
     assert "python -m nlseverify --printed-variants associate > associate_printed.out" in commands
     assert "for cmd in verify associate reduce; do" in commands
-    # the whole diff loop runs twice: the hash seed must not move the stdout
+    # the refusals naming several generators: each edit written by sed,
+    # refused with exit 1 and the one line of its test
+    bundled = "src/nlseverify/data/cubic_nlse.prob"
+    for edit, (script, refusal) in SEVERAL_OFFENDERS.items():
+        assert f"sed '{script}' {bundled} > {edit}.prob\n" in commands
+        assert f'echo "nlseverify: error: {edit}.prob:{refusal}" | diff -u - {edit}.err\n' in commands
+    assert "for edit in evolution candidate; do" in commands
+    assert 'python -m nlseverify --problem "$edit.prob" verify 2> "$edit.err" || code=$?' in commands
+    assert commands.count('test "$code" -eq 1') == 1 and commands.count('test "$code" -eq 2') == 1
+    # the whole diff loop runs twice: the hash seed must move neither the stdout nor a refusal
     assert commands.startswith("for PYTHONHASHSEED in random 1; do\n  export PYTHONHASHSEED\n")
-    assert commands.rstrip().endswith("\ndone") and commands.count("done") == 3
+    assert commands.rstrip().endswith("\ndone") and commands.count("done") == 4
     for golden in ("verify", "associate", "reduce", "verify_printed"):
         assert (ROOT / "perfbench" / "golden" / f"{golden}.tsv").is_file()
     for golden in ("reduce_printed", "associate_printed"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,77 @@ def test_inconsistent_evolution_is_wrapped():
     assert str(err) == "<test>:28: evolution rule for u contains the time derivative u_tx"
     expect_error(MINIMAL.replace("u_t = -beta*u_x", "q_t = u"), "evolution key")
     expect_error(TWO_DEP.replace("v_t = -beta*v_x\n", ""), "no evolution rule for v")
+
+
+BUNDLED = bundled_problem_text()
+
+
+def edited(pattern: str, repl: str) -> str:
+    """The bundled file with every match of the line pattern replaced."""
+    text, n = re.subn(pattern, repl, BUNDLED, flags=re.M)
+    assert n, pattern
+    return text
+
+
+PLACED = {  # case -> (edit of the bundled file, its refusal at the line of the entry it refuses)
+    "pair1-short": (edited(r"^pair1_q2 = .*\n", ""), "32: pair1 has 1 multipliers for 2 equations"),
+    "t2-without-flux": (edited(r"^t2_flux = .*\n", ""), "44: t2 needs both density and flux"),
+    "pair4-as-pair5": (edited(r"^pair4_", "pair5_"), "38: multiplier pair indices must be 1..4"),
+    "x5-as-x6": (edited(r"^x5_", "x6_"), "59: symmetry indices must be 1..5"),
+    "g1-past-the-cap": (edited(r"^(g1 = .*)$", r"\1 + u_txxx"), "24: jet order 5 exceeds maximum 4"),
+    "x03-second-order": (
+        edited(r"^x3_eta_u = .*", "x03_eta_u = u_xx + v"), "54: x3: eta[u] exceeds first order",
+    ),
+    "x03-unknown-target": (
+        edited(r"^x3_eta_u = .*", "x03_eta_q = v"), "54: symmetry key 'x3_eta_q' targets unknown variable 'q'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PLACED)
+def test_a_refused_entry_names_its_line(case):
+    """A wrong multiplier count, a missing flux, an index gap and an
+    equation whose on-shell check passes the jet cap used to name the file
+    alone; a group is refused at its first line, a gap at the first entry
+    whose index is out of range."""
+    text, refusal = PLACED[case]
+    err = expect_error(text, refusal)
+    assert str(err) == f"<test>:{refusal}" and err.lineno == int(refusal.split(":")[0])
+
+
+SEVERAL_OFFENDERS = {  # case -> (sed script that edits the bundled file, its refusal)
+    "evolution": (
+        "s/^u_t = .*/u_t = v_tx + u_tt + v_tt/",
+        "28: evolution rule for u contains the time derivative u_tt",
+    ),
+    "candidate": (
+        "/^case1-const-u /s/u = sqrt(eps)/u = u_xx + v_x + v + u/",
+        "65: case1-const-u: candidate u must be an explicit function of the base variables, found u",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SEVERAL_OFFENDERS)
+def test_a_refusal_names_the_first_offending_generator(tmp_path, case):
+    """Generators hash by identity, so a set of them comes out in address
+    order; the refusal named whichever came first and changed from run to
+    run.  Fresh interpreters each print the first in generator order."""
+    script, refusal = SEVERAL_OFFENDERS[case]
+    target = tmp_path / f"{case}.prob"
+    with open(target, "w") as out:
+        subprocess.run(["sed", script], input=BUNDLED, stdout=out, text=True, check=True)
+    src = str(Path(nlseverify.__file__).resolve().parents[1])
+    runs = {
+        (proc.returncode, proc.stderr)
+        for proc in (
+            subprocess.run(
+                [sys.executable, "-m", "nlseverify", "--problem", str(target), "verify"],
+                capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+            )
+            for _ in range(5)
+        )
+    }
+    assert runs == {(1, f"nlseverify: error: {target}:{refusal}\n")}
 
 
 def test_multiplier_key_and_contiguity_errors():

@@ -1,6 +1,7 @@
 """Mutation fuzz of problem files: whatever the loader makes of a damaged
-file, every command ends with exit 0, 1 or 2, never a traceback.  The
-bundled file is fuzzed, and so are two edits of it: third-order dispersion,
+file, every command ends with exit 0, 1 or 2, never a traceback, and a
+file refused for a renumbered key is refused at a line.  The bundled file
+is fuzzed, and so are two edits of it: third-order dispersion,
 whose prolongation goes past the bundled order, and the dependents spelled
 a, b."""
 
@@ -20,6 +21,7 @@ from nlseverify.problem import bundled_problem_text
 from test_reduce_variants import renamed_dependents, variant
 
 TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[^\sA-Za-z0-9_]")
+INDEXED = re.compile(r"(pair|t|x)(\d+)_")  # the key of an indexed entry, up to its index
 DECLARED = ("t", "x", "u", "v", "beta", "gamma", "delta", "c", "eps", "c1")
 LIKE = {  # a token is replaced by one of its own class, so most mutants still parse
     "name": (*DECLARED, "u_x", "v_xx", "u_t", "w"),
@@ -31,19 +33,23 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 @st.composite
-def mutant(draw, text: str, names: tuple[str, ...] = LIKE["name"]) -> str:
-    """``text`` with one line dropped, duplicated or swapped with the next
-    one, one token of an entry's value replaced by a token like it (a name
-    from ``names``) or wrapped in 1 to 12 nested squares, one declared
-    name renamed wherever it is a word, ``+ J - J`` appended to an entry
-    for a jet ``J`` of order 1 to 4, or a tab put inside a key or a
-    ``[reduced]`` note."""
+def mutant(draw, text: str, names: tuple[str, ...] = LIKE["name"]) -> tuple[str, str]:
+    """The kind of mutation and ``text`` with it: one line dropped,
+    duplicated or swapped with the next one, one token of an entry's value
+    replaced by a token like it (a name from ``names``) or wrapped in 1 to
+    12 nested squares, one declared name renamed wherever it is a word,
+    ``+ J - J`` appended to an entry for a jet ``J`` of order 1 to 4, a tab
+    put inside a key or a ``[reduced]`` note, or the index of one
+    ``pairN``, ``tN`` or ``xN`` key shifted by one or written with a
+    leading zero."""
     lines = text.splitlines()
     content = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
-    kinds = ("drop", "duplicate", "swap", "token", "rename", "square", "cancel", "tab")
+    kinds = ("drop", "duplicate", "swap", "token", "rename", "square", "cancel", "tab", "renumber")
     kind = draw(st.sampled_from(kinds))
     if kind in ("cancel", "tab"):  # an entry: a line with a value
         content = [i for i in content if "=" in lines[i].split("#", 1)[0]]
+    elif kind == "renumber":
+        content = [i for i in content if INDEXED.match(lines[i])]
     at = draw(st.sampled_from(content))
     if kind == "drop":
         lines = lines[:at] + lines[at + 1 :]
@@ -74,22 +80,26 @@ def mutant(draw, text: str, names: tuple[str, ...] = LIKE["name"]) -> str:
         lo, hi = (eq + 2, len(line) - 1) if header == "[reduced]" else (1, eq - 2)
         cut = draw(st.integers(lo, max(lo, hi)))
         lines[at] = line[:cut] + "\t" + line[cut:]
+    elif kind == "renumber":
+        m = INDEXED.match(lines[at])
+        index = draw(st.sampled_from((int(m[2]) + 1, int(m[2]) - 1, f"0{m[2]}")))
+        lines[at] = f"{m[1]}{index}{lines[at][m.end(2):]}"
     else:
         old, new = draw(st.sampled_from(DECLARED)), draw(st.sampled_from(("w", "k", "y", "lam")))
         lines = [re.sub(rf"\b{old}\b", new, line) for line in lines]
-    return "\n".join(lines) + "\n"
+    return kind, "\n".join(lines) + "\n"
 
 
 def fuzz(target, mutants, examples: int) -> None:
     """Run a random command, with or without the printed variants, on
     ``examples`` drawn mutants; at least a quarter of them must get past
-    the loader."""
+    the loader, and a renumbered key is refused at a line."""
     reached = []
 
     @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def run(data):
-        text = data.draw(mutants)
+        kind, text = data.draw(mutants)
         argv = ["--printed-variants"] * data.draw(st.booleans()) + data.draw(st.sampled_from(COMMANDS))
         target.write_text(text)
         err = io.StringIO()
@@ -97,7 +107,10 @@ def fuzz(target, mutants, examples: int) -> None:
             code = main(["--problem", str(target), *argv])
         assert code in (0, 1, 2), (argv, text)
         # Every loader error names the file first; any other outcome ran the command.
-        reached.append(not err.getvalue().startswith(f"nlseverify: error: {target}"))
+        refused = err.getvalue().startswith(f"nlseverify: error: {target}")
+        if refused and kind == "renumber":
+            assert re.match(rf"nlseverify: error: {re.escape(str(target))}:\d+: ", err.getvalue()), text
+        reached.append(not refused)
 
     run()
     assert sum(reached) >= len(reached) / 4, f"{sum(reached)} of {len(reached)} mutants loaded"
